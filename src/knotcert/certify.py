@@ -21,11 +21,7 @@ from typing import Callable, Sequence
 from . import bounds
 from .decomp import decompose
 from .magnus import LongitudeSystem, lcs_at_least, lcs_degree, milnor_vanish_upto
-from .schreier import (
-    NotInNormalClosure,
-    normal_closure_lcs_at_least,
-    rewrite_to_word,
-)
+from .schreier import NotInNormalClosure, rewrite_to_word
 from .words import (
     concat,
     format_word,
@@ -133,12 +129,6 @@ class SurfaceCertificate:
     def curves_of_role(self, role: str) -> list[Curve]:
         return sorted((c for c in self.curves if c.role == role), key=lambda c: c.index)
 
-    def curve_named(self, name: str) -> Curve:
-        for c in self.curves:
-            if c.name == name:
-                return c
-        raise CertificateError(f"no curve named {name!r}")
-
     def has_flag(self, flag: str) -> bool:
         return flag in self.asserted_flags
 
@@ -184,6 +174,11 @@ def _word_or_none(value) -> tuple[int, ...] | None:
 
 
 def certificate_from_dict(data: dict) -> SurfaceCertificate:
+    """Build a certificate from its JSON document.
+
+    Every field is checked here, so any malformed document raises
+    CertificateError (CLI exit code 2) and nothing later trips over it.
+    """
     try:
         kind = data["kind"]
         genus = int(data["genus"])
@@ -191,6 +186,11 @@ def certificate_from_dict(data: dict) -> SurfaceCertificate:
         raw_curves = data["curves"]
     except (KeyError, TypeError, ValueError) as exc:
         raise CertificateError(f"bad certificate document: {exc}") from exc
+    if not isinstance(raw_curves, list):
+        raise CertificateError("curves must be a list")
+    flags = data.get("asserted_flags", [])
+    if not isinstance(flags, list) or not all(isinstance(f, str) for f in flags):
+        raise CertificateError("asserted_flags must be a list of strings")
     curves = []
     for raw in raw_curves:
         try:
@@ -206,6 +206,9 @@ def certificate_from_dict(data: dict) -> SurfaceCertificate:
                     m_chi=None if f.get("m_chi") is None else int(f["m_chi"]),
                     m_zeta=None if f.get("m_zeta") is None else int(f["m_zeta"]),
                 )
+            pair = raw.get("pair")
+            if pair is not None and not isinstance(pair, str):
+                raise TypeError("pair must be a curve name")
             curves.append(
                 Curve(
                     name=str(raw["name"]),
@@ -214,7 +217,7 @@ def certificate_from_dict(data: dict) -> SurfaceCertificate:
                     pushoff_plus=_word_or_none(raw.get("pushoff_plus")),
                     pushoff_minus=_word_or_none(raw.get("pushoff_minus")),
                     m=None if raw.get("m") is None else int(raw["m"]),
-                    pair=raw.get("pair"),
+                    pair=pair,
                     factors=factors,
                 )
             )
@@ -222,8 +225,9 @@ def certificate_from_dict(data: dict) -> SurfaceCertificate:
             raise CertificateError(f"curve entry missing field {exc}") from exc
         except (AttributeError, TypeError, ValueError) as exc:
             raise CertificateError(f"bad curve entry: {exc}") from exc
-    flags = tuple(data.get("asserted_flags", ()))
-    return SurfaceCertificate(kind=kind, genus=genus, n=n, curves=tuple(curves), asserted_flags=flags)
+    return SurfaceCertificate(
+        kind=kind, genus=genus, n=n, curves=tuple(curves), asserted_flags=tuple(flags)
+    )
 
 
 def certificate_to_dict(cert: SurfaceCertificate) -> dict:
@@ -379,9 +383,40 @@ def q_of_word(word: Sequence[int], m: int, exclude: frozenset[int] = frozenset()
     return QInfo(k, q, len(comb.factors))
 
 
-def q_of_closure_word(word: Sequence[int], subset: frozenset[int], m: int) -> QInfo:
-    """q-value computed inside the Schreier alphabet of a normal closure."""
-    return q_of_word(rewrite_to_word(word, subset), m)
+# ---------------------------------------------------------------------------
+# Orientation search
+
+
+def _orient(
+    curves: Sequence[Curve], check: Callable[..., tuple[bool, object]]
+) -> tuple[str | None, list[tuple[str, object]]]:
+    """Try the orientations epsilon = +, then -, of one curve or a dual pair.
+
+    The first curve is read at epsilon and the second, when given, at
+    -epsilon; an orientation missing one of those pushoffs is skipped.
+    ``check`` gets the words and returns (passed, result).  Returns the
+    first passing epsilon (None when none passes) and the (epsilon,
+    result) of every orientation tried, the passing one last.
+    """
+    attempts = []
+    for eps in ("+", "-"):
+        words = [c.pushoff(s) for c, s in zip(curves, (eps, "-" if eps == "+" else "+"))]
+        if any(w is None for w in words):
+            continue
+        passed, result = check(*words)
+        attempts.append((eps, result))
+        if passed:
+            return eps, attempts
+    return None, attempts
+
+
+def _quotient_membership(
+    killed: tuple[int, ...], n: int
+) -> tuple[bool, tuple[tuple[int, ...], str]]:
+    """(passed, (killed word, failure detail)) for membership in F^(n+1)."""
+    if lcs_at_least(killed, n + 1):
+        return True, (killed, "")
+    return False, (killed, f"lcs degree {lcs_degree(killed, n)}")
 
 
 # ---------------------------------------------------------------------------
@@ -406,10 +441,22 @@ def certify_hyperbolic(cert: SurfaceCertificate, n: int | None = None) -> Certif
     per_curve = {}
     for curve in a_curves:
         kill = prefix_kill_set(curve.index)
-        outcome = _staged_membership(curve, kill, n, rb)
-        if outcome is None:
+        sign, tried = _orient(
+            (curve,), lambda w: _quotient_membership(kill_generators(w, kill), n)
+        )
+        if not tried:
+            raise CertificateError(f"curve {curve.name} has no pushoff word")
+        if sign is None:
+            detail = "; ".join(f"pushoff {s}: {why}" for s, (_, why) in tried)
+            rb.add("quotient-membership", "fail", curve.name, detail + f" < {n + 1}")
             continue
-        sign, killed = outcome
+        killed, _ = tried[-1][1]
+        rb.add(
+            "quotient-membership",
+            "pass",
+            curve.name,
+            f"pushoff {sign}: image in F^({n + 1}) after killing {sorted(kill)}",
+        )
         info = q_of_word(killed, n, exclude=frozenset({x_generator(curve.index)}))
         q_values.append(info.q)
         per_curve[curve.name] = {
@@ -430,30 +477,6 @@ def certify_hyperbolic(cert: SurfaceCertificate, n: int | None = None) -> Certif
         rb.quantities["l_n_S"] = None
         rb.quantities["conclusion"] = "genus 0: boundary is the trivial knot"
     return rb.finish()
-
-
-def _staged_membership(
-    curve: Curve, kill: frozenset[int], n: int, rb: _ReportBuilder
-) -> tuple[str, tuple[int, ...]] | None:
-    """Try both pushoffs of a curve for the killed-image membership."""
-    candidates = [(s, curve.pushoff(s)) for s in ("+", "-") if curve.pushoff(s) is not None]
-    if not candidates:
-        raise CertificateError(f"curve {curve.name} has no pushoff word")
-    failures = []
-    for sign, word in candidates:
-        killed = kill_generators(word, kill)
-        if lcs_at_least(killed, n + 1):
-            rb.add(
-                "quotient-membership",
-                "pass",
-                curve.name,
-                f"pushoff {sign}: image in F^({n + 1}) after killing {sorted(kill)}",
-            )
-            return sign, killed
-        failures.append((sign, lcs_degree(killed, n)))
-    detail = "; ".join(f"pushoff {s}: lcs degree {d}" for s, d in failures)
-    rb.add("quotient-membership", "fail", curve.name, detail + f" < {n + 1}")
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -483,14 +506,15 @@ def _paired_curves(cert: SurfaceCertificate) -> list[tuple[Curve, Curve]]:
 
 def _closure_membership(
     word: tuple[int, ...], subset: frozenset[int], depth: int
-) -> tuple[bool, str]:
+) -> tuple[bool, tuple[tuple[int, ...] | None, str]]:
+    """(passed, (Schreier-alphabet word for the q-value, detail)) for G^(depth+1)."""
     try:
-        ok = normal_closure_lcs_at_least(word, subset, depth + 1)
+        rewritten = rewrite_to_word(word, subset)
     except NotInNormalClosure as exc:
-        return False, f"not in normal closure: {exc}"
-    if ok:
-        return True, f"lies in G^({depth + 1})"
-    return False, f"closure lcs degree below {depth + 1}"
+        return False, (None, f"not in normal closure: {exc}")
+    if lcs_at_least(rewritten, depth + 1):
+        return True, (rewritten, f"lies in G^({depth + 1})")
+    return False, (rewritten, f"closure lcs degree below {depth + 1}")
 
 
 def certify_elliptic(cert: SurfaceCertificate, n: int | None = None) -> CertificateReport:
@@ -513,31 +537,24 @@ def certify_elliptic(cert: SurfaceCertificate, n: int | None = None) -> Certific
     for a, b in _paired_curves(cert):
         if a.m is None or b.m is None:
             raise CertificateError(f"pair ({a.name}, {b.name}): membership depths m required")
-        chosen = None
-        attempts = []
-        for eps in ("+", "-"):
-            wa = a.pushoff(eps)
-            wb = b.pushoff("-" if eps == "+" else "+")
-            if wa is None or wb is None:
-                continue
-            ok_a, detail_a = _closure_membership(wa, s_a, a.m)
-            ok_b, detail_b = _closure_membership(wb, s_b, b.m)
-            attempts.append((eps, ok_a, detail_a, ok_b, detail_b, wa, wb))
-            if ok_a and ok_b:
-                chosen = attempts[-1]
-                break
-        if not attempts:
+
+        def pair_membership(wa, wb):
+            at_a = _closure_membership(wa, s_a, a.m)
+            at_b = _closure_membership(wb, s_b, b.m)
+            return at_a[0] and at_b[0], (at_a, at_b)
+
+        eps, tried = _orient((a, b), pair_membership)
+        if not tried:
             raise CertificateError(f"pair ({a.name}, {b.name}): no orientation has both pushoffs")
-        if chosen is None:
-            eps, ok_a, detail_a, ok_b, detail_b, _, _ = attempts[0]
-            rb.add("closure-membership", "pass" if ok_a else "fail", a.name, detail_a)
-            rb.add("closure-membership", "pass" if ok_b else "fail", b.name, detail_b)
+        if eps is None:
+            for curve, (ok, (_, detail)) in zip((a, b), tried[0][1]):
+                rb.add("closure-membership", "pass" if ok else "fail", curve.name, detail)
             continue
-        eps, _, detail_a, _, detail_b, wa, wb = chosen
+        (_, (word_a, detail_a)), (_, (word_b, detail_b)) = tried[-1][1]
         rb.add("closure-membership", "pass", a.name, f"epsilon {eps}: {detail_a}")
         rb.add("closure-membership", "pass", b.name, f"epsilon -{eps}: {detail_b}")
-        qa = q_of_closure_word(wa, s_a, a.m)
-        qb = q_of_closure_word(wb, s_b, b.m)
+        qa = q_of_word(word_a, a.m)
+        qb = q_of_word(word_b, b.m)
         per_pair[a.name] = {
             "epsilon": eps,
             "m_A": a.m,
@@ -590,26 +607,16 @@ def certify_parabolic(
     for curve in cert.curves_of_role("B"):
         if curve.m is None:
             raise CertificateError(f"curve {curve.name}: membership depth m required")
-        chosen = None
-        attempts = []
-        for eps in ("+", "-"):
-            w = curve.pushoff(eps)
-            if w is None:
-                continue
-            ok, detail = _closure_membership(w, s_b, curve.m)
-            attempts.append((eps, ok, detail, w))
-            if ok:
-                chosen = attempts[-1]
-                break
-        if not attempts:
+        eps, tried = _orient((curve,), lambda w: _closure_membership(w, s_b, curve.m))
+        if not tried:
             raise CertificateError(f"curve {curve.name} has no pushoff word")
-        if chosen is None:
-            eps, ok, detail, _ = attempts[0]
+        if eps is None:
+            _, detail = tried[0][1]
             rb.add("closure-membership", "fail", curve.name, detail)
             continue
-        eps, _, detail, w = chosen
+        rewritten, detail = tried[-1][1]
         rb.add("closure-membership", "pass", curve.name, f"epsilon {eps}: {detail}")
-        info = q_of_closure_word(w, s_b, curve.m)
+        info = q_of_word(rewritten, curve.m)
         per_curve[curve.name] = {"epsilon": eps, "m": curve.m, "q": info.q, "k": info.k}
         if info.q + s == n + 1:
             rb.add("q-plus-s", "pass", curve.name, f"{info.q} + {s} = {n + 1}")
@@ -659,15 +666,10 @@ def certify_unknotted(cert: SurfaceCertificate, n: int | None = None) -> Certifi
         x_word = _x_power_word(a.index, fa.x_exponent)
         product_a = concat(x_word, fa.chi, fa.mu)
         product_b = concat(fb.zeta, fb.chi)
-        eps = None
-        for candidate in ("+", "-"):
-            wa = a.pushoff(candidate)
-            wb = b.pushoff("-" if candidate == "+" else "+")
-            if wa is None or wb is None:
-                continue
-            if product_a == reduce_word(wa) and product_b == reduce_word(wb):
-                eps = candidate
-                break
+        eps, _ = _orient(
+            (a, b),
+            lambda wa, wb: (product_a == reduce_word(wa) and product_b == reduce_word(wb), None),
+        )
         if eps is None:
             rb.add(
                 "factorization-product",
@@ -706,13 +708,13 @@ def certify_unknotted(cert: SurfaceCertificate, n: int | None = None) -> Certifi
                     raise CertificateError(
                         f"pair ({a.name}, {b.name}): m_chi required for nontrivial chi"
                     )
-                ok_a, detail_a = _closure_membership(fa.chi, s_a, fa.m_chi)
-                ok_b, detail_b = _closure_membership(fb.chi, s_b, fb.m_chi)
+                ok_a, (word_a, detail_a) = _closure_membership(fa.chi, s_a, fa.m_chi)
+                ok_b, (word_b, detail_b) = _closure_membership(fb.chi, s_b, fb.m_chi)
                 rb.add("chi-membership", "pass" if ok_a else "fail", a.name, detail_a)
                 rb.add("chi-membership", "pass" if ok_b else "fail", b.name, detail_b)
                 if ok_a and ok_b:
-                    qa = q_of_closure_word(fa.chi, s_a, fa.m_chi)
-                    qb = q_of_closure_word(fb.chi, s_b, fb.m_chi)
+                    qa = q_of_word(word_a, fa.m_chi)
+                    qb = q_of_word(word_b, fb.m_chi)
                     pair_data["q_chi_A"] = qa.q
                     pair_data["q_chi_B"] = qb.q
                     if qa.q + qb.q == n + 1:
@@ -746,13 +748,13 @@ def certify_unknotted(cert: SurfaceCertificate, n: int | None = None) -> Certifi
         if fb.zeta:
             if fb.m_zeta is None:
                 raise CertificateError(f"curve {b.name}: m_zeta required for nontrivial zeta")
-            ok, detail = _closure_membership(fb.zeta, s_b, fb.m_zeta)
+            ok, (rewritten, detail) = _closure_membership(fb.zeta, s_b, fb.m_zeta)
             rb.add("zeta-membership", "pass" if ok else "fail", b.name, detail)
             if ok:
                 if s is None:
                     rb.missing.append("simplicity=<s>")
                 else:
-                    info = q_of_closure_word(fb.zeta, s_b, fb.m_zeta)
+                    info = q_of_word(rewritten, fb.m_zeta)
                     pair_data["q_zeta"] = info.q
                     if info.q + s == n + 1:
                         rb.add("zeta-q-equation", "pass", b.name, f"{info.q} + {s} = {n + 1}")
@@ -838,7 +840,7 @@ def translate_certificate(cert: SurfaceCertificate, kind: str, n: int) -> Transl
         if cert.n != n:
             raise TranslationError(f"certificate level {cert.n} != n = {n}")
         source_report = _verify_source(cert, kind)
-        return TranslationResult(cert, CERTIFIERS[kind](cert), source_report)
+        return TranslationResult(cert, source_report, source_report)
 
     if kind == "elliptic":
         if cert.n != 2 * n:
@@ -913,6 +915,10 @@ def translate_certificate(cert: SurfaceCertificate, kind: str, n: int) -> Transl
     for a, b in _paired_curves(cert):
         fa = a.factors or UnknottedFactors()
         fb = b.factors or UnknottedFactors()
+        # the source is valid, so every nontrivial chi and zeta lies in its closure
+        killed_mu = kill_generators(fa.mu, prefix_kill_set(a.index))
+        chi_a, chi_b = rewrite_to_word(fa.chi, s_a), rewrite_to_word(fb.chi, s_b)
+        zeta = rewrite_to_word(fb.zeta, s_b)
         new_fa = UnknottedFactors(
             x_exponent=fa.x_exponent,
             chi=fa.chi,
@@ -920,25 +926,21 @@ def translate_certificate(cert: SurfaceCertificate, kind: str, n: int) -> Transl
             zeta=(),
             m_mu=_resolve_depth(fa.mu, fa.m_mu, target_n + 1,
                                 lambda m: q_of_word(
-                                    kill_generators(fa.mu, prefix_kill_set(a.index)), m,
-                                    exclude=frozenset({x_generator(a.index)})).q),
-            m_chi=_resolve_depth(fa.chi, fa.m_chi, None,
-                                 lambda m: q_of_closure_word(fa.chi, s_a, m).q),
+                                    killed_mu, m, exclude=frozenset({x_generator(a.index)})).q),
+            m_chi=fa.m_chi,
             m_zeta=None,
         )
         chi_target = None
         if fa.chi and fb.chi:
-            qa = q_of_closure_word(fa.chi, s_a, new_fa.m_chi)
-            chi_target = target_n + 1 - qa.q
+            chi_target = target_n + 1 - q_of_word(chi_a, new_fa.m_chi).q
         new_fb = UnknottedFactors(
             x_exponent=0,
             chi=fb.chi,
             mu=(),
             zeta=fb.zeta,
-            m_chi=_resolve_depth(fb.chi, fb.m_chi, chi_target,
-                                 lambda m: q_of_closure_word(fb.chi, s_b, m).q),
+            m_chi=_resolve_depth(fb.chi, fb.m_chi, chi_target, lambda m: q_of_word(chi_b, m).q),
             m_zeta=_resolve_depth(fb.zeta, fb.m_zeta, target_n + 1 - s,
-                                  lambda m: q_of_closure_word(fb.zeta, s_b, m).q),
+                                  lambda m: q_of_word(zeta, m).q),
         )
         curves.append(Curve(a.name, "A", a.index, a.pushoff_plus, a.pushoff_minus,
                             m=a.m, pair=a.pair, factors=new_fa))
@@ -964,12 +966,9 @@ def _resolve_depth(
 
     Deeper membership implies shallower membership, so lowering m keeps
     the membership valid while re-aiming the q-equation.  Trivial words
-    need no depth; ``q_target`` None keeps the source depth when the
-    first branch (m_chi of the A-side) is solved before its partner.
+    need no depth, and ``q_target`` None keeps the source depth.
     """
-    if not word or m_source is None:
-        return m_source
-    if q_target is None:
+    if not word or m_source is None or q_target is None:
         return m_source
     for m in range(m_source, 0, -1):
         if q_at(m) == q_target:

@@ -23,7 +23,6 @@ from . import bounds as bounds_mod
 from .certify import (
     CERTIFIERS,
     KINDS,
-    CertificateError,
     GuardViolation,
     TranslationError,
     certificate_from_dict,
@@ -665,10 +664,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         code, payload, lines = args.handler(args)
-    except (InputError, WordSyntaxError, CertificateError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, NotInNormalClosure) as exc:
+    except ValueError as exc:
+        # InputError, WordSyntaxError, CertificateError and
+        # NotInNormalClosure are all ValueErrors: malformed input
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return _emit(args, code, payload, lines)

@@ -4,9 +4,12 @@
 degree at a time: at each degree d the degree-d slice of the Magnus
 expansion of the current remainder is a Lie element, which the Lyndon
 solver turns into an integer combination of left-normed commutators of
-weight d.  Multiplying the matching commutator words away pushes the
-remainder one degree deeper; after degree D the residual lies in
-F^(D+1).  Everything is verified internally against the expansion.
+weight d.  Each stage is checked exactly at the Lie level: the weighted
+sum of the left-normed Lie polynomials of the emitted commutators must
+equal the slice.  The degree-d Magnus part is a homomorphism on
+F^(d)/F^(d+1) (Reutenauer, *Free Lie Algebras*, 1993), so that identity
+pushes the remainder one degree deeper; after degree D the residual
+lies in F^(D+1).
 """
 
 from __future__ import annotations
@@ -133,13 +136,33 @@ def _try_single_factor(
     return None
 
 
+def _check_stage(
+    combo: dict[tuple[int, ...], int], component: dict[tuple[int, ...], int], d: int
+) -> None:
+    """Require sum of coeff * [y1, ..., yd] over ``combo`` to equal the slice.
+
+    The factor inverses and the remainder lie in F^(d), so the degree-d
+    part of their product is the slice minus this sum: the check is exact.
+    """
+    total: dict[tuple[int, ...], int] = {}
+    for entries, coeff in combo.items():
+        if len(entries) != d:
+            raise RuntimeError(f"degree-{d} slice got weight-{len(entries)} factor {entries}")
+        for mon, c in left_normed_lie_polynomial(entries).items():
+            total[mon] = total.get(mon, 0) + coeff * c
+    if {mon: c for mon, c in total.items() if c} != component:
+        raise RuntimeError(f"stage {d}: the factors do not sum to the degree-{d} slice")
+
+
 def decompose(word: Sequence[int], m: int, degree: int) -> CommutatorCombination:
     """Write ``word`` as simple commutators of weights m+1..degree.
 
     Preconditions: lcs degree of the word >= m+1 and degree >= m+1.
     At each weight the integer solve is triangular in Lyndon
-    coordinates; a non-integer or non-Lie residue cannot occur for a
-    genuine group element and raises RuntimeError.
+    coordinates; a solution failing the Lie-level stage check cannot
+    occur for a genuine group element and raises RuntimeError.  The
+    remainder is advanced by series products only when a later weight
+    needs its next slice, so a single-stage call multiplies no series.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -152,7 +175,6 @@ def decompose(word: Sequence[int], m: int, degree: int) -> CommutatorCombination
         raise ValueError(f"word has lcs degree {low} <= m = {m}")
 
     factors: list[tuple[tuple[int, ...], int]] = []
-    inverse_parts: list[tuple[int, ...]] = []
     for d in range(m + 1, degree + 1):
         component = _bucket_tuples(remainder, d)
         if not component:
@@ -160,32 +182,25 @@ def decompose(word: Sequence[int], m: int, degree: int) -> CommutatorCombination
         combo = _try_single_factor(component, d)
         if combo is None:
             combo = left_normed_combination(component)
-        stage_inverses: list[NCPolynomial] = []
-        for entries in sorted(combo):
-            coeff = combo[entries]
-            if len(entries) < 2:
-                raise RuntimeError(f"degree-{d} slice needs weight-1 factor {entries}")
-            exponent = 1 if coeff > 0 else -1
-            base, base_inv = _expand_nest_pair(entries, degree)
-            for _ in range(abs(coeff)):
-                factors.append((entries, exponent))
-                stage_inverses.append(base_inv if exponent > 0 else base)
-                inverse_parts.append(
-                    invert(commutator_group_word(entries)) if exponent > 0
-                    else commutator_group_word(entries)
-                )
-        # remainder <- G_d^-1 * remainder; left-multiplying by the
-        # factor inverses in emitted order builds f_k^-1 ... f_1^-1 R
-        for poly in stage_inverses:
-            remainder = nc_mul(poly, remainder)
-        low = remainder.min_positive_degree()
-        if low is not None and low <= d:
-            raise RuntimeError(f"stage {d} left degree-{low} terms behind")
+        _check_stage(combo, component, d)
+        stage = [
+            (entries, 1 if combo[entries] > 0 else -1)
+            for entries in sorted(combo)
+            for _ in range(abs(combo[entries]))
+        ]
+        factors.extend(stage)
+        if d < degree:
+            # remainder <- G_d^-1 * remainder; left-multiplying by the
+            # factor inverses in emitted order builds f_k^-1 ... f_1^-1 R
+            for entries, exponent in stage:
+                base, base_inv = _expand_nest_pair(entries, degree)
+                remainder = nc_mul(base_inv if exponent > 0 else base, remainder)
 
     # residual = G^-1 * word with G the factor product in emitted order
     merged: list[int] = []
-    for part in reversed(inverse_parts):
-        merged.extend(part)
+    for entries, exponent in reversed(factors):
+        w = commutator_group_word(entries)
+        merged.extend(invert(w) if exponent > 0 else w)
     merged.extend(word)
     residual = reduce_word(merged)
     return CommutatorCombination(tuple(factors), residual, degree)

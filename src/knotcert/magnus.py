@@ -137,12 +137,6 @@ def nc_add(a: NCPolynomial, b: NCPolynomial) -> NCPolynomial:
     return out
 
 
-def nc_neg(a: NCPolynomial) -> NCPolynomial:
-    out = NCPolynomial(a.degree)
-    out.buckets = [{m: -c for m, c in bucket.items()} for bucket in a.buckets]
-    return out
-
-
 def nc_mul(a: NCPolynomial, b: NCPolynomial) -> NCPolynomial:
     degree = _check_degrees(a, b)
     out = NCPolynomial(degree)

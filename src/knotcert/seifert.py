@@ -362,15 +362,6 @@ class RationalSeries:
         return self.coefficients[n]
 
 
-def _series_mul(a: Sequence[Fraction], b: Sequence[Fraction], order: int) -> list[Fraction]:
-    out = [Fraction(0)] * (order + 1)
-    for i, x in enumerate(a[: order + 1]):
-        if x:
-            for j in range(order + 1 - i):
-                out[i + j] += x * b[j]
-    return out
-
-
 def _exp_series(scale: Fraction, order: int) -> list[Fraction]:
     """Series of exp(scale * h) through the given order."""
     out = [Fraction(0)] * (order + 1)

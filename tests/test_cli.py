@@ -1,6 +1,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from knotcert.cli import main
 
 DATA = Path(__file__).resolve().parent.parent / "src" / "knotcert" / "data"
@@ -189,6 +191,29 @@ class TestCertifyCommands:
         path.write_text("{not json")
         code, _, err = run(capsys, "certify", "hyperbolic", str(path))
         assert code == 2 and "line 1" in err
+
+    @pytest.mark.parametrize("field, value", [
+        ("curves", 5),
+        ("asserted_flags", 5),
+        ("asserted_flags", [5]),
+        ("asserted_flags", "regular-spine"),
+    ], ids=["curves-int", "flags-int", "flags-int-list", "flags-string"])
+    def test_malformed_field_exit_2(self, capsys, tmp_path, field, value):
+        doc = json.loads((DATA / "hyperbolic_g2_n3.json").read_text())
+        doc[field] = value
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "certify", "hyperbolic", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "Traceback" not in err
+
+    def test_malformed_pair_exit_2(self, capsys, tmp_path):
+        doc = json.loads((DATA / "elliptic_g1_n2.json").read_text())
+        doc["curves"][0]["pair"] = ["B1"]
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "certify", "elliptic", str(path))
+        assert code == 2 and err.startswith("error:")
 
     def test_translate(self, capsys):
         code, doc, _ = run_json(

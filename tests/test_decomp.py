@@ -1,5 +1,9 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import letters_strategy, words_strategy
+from knotcert import decomp
 from knotcert.decomp import decompose, expand_commutator, lie_component
 from knotcert.lyndon import (
     bracketing,
@@ -180,6 +184,45 @@ class TestDecompose:
             comb = decompose(w, 2, 4)
             assert reduce_word(comb.product_word() + comb.residual) == w
             assert lcs_degree(comb.residual, 4) is None
+
+
+class TestStageCheck:
+    @pytest.mark.parametrize("m, degree", [(2, 3), (2, 4)])
+    def test_solver_defect_raises(self, monkeypatch, m, degree):
+        # two weight-3 nests on different letter multisets, so the
+        # general solver runs; (2, 3) is a single stage and (2, 4) has
+        # the defect at its non-final stage 3
+        solve = decomp.left_normed_combination
+
+        def off_by_one(component):
+            combo = dict(solve(component))
+            combo[min(combo)] += 1
+            return combo
+
+        monkeypatch.setattr(decomp, "left_normed_combination", off_by_one)
+        word = concat(commutator_word((1, 2, 3)), commutator_word((2, 1, 1)))
+        with pytest.raises(RuntimeError, match="stage 3"):
+            decompose(word, m, degree)
+
+
+def conjugated_commutator_products(m):
+    factor = st.tuples(
+        st.lists(letters_strategy(3), min_size=m + 1, max_size=m + 1),
+        words_strategy(max_gen=3, max_len=3),
+    )
+    return st.lists(factor, min_size=1, max_size=2).map(
+        lambda parts: concat(*(conjugate(commutator_word(e), c) for e, c in parts))
+    )
+
+
+class TestSingleStageAgainstDenseExpansion:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 4).flatmap(lambda m: st.tuples(st.just(m), conjugated_commutator_products(m))))
+    def test_residual_is_deeper(self, case):
+        m, word = case
+        comb = decompose(word, m, m + 1)
+        assert reduce_word(comb.product_word() + comb.residual) == word
+        assert lcs_degree(comb.residual, m + 1) is None
 
 
 class TestSingleFactorWithSigns:

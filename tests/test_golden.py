@@ -2,10 +2,12 @@
 
 ``golden_reports.json`` pins the exact bytes that ``--format structured``
 prints, and the exit code, for every shipped certificate, the index-shift
-translations, the spine-link pipeline and one seeded one-letter mutant
-per certificate kind (so the failure details are pinned as well).  A
-change to any verdict, detail string, factor count or q-value shows up
-here as a diff against the recorded text.
+translations, the spine-link pipeline and one one-letter mutant per
+certificate kind, so the failure details are pinned as well.  The
+mutants come from ``mutate_certificate`` at a fixed seed and are stored
+in the file, so the reports do not depend on later changes to ``synth``.
+A change to any verdict, detail string, factor count or q-value shows
+up here as a diff against the recorded text.
 
 Regenerate the file only when a report change is intended:
 
@@ -60,8 +62,8 @@ def _run(argv):
     return code, out.getvalue()
 
 
-def _job_argv(args, directory):
-    return [str(directory / a) if a.endswith(".json") else a for a in args]
+def _job_argv(args):
+    return [str(DATA / a) if a.endswith(".json") else a for a in args]
 
 
 def _mutant_document(kind):
@@ -77,7 +79,7 @@ def _golden():
 @pytest.mark.parametrize("name", sorted(JOBS))
 def test_shipped_job_report(name):
     expected = _golden()["jobs"][name]
-    code, out = _run(_job_argv(JOBS[name], DATA))
+    code, out = _run(_job_argv(JOBS[name]))
     assert code == expected["exit"]
     assert out == expected["stdout"]
 
@@ -92,16 +94,10 @@ def test_mutant_report(tmp_path, kind):
     assert out == expected["stdout"]
 
 
-def test_mutants_come_from_the_seed():
-    golden = _golden()["mutants"]
-    for kind in MUTANT_SOURCES:
-        assert _mutant_document(kind) == golden[kind]["certificate"]
-
-
 def regenerate() -> None:
     jobs, mutants = {}, {}
     for name, args in JOBS.items():
-        code, out = _run(_job_argv(args, DATA))
+        code, out = _run(_job_argv(args))
         jobs[name] = {"argv": args, "exit": code, "stdout": out}
     with tempfile.TemporaryDirectory() as tmp:
         for kind in MUTANT_SOURCES:
