@@ -133,6 +133,8 @@ def read_matrix_file(source: str) -> tuple[int, tuple[tuple[int, ...], ...]]:
         genus = int(toks[0])
     except ValueError:
         raise InputError(f"line {lineno}, col 1: genus must be an integer") from None
+    if genus < 0:
+        raise InputError(f"line {lineno}, col 1: genus must be >= 0")
     rest = [(lineno, toks[1:])] if toks[1:] else []
     rest.extend(lines[1:])
     values: list[tuple[int, int]] = []

@@ -3,9 +3,13 @@
 A Seifert matrix V of a genus-g surface is a 2g x 2g integer matrix
 whose antisymmetrization V - V^T is unimodular (determinant 1).  The
 Alexander polynomial is det(V - t V^T) normalized by t^-g, which makes
-it symmetric under t -> 1/t with value 1 at t = 1.  The canonical
-finite-type invariants come from the expansion of p(h)/Delta(e^h) with
-p(h) = (e^{h/2} - e^{-h/2})/h, computed in exact rational arithmetic.
+it symmetric under t -> 1/t with value 1 at t = 1.  Every determinant
+goes through one routine, the fraction-free Bareiss ``int_det``: the
+polynomial det(V - t V^T) of degree <= 2g is evaluated at 2g + 1
+integers and interpolated exactly (``pencil_det``), which is polynomial
+in g.  The canonical finite-type invariants come from the expansion of
+p(h)/Delta(e^h) with p(h) = (e^{h/2} - e^{-h/2})/h, computed in exact
+rational arithmetic.
 """
 
 from __future__ import annotations
@@ -23,28 +27,85 @@ def _as_matrix(rows: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
 
 
 def int_det(rows: Sequence[Sequence[int]]) -> int:
-    """Exact integer determinant (fraction-free Bareiss elimination)."""
+    """Exact integer determinant (fraction-free Bareiss elimination).
+
+    A row whose entry in the pivot column is 0 is left as it is for that
+    step instead of being rescaled by pivot / previous pivot; ``lag[i]``
+    records the pivot row i's entries are current for.  When the row
+    next takes part, its update divides by ``lag[i]`` instead of the
+    previous pivot, and a lagging pivot row or final entry is brought up
+    to date with ``x * prev // lag[i]``.  Every division is exact, since
+    each result is a minor of the input (Sylvester's identity).  Dense
+    matrices cost the same as plain Bareiss; banded ones skip the
+    rescales.
+    """
     m = [list(row) for row in _as_matrix(rows)]
     n = len(m)
     if n == 0:
         return 1
     sign = 1
     prev = 1
+    lag = [1] * n
     for k in range(n - 1):
         if m[k][k] == 0:
             for i in range(k + 1, n):
                 if m[i][k]:
                     m[k], m[i] = m[i], m[k]
+                    lag[k], lag[i] = lag[i], lag[k]
                     sign = -sign
                     break
             else:
                 return 0
+        top = m[k]
+        if lag[k] != prev:
+            top[k:] = [x * prev // lag[k] for x in top[k:]]
+        pivot = top[k]
         for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[-1][-1]
+            row = m[i]
+            head = row[k]
+            if head:
+                div = lag[i]
+                row[k + 1:] = [
+                    (x * pivot - head * y) // div for x, y in zip(row[k + 1:], top[k + 1:])
+                ]
+                row[k] = 0
+                lag[i] = pivot
+        prev = pivot
+    return sign * m[-1][-1] * prev // lag[-1]
+
+
+def pencil_det(x: Sequence[Sequence[int]], y: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """Coefficients of det(X - tY), low degree first, trailing zeros trimmed.
+
+    The determinant has degree at most n, so it is evaluated with
+    ``int_det`` at the n + 1 integers centred on 0 (small |t| keeps the
+    Bareiss entries small) and recovered by Newton divided differences
+    over the rationals.  A non-integer coefficient is an internal defect.
+    """
+    x, y = _as_matrix(x), _as_matrix(y)
+    n = len(x)
+    if len(y) != n:
+        raise ValueError("pencil matrices must have the same size")
+    nodes = range(-(n // 2), n + 1 - n // 2)
+    diffs = [
+        Fraction(int_det([[a - t * b for a, b in zip(rx, ry)] for rx, ry in zip(x, y)]))
+        for t in nodes
+    ]
+    for level in range(1, n + 1):
+        for i in range(n, level - 1, -1):
+            diffs[i] = (diffs[i] - diffs[i - 1]) / (nodes[i] - nodes[i - level])
+    # Newton form to monomial coefficients, innermost factor first
+    poly = [diffs[n]]
+    for k in range(n - 1, -1, -1):
+        poly = [diffs[k] - nodes[k] * poly[0]] + [
+            a - nodes[k] * b for a, b in zip(poly, poly[1:])
+        ] + [poly[-1]]
+    if any(c.denominator != 1 for c in poly):  # pragma: no cover - invariant
+        raise RuntimeError("non-integer coefficient in pencil determinant")
+    out = [int(c) for c in poly]
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
 
 
 def transpose(rows: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
@@ -157,86 +218,13 @@ class LaurentPolynomial:
 LAURENT_ONE = LaurentPolynomial.one()
 
 
-# dense ordinary polynomials in t, as coefficient lists, for determinants
-
-
-def _poly_trim(p: list[int]) -> tuple[int, ...]:
-    while p and p[-1] == 0:
-        p.pop()
-    return tuple(p)
-
-
-def _poly_add(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
-    n = max(len(a), len(b))
-    return _poly_trim([(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)])
-
-
-def _poly_sub(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
-    n = max(len(a), len(b))
-    return _poly_trim([(a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0) for i in range(n)])
-
-
-def _poly_mul(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return _poly_trim(out)
-
-
-def poly_matrix_det(entries: Sequence[Sequence[Sequence[int]]]) -> tuple[int, ...]:
-    """Determinant of a matrix of dense polynomials, by minor expansion.
-
-    Uses memoization over column subsets; exact and fast for the sizes
-    here (matrices up to 8x8, entries linear in t).
-    """
-    n = len(entries)
-    if n == 0:
-        return (1,)
-    cache: dict[tuple[int, int], tuple[int, ...]] = {}
-
-    def minor(row: int, colmask: int) -> tuple[int, ...]:
-        if row == n:
-            return (1,)
-        key = (row, colmask)
-        got = cache.get(key)
-        if got is not None:
-            return got
-        total: tuple[int, ...] = ()
-        sign = 1
-        for col in range(n):
-            bit = 1 << col
-            if colmask & bit:
-                continue
-            entry = entries[row][col]
-            if entry:
-                term = _poly_mul(entry, minor(row + 1, colmask | bit))
-                total = _poly_add(total, term) if sign > 0 else _poly_sub(total, term)
-            sign = -sign  # alternates over the surviving columns only
-        cache[key] = total
-        return total
-
-    return minor(0, 0)
-
-
-def _v_minus_tvt(rows: Sequence[Sequence[int]]) -> list[list[tuple[int, ...]]]:
-    n = len(rows)
-    return [
-        [_poly_trim([rows[i][j], -rows[j][i]]) for j in range(n)]
-        for i in range(n)
-    ]
-
-
 def alexander(matrix: SeifertMatrix) -> LaurentPolynomial:
     """Alexander polynomial det(V - t V^T), normalized by t^-g.
 
     The normalization makes Delta(t) = Delta(1/t) and Delta(1) = 1; both
     are guaranteed by the unimodular antisymmetrization and asserted.
     """
-    det = poly_matrix_det(_v_minus_tvt(matrix.rows))
+    det = pencil_det(matrix.rows, transpose(matrix.rows))
     delta = LaurentPolynomial.from_dict(
         {i - matrix.genus: c for i, c in enumerate(det)}
     )
@@ -316,9 +304,10 @@ def anti_block_determinant_check(
 ) -> bool:
     """Verify det(V - tV^T) = (-1)^g det(A - tB^T) det(B - tA^T).
 
-    Here V = [[0, A], [B, Z]] with g x g blocks; the left side is
-    computed as a direct 2g x 2g polynomial determinant, so the identity
-    (and its independence of Z) is checked, not assumed.
+    Here V = [[0, A], [B, Z]] with g x g blocks.  The left side is the
+    direct 2g x 2g determinant ``pencil_det(V, V^T)`` and each right-hand
+    factor a g x g ``pencil_det``, all by evaluation and interpolation;
+    so the identity (and its independence of Z) is checked, not assumed.
     """
     a, b, z = _as_matrix(a), _as_matrix(b), _as_matrix(z)
     g = len(a)
@@ -329,19 +318,15 @@ def anti_block_determinant_check(
     ] + [
         list(b[i]) + list(z[i]) for i in range(g)
     ]
-    lhs = poly_matrix_det(_v_minus_tvt(rows))
-
-    def block_poly(x, y):
-        # entries of X - t Y^T
-        return [
-            [_poly_trim([x[i][j], -y[j][i]]) for j in range(g)]
-            for i in range(g)
-        ]
-
-    rhs = _poly_mul(poly_matrix_det(block_poly(a, b)), poly_matrix_det(block_poly(b, a)))
+    lhs = pencil_det(rows, transpose(rows))
+    left, right = pencil_det(a, transpose(b)), pencil_det(b, transpose(a))
+    rhs = [0] * (len(left) + len(right) - 1) if left and right else []
+    for i, c in enumerate(left):
+        for j, d in enumerate(right):
+            rhs[i + j] += c * d
     if g % 2 == 1:
-        rhs = tuple(-c for c in rhs)
-    return lhs == rhs
+        rhs = [-c for c in rhs]
+    return lhs == tuple(rhs)
 
 
 # ---------------------------------------------------------------------------

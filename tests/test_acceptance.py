@@ -48,7 +48,6 @@ from knotcert.seifert import (
     alexander,
     anti_block_determinant_check,
     mmr_series,
-    poly_matrix_det,
 )
 from knotcert.synth import (
     mutate_certificate,
@@ -63,6 +62,8 @@ from knotcert.words import (
     reduce_word,
     successive_entry_check,
 )
+
+from det_oracle import poly_matrix_det
 
 DATA = Path(__file__).resolve().parent.parent / "src" / "knotcert" / "data"
 

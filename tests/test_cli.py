@@ -132,6 +132,13 @@ class TestMatrixCommands:
         code, _, err = run(capsys, "alexander", str(bad))
         assert code == 2 and "line 3, col 2" in err
 
+    def test_negative_genus(self, capsys, tmp_path):
+        bad = tmp_path / "neg.mat"
+        bad.write_text("-1\n")
+        code, out, err = run(capsys, "alexander", str(bad))
+        assert code == 2 and out == ""
+        assert "line 1, col 1: genus must be >= 0" in err
+
 
 class TestBoundsCommands:
     def test_q(self, capsys):

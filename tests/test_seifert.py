@@ -2,7 +2,10 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from det_oracle import _poly_trim, fraction_det, poly_matrix_det
 from knotcert.seifert import (
     LaurentPolynomial,
     SeifertMatrix,
@@ -13,7 +16,7 @@ from knotcert.seifert import (
     classify_form,
     int_det,
     mmr_series,
-    poly_matrix_det,
+    pencil_det,
     symmetrize,
 )
 
@@ -258,6 +261,104 @@ class TestPolyDet:
             det = poly_matrix_det(as_polys)
             expected = int_det(rows)
             assert (det[0] if det else 0) == expected
+
+
+@st.composite
+def sparse_matrices(draw, max_n=10):
+    """Integer matrices up to max_n x max_n with at least half zeros."""
+    n = draw(st.integers(min_value=0, max_value=max_n))
+    rows = [[0] * n for _ in range(n)]
+    if n:
+        cells = st.tuples(
+            st.integers(0, n - 1),
+            st.integers(0, n - 1),
+            st.integers(-9, 9).filter(bool),
+        )
+        for i, j, value in draw(st.lists(cells, max_size=n * n // 2)):
+            rows[i][j] = value
+    return rows
+
+
+def square_matrices(n):
+    return st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=n, max_size=n)
+
+
+class TestIntDet:
+    @given(sparse_matrices())
+    def test_sparse_against_fraction_elimination(self, rows):
+        assert int_det(rows) == fraction_det(rows)
+
+    def test_zero_leading_pivot(self):
+        # each of the first two steps needs a row swap
+        rows = ((0, 2, 1), (0, 0, 3), (5, 1, 1))
+        assert int_det(rows) == fraction_det(rows) == 30
+
+    def test_rows_left_unscaled_across_steps(self):
+        # lower rows of a banded matrix sit out several steps behind
+        # non-unit pivots before they take part
+        rows = (
+            (2, 1, 0, 0, 0),
+            (3, 5, 1, 0, 0),
+            (0, 4, 7, 1, 0),
+            (0, 0, 2, 3, 1),
+            (0, 0, 0, 6, 9),
+        )
+        assert int_det(rows) == fraction_det(rows)
+
+    def test_lagging_row_swapped_in_as_pivot(self):
+        # step 0 brings rows 1 and 2 up to pivot 2 and leaves row 3 at
+        # pivot 1; column 1 is then nonzero only in row 3, which becomes
+        # the pivot row of step 1 and must carry its own lag there
+        rows = ((2, 0, -1, -3), (3, 0, -3, 0), (-1, 0, 3, 0), (0, 1, 0, -1))
+        assert int_det(rows) == fraction_det(rows) == -18
+
+
+class TestPencilDet:
+    @given(st.integers(0, 7).flatmap(lambda n: st.tuples(square_matrices(n), square_matrices(n))))
+    def test_against_subset_minor_oracle(self, pencil):
+        x, y = pencil
+        n = len(x)
+        entries = [[_poly_trim([x[i][j], -y[i][j]]) for j in range(n)] for i in range(n)]
+        assert pencil_det(x, y) == poly_matrix_det(entries)
+
+    def test_empty(self):
+        assert pencil_det((), ()) == (1,)
+
+    def test_singular_pencil(self):
+        assert pencil_det(((1, 2), (2, 4)), ((1, 2), (2, 4))) == ()
+
+    def test_size_mismatch(self):
+        with pytest.raises(ValueError):
+            pencil_det(((1,),), ((1, 0), (0, 1)))
+
+
+def torus_seifert(genus):
+    """T(2, 2g+1): -1 on the diagonal, 1 just above it."""
+    n = 2 * genus
+    return tuple(
+        tuple(-1 if i == j else 1 if j == i + 1 else 0 for j in range(n)) for i in range(n)
+    )
+
+
+class TestLargeGenus:
+    @pytest.mark.parametrize("genus", [12, 30])
+    def test_torus_closed_form(self, genus):
+        delta = alexander(SeifertMatrix(genus, torus_seifert(genus)))
+        assert delta.as_dict() == {i: (-1) ** (i + genus) for i in range(-genus, genus + 1)}
+
+    def test_dense_genus_ten(self, rng):
+        genus, n = 10, 20
+        # V = S + J: S symmetric, J the upper half of the symplectic form
+        rows = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                rows[i][j] = rows[j][i] = rng.choice((-2, -1, 1, 2))
+        for i in range(0, n, 2):
+            rows[i][i + 1] += 1
+        delta = alexander(SeifertMatrix(genus, rows))
+        assert delta(1) == 1
+        assert delta.is_symmetric()
+        assert delta(-1) == (-1) ** genus * fraction_det(symmetrize(rows))
 
 
 class TestTrivialAlexanderFamily:
