@@ -15,12 +15,12 @@ whose algebra passes but whose assertions are missing is
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
 
 from . import bounds
 from .decomp import decompose
-from .magnus import LongitudeSystem, lcs_at_least, lcs_degree, milnor_vanish_upto
+from .magnus import lcs_degree
 from .schreier import NotInNormalClosure, rewrite_to_word
 from .words import (
     concat,
@@ -37,6 +37,8 @@ FLAG_ADMISSIBLE = "admissible-spine"
 _SIMPLICITY_RE = re.compile(r"^simplicity=(\d+)$")
 
 KINDS = ("hyperbolic", "elliptic", "parabolic", "unknotted")
+
+_TRIVIAL_BOUNDARY = "genus 0: boundary is the trivial knot"
 
 
 class CertificateError(ValueError):
@@ -108,6 +110,11 @@ class SurfaceCertificate:
                 raise CertificateError(
                     f"curve {curve.name}: index {curve.index} out of range 1..{self.genus}"
                 )
+            f = curve.factors or UnknottedFactors()
+            depths = {"m": curve.m, "m_mu": f.m_mu, "m_chi": f.m_chi, "m_zeta": f.m_zeta}
+            for field, depth in depths.items():
+                if depth is not None and depth < 0:
+                    raise CertificateError(f"curve {curve.name}: {field} must be >= 0")
             for word in self._curve_words(curve):
                 for letter in word:
                     if abs(letter) > 2 * self.genus:
@@ -291,54 +298,51 @@ class CertificateReport:
     missing_flags: tuple[str, ...] = ()
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "n": self.n,
-            "verdict": self.verdict,
-            "conditions": [
-                {
-                    "name": c.name,
-                    "curve": c.curve,
-                    "status": c.status,
-                    "detail": c.detail,
-                }
-                for c in self.conditions
-            ],
-            "quantities": self.quantities,
-            "missing_flags": list(self.missing_flags),
-        }
+        return asdict(self)
+
+
+def _verdict(failed: bool, missing: Sequence[str]) -> str:
+    if failed:
+        return "invalid"
+    return "not-checkable-from-words" if missing else "valid"
 
 
 class _ReportBuilder:
-    def __init__(self, kind: str, n: int):
+    """One verifier's level (n, or the certificate's own), flags and conditions."""
+
+    def __init__(self, kind: str, cert: SurfaceCertificate, n: int | None, flags: Sequence[str]):
         self.kind = kind
-        self.n = n
+        self.n = cert.n if n is None else n
+        if kind != "hyperbolic" and self.n <= 1:
+            raise CertificateError(f"{kind} certificates need n > 1")
+        if self.n < 0:
+            raise CertificateError("n must be >= 0")
         self.conditions: list[ConditionResult] = []
         self.quantities: dict = {}
         self.missing: list[str] = []
-
-    def add(self, name: str, status: str, curve: str | None = None, detail: str = "") -> None:
-        self.conditions.append(ConditionResult(name, status, curve, detail))
-
-    def require_flags(self, cert: SurfaceCertificate, flags: Sequence[str]) -> None:
         for flag in flags:
             if cert.has_flag(flag):
                 self.add(f"asserted:{flag}", "asserted")
             else:
                 self.missing.append(flag)
 
+    def add(self, name: str, status: str, curve: str | None = None, detail: str = "") -> None:
+        self.conditions.append(ConditionResult(name, status, curve, detail))
+
+    def equation(self, name: str, curve: str, terms: Sequence[int]) -> None:
+        """Record whether the q-terms sum to n + 1."""
+        lhs = " + ".join(str(t) for t in terms)
+        if sum(terms) == self.n + 1:
+            self.add(name, "pass", curve, f"{lhs} = {self.n + 1}")
+        else:
+            self.add(name, "fail", curve, f"{lhs} != {self.n + 1}")
+
     def finish(self) -> CertificateReport:
         failed = any(c.status in ("fail", "error") for c in self.conditions)
-        if failed:
-            verdict = "invalid"
-        elif self.missing:
-            verdict = "not-checkable-from-words"
-        else:
-            verdict = "valid"
         return CertificateReport(
             kind=self.kind,
             n=self.n,
-            verdict=verdict,
+            verdict=_verdict(failed, self.missing),
             conditions=tuple(self.conditions),
             quantities=self.quantities,
             missing_flags=tuple(self.missing),
@@ -383,6 +387,21 @@ def q_of_word(word: Sequence[int], m: int, exclude: frozenset[int] = frozenset()
     return QInfo(k, q, len(comb.factors))
 
 
+def _stage_image(index: int, word: Sequence[int]) -> tuple[int, ...]:
+    """Image of a handle-``index`` word after killing the earlier handles' duals."""
+    return kill_generators(word, prefix_kill_set(index))
+
+
+def _stage_q(index: int, image: tuple[int, ...], depth: int) -> QInfo:
+    """q-value of a stage image, with the handle's own x-dual excluded."""
+    return q_of_word(image, depth, exclude=frozenset({x_generator(index)}))
+
+
+def _lcs_below(word: Sequence[int], depth: int) -> int | None:
+    """The word's lcs degree when it lies outside F^(depth+1), else None."""
+    return lcs_degree(word, depth) if depth >= 1 else None
+
+
 # ---------------------------------------------------------------------------
 # Orientation search
 
@@ -411,12 +430,11 @@ def _orient(
 
 
 def _quotient_membership(
-    killed: tuple[int, ...], n: int
-) -> tuple[bool, tuple[tuple[int, ...], str]]:
-    """(passed, (killed word, failure detail)) for membership in F^(n+1)."""
-    if lcs_at_least(killed, n + 1):
-        return True, (killed, "")
-    return False, (killed, f"lcs degree {lcs_degree(killed, n)}")
+    image: tuple[int, ...], n: int
+) -> tuple[bool, tuple[tuple[int, ...], int | None]]:
+    """(passed, (stage image, lcs degree below n+1 or None)) for F^(n+1)."""
+    degree = _lcs_below(image, n)
+    return degree is None, (image, degree)
 
 
 # ---------------------------------------------------------------------------
@@ -431,33 +449,32 @@ def certify_hyperbolic(cert: SurfaceCertificate, n: int | None = None) -> Certif
     (n+1)-st lower central term.  On success the factor partitions give
     k_i, the q-values, and the triviality bound l(n, S) = min q_i - 1.
     """
-    n = cert.n if n is None else n
-    rb = _ReportBuilder("hyperbolic", n)
-    rb.require_flags(cert, [FLAG_REGULAR_SPINE])
+    rb = _ReportBuilder("hyperbolic", cert, n, [FLAG_REGULAR_SPINE])
+    n = rb.n
     a_curves = cert.curves_of_role("A")
     if [c.index for c in a_curves] != list(range(1, cert.genus + 1)):
         raise CertificateError("hyperbolic certificate needs A-curves indexed 1..g")
     q_values = []
     per_curve = {}
     for curve in a_curves:
-        kill = prefix_kill_set(curve.index)
         sign, tried = _orient(
-            (curve,), lambda w: _quotient_membership(kill_generators(w, kill), n)
+            (curve,), lambda w: _quotient_membership(_stage_image(curve.index, w), n)
         )
         if not tried:
             raise CertificateError(f"curve {curve.name} has no pushoff word")
         if sign is None:
-            detail = "; ".join(f"pushoff {s}: {why}" for s, (_, why) in tried)
+            detail = "; ".join(f"pushoff {s}: lcs degree {d}" for s, (_, d) in tried)
             rb.add("quotient-membership", "fail", curve.name, detail + f" < {n + 1}")
             continue
-        killed, _ = tried[-1][1]
+        image, _ = tried[-1][1]
         rb.add(
             "quotient-membership",
             "pass",
             curve.name,
-            f"pushoff {sign}: image in F^({n + 1}) after killing {sorted(kill)}",
+            f"pushoff {sign}: image in F^({n + 1}) after killing "
+            f"{sorted(prefix_kill_set(curve.index))}",
         )
-        info = q_of_word(killed, n, exclude=frozenset({x_generator(curve.index)}))
+        info = _stage_q(curve.index, image, n)
         q_values.append(info.q)
         per_curve[curve.name] = {
             "sign": sign,
@@ -475,7 +492,7 @@ def certify_hyperbolic(cert: SurfaceCertificate, n: int | None = None) -> Certif
         )
     else:
         rb.quantities["l_n_S"] = None
-        rb.quantities["conclusion"] = "genus 0: boundary is the trivial knot"
+        rb.quantities["conclusion"] = _TRIVIAL_BOUNDARY
     return rb.finish()
 
 
@@ -512,7 +529,7 @@ def _closure_membership(
         rewritten = rewrite_to_word(word, subset)
     except NotInNormalClosure as exc:
         return False, (None, f"not in normal closure: {exc}")
-    if lcs_at_least(rewritten, depth + 1):
+    if _lcs_below(rewritten, depth) is None:
         return True, (rewritten, f"lies in G^({depth + 1})")
     return False, (rewritten, f"closure lcs degree below {depth + 1}")
 
@@ -526,11 +543,7 @@ def certify_elliptic(cert: SurfaceCertificate, n: int | None = None) -> Certific
     the closure of the B-duals, with q_A + q_B = n + 1 computed from
     the Schreier-alphabet decompositions at depths m_A and m_B.
     """
-    n = cert.n if n is None else n
-    if n <= 1:
-        raise CertificateError("elliptic certificates need n > 1")
-    rb = _ReportBuilder("elliptic", n)
-    rb.require_flags(cert, [FLAG_REGULAR_SPINE, FLAG_UNRELATED])
+    rb = _ReportBuilder("elliptic", cert, n, [FLAG_REGULAR_SPINE, FLAG_UNRELATED])
     s_a = a_dual_set(cert.genus)
     s_b = b_dual_set(cert.genus)
     per_pair = {}
@@ -564,10 +577,7 @@ def certify_elliptic(cert: SurfaceCertificate, n: int | None = None) -> Certific
             "k_A": qa.k,
             "k_B": qb.k,
         }
-        if qa.q + qb.q == n + 1:
-            rb.add("q-sum", "pass", a.name, f"{qa.q} + {qb.q} = {n + 1}")
-        else:
-            rb.add("q-sum", "fail", a.name, f"{qa.q} + {qb.q} != {n + 1}")
+        rb.equation("q-sum", a.name, (qa.q, qb.q))
     rb.quantities["per_pair"] = per_pair
     return rb.finish()
 
@@ -585,13 +595,10 @@ def certify_parabolic(
     certificate is vacuously acceptable; with n > s every B-pushoff must
     lie in the (m+1)-st term of the B-closure with q + s = n + 1.
     """
-    n = cert.n if n is None else n
-    if n <= 1:
-        raise CertificateError("parabolic certificates need n > 1")
+    rb = _ReportBuilder("parabolic", cert, n, [FLAG_REGULAR_SPINE, FLAG_UNRELATED])
+    n = rb.n
     if s is None:
         s = cert.simplicity()
-    rb = _ReportBuilder("parabolic", n)
-    rb.require_flags(cert, [FLAG_REGULAR_SPINE, FLAG_UNRELATED])
     if s is None:
         rb.missing.append("simplicity=<s>")
         rb.quantities["simplicity"] = None
@@ -618,10 +625,7 @@ def certify_parabolic(
         rb.add("closure-membership", "pass", curve.name, f"epsilon {eps}: {detail}")
         info = q_of_word(rewritten, curve.m)
         per_curve[curve.name] = {"epsilon": eps, "m": curve.m, "q": info.q, "k": info.k}
-        if info.q + s == n + 1:
-            rb.add("q-plus-s", "pass", curve.name, f"{info.q} + {s} = {n + 1}")
-        else:
-            rb.add("q-plus-s", "fail", curve.name, f"{info.q} + {s} != {n + 1}")
+        rb.equation("q-plus-s", curve.name, (info.q, s))
     rb.quantities["per_curve"] = per_curve
     return rb.finish()
 
@@ -647,11 +651,8 @@ def certify_unknotted(cert: SurfaceCertificate, n: int | None = None) -> Certifi
     checked exactly as written even where the triviality bounds
     elsewhere use q-1; the report notes that tension.
     """
-    n = cert.n if n is None else n
-    if n <= 1:
-        raise CertificateError("unknotted certificates need n > 1")
-    rb = _ReportBuilder("unknotted", n)
-    rb.require_flags(cert, [FLAG_REGULAR_SPINE])
+    rb = _ReportBuilder("unknotted", cert, n, [FLAG_REGULAR_SPINE])
+    n = rb.n
     s = cert.simplicity()
     rb.quantities["simplicity"] = s
     rb.quantities["note"] = (
@@ -685,10 +686,10 @@ def certify_unknotted(cert: SurfaceCertificate, n: int | None = None) -> Certifi
         if fa.mu:
             if fa.m_mu is None:
                 raise CertificateError(f"curve {a.name}: m_mu required for nontrivial mu")
-            killed = kill_generators(fa.mu, prefix_kill_set(a.index))
-            if lcs_at_least(killed, fa.m_mu + 1):
+            image = _stage_image(a.index, fa.mu)
+            if _lcs_below(image, fa.m_mu) is None:
                 rb.add("mu-membership", "pass", a.name, f"in F^({fa.m_mu + 1}) after quotient")
-                info = q_of_word(killed, fa.m_mu, exclude=frozenset({x_generator(a.index)}))
+                info = _stage_q(a.index, image, fa.m_mu)
                 pair_data["q_mu"] = info.q
                 if info.q == n + 1:
                     rb.add("mu-q-equation", "pass", a.name, f"q_mu = {n + 1}")
@@ -717,10 +718,7 @@ def certify_unknotted(cert: SurfaceCertificate, n: int | None = None) -> Certifi
                     qb = q_of_word(word_b, fb.m_chi)
                     pair_data["q_chi_A"] = qa.q
                     pair_data["q_chi_B"] = qb.q
-                    if qa.q + qb.q == n + 1:
-                        rb.add("chi-q-sum", "pass", a.name, f"{qa.q} + {qb.q} = {n + 1}")
-                    else:
-                        rb.add("chi-q-sum", "fail", a.name, f"{qa.q} + {qb.q} != {n + 1}")
+                    rb.equation("chi-q-sum", a.name, (qa.q, qb.q))
         else:
             rb.add("chi-membership", "vacuous", a.name, "chi_A = chi_B = 1")
 
@@ -756,10 +754,7 @@ def certify_unknotted(cert: SurfaceCertificate, n: int | None = None) -> Certifi
                 else:
                     info = q_of_word(rewritten, fb.m_zeta)
                     pair_data["q_zeta"] = info.q
-                    if info.q + s == n + 1:
-                        rb.add("zeta-q-equation", "pass", b.name, f"{info.q} + {s} = {n + 1}")
-                    else:
-                        rb.add("zeta-q-equation", "fail", b.name, f"{info.q} + {s} != {n + 1}")
+                    rb.equation("zeta-q-equation", b.name, (info.q, s))
         else:
             rb.add("zeta-membership", "vacuous", b.name, "zeta = 1")
         per_pair[a.name] = pair_data
@@ -823,6 +818,23 @@ def _verify_source(cert: SurfaceCertificate, kind: str) -> CertificateReport:
     return report
 
 
+def _hyperbolic_target(
+    cert: SurfaceCertificate,
+    n: int,
+    gammas: Sequence[Curve],
+    duals: Sequence[Curve],
+    swapped: set[int],
+    source_report: CertificateReport,
+) -> TranslationResult:
+    """Relabel ``gammas`` as A-curves and ``duals`` as B-curves, then verify at level n."""
+    curves = tuple(
+        [_relabel_curve(c, "A", swapped) for c in gammas]
+        + [_relabel_curve(c, "B", swapped) for c in duals]
+    )
+    target = SurfaceCertificate("hyperbolic", cert.genus, n, curves, cert.asserted_flags)
+    return TranslationResult(target, certify_hyperbolic(target), source_report)
+
+
 def translate_certificate(cert: SurfaceCertificate, kind: str, n: int) -> TranslationResult:
     """Apply the certificate index shifts and re-verify the result.
 
@@ -863,18 +875,7 @@ def translate_certificate(cert: SurfaceCertificate, kind: str, n: int) -> Transl
                 raise TranslationError(
                     f"pair ({a.name}, {b.name}): no member has q >= {n + 1}"
                 )
-        curves = tuple(
-            [_relabel_curve(c, "A", swapped) for c in chosen]
-            + [_relabel_curve(c, "B", swapped) for c in others]
-        )
-        target = SurfaceCertificate(
-            kind="hyperbolic",
-            genus=cert.genus,
-            n=n,
-            curves=curves,
-            asserted_flags=cert.asserted_flags,
-        )
-        return TranslationResult(target, certify_hyperbolic(target), source_report)
+        return _hyperbolic_target(cert, n, chosen, others, swapped, source_report)
 
     if kind == "parabolic":
         if cert.n != n:
@@ -885,19 +886,10 @@ def translate_certificate(cert: SurfaceCertificate, kind: str, n: int) -> Transl
         if not n > s + 1:
             raise GuardViolation(f"need n > s+1, got n = {n}, s = {s}")
         source_report = _verify_source(cert, kind)
-        swapped = set(range(1, cert.genus + 1))
-        curves = tuple(
-            [_relabel_curve(c, "A", swapped) for c in cert.curves_of_role("B")]
-            + [_relabel_curve(c, "B", swapped) for c in cert.curves_of_role("A")]
+        return _hyperbolic_target(
+            cert, n - s - 1, cert.curves_of_role("B"), cert.curves_of_role("A"),
+            set(range(1, cert.genus + 1)), source_report,
         )
-        target = SurfaceCertificate(
-            kind="hyperbolic",
-            genus=cert.genus,
-            n=n - s - 1,
-            curves=curves,
-            asserted_flags=cert.asserted_flags,
-        )
-        return TranslationResult(target, certify_hyperbolic(target), source_report)
 
     # unknotted
     if cert.n != 2 * n:
@@ -916,7 +908,7 @@ def translate_certificate(cert: SurfaceCertificate, kind: str, n: int) -> Transl
         fa = a.factors or UnknottedFactors()
         fb = b.factors or UnknottedFactors()
         # the source is valid, so every nontrivial chi and zeta lies in its closure
-        killed_mu = kill_generators(fa.mu, prefix_kill_set(a.index))
+        mu_image = _stage_image(a.index, fa.mu)
         chi_a, chi_b = rewrite_to_word(fa.chi, s_a), rewrite_to_word(fb.chi, s_b)
         zeta = rewrite_to_word(fb.zeta, s_b)
         new_fa = UnknottedFactors(
@@ -925,8 +917,7 @@ def translate_certificate(cert: SurfaceCertificate, kind: str, n: int) -> Transl
             mu=fa.mu,
             zeta=(),
             m_mu=_resolve_depth(fa.mu, fa.m_mu, target_n + 1,
-                                lambda m: q_of_word(
-                                    killed_mu, m, exclude=frozenset({x_generator(a.index)})).q),
+                                lambda m: _stage_q(a.index, mu_image, m).q),
             m_chi=fa.m_chi,
             m_zeta=None,
         )
@@ -996,29 +987,15 @@ class PipelineReport:
     missing_flags: tuple[str, ...] = ()
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "verdict": self.verdict,
-            "milnor_vanish": self.milnor_vanish,
-            "l_n_S": self.l_n_S,
-            "conclusion": self.conclusion,
-            "slice_depth": self.slice_depth,
-            "slice_vanish": self.slice_vanish,
-            "slice_l": self.slice_l,
-            "slice_conclusion": self.slice_conclusion,
-            "missing_flags": list(self.missing_flags),
-        }
+        return asdict(self)
 
 
 def _spine_l_value(cert: SurfaceCertificate, signs: Sequence[str], depth: int) -> int | None:
     """l(depth, S) from the A-curves at the chosen signs."""
-    q_values = []
-    for a in cert.curves_of_role("A"):
-        sign = signs[2 * (a.index - 1)]
-        word = a.pushoff(sign)
-        killed = kill_generators(word, prefix_kill_set(a.index))
-        info = q_of_word(killed, depth, exclude=frozenset({x_generator(a.index)}))
-        q_values.append(info.q)
+    q_values = [
+        _stage_q(a.index, _stage_image(a.index, a.pushoff(signs[2 * (a.index - 1)])), depth).q
+        for a in cert.curves_of_role("A")
+    ]
     return bounds.l_n_S(q_values) if q_values else None
 
 
@@ -1039,6 +1016,8 @@ def spine_link_pipeline(
     n = cert.n if n is None else n
     if n < 1:
         raise CertificateError("pipeline needs n >= 1")
+    if slice_depth is not None and slice_depth < 1:
+        raise CertificateError("slice depth must be >= 1")
     signs = list(signs)
     if len(signs) != 2 * cert.genus or any(s not in "+-" for s in signs):
         raise CertificateError(f"need {2 * cert.genus} signs drawn from +/-")
@@ -1054,12 +1033,18 @@ def spine_link_pipeline(
                     f"curve {matches[0].name} lacks the pushoff at sign {signs[2 * (i - 1) + offset]}"
                 )
             longitudes.append(word)
-    system = LongitudeSystem(2 * cert.genus, tuple(longitudes))
-    vanish = milnor_vanish_upto(system, n) if cert.genus else True
+    # An invariant of length k reads a degree-(k-1) coefficient of a
+    # longitude, so the lowest longitude lcs degree, taken once at the
+    # higher level, settles vanishing at both levels.
+    top = n if slice_depth is None else max(n, 2 * slice_depth - 1)
+    lowest = min(filter(None, (lcs_degree(w, top) for w in longitudes)), default=top + 1)
+    vanish = lowest > n
     missing = () if cert.has_flag(FLAG_ADMISSIBLE) else (FLAG_ADMISSIBLE,)
 
     l_value = _spine_l_value(cert, signs, n) if vanish else None
-    if vanish:
+    if not cert.genus:
+        conclusion = _TRIVIAL_BOUNDARY
+    elif vanish:
         conclusion = (
             f"Milnor invariants of length <= {n + 1} vanish; Vassiliev invariants "
             f"of orders <= {l_value} vanish for the boundary knot"
@@ -1070,12 +1055,12 @@ def spine_link_pipeline(
     slice_vanish = slice_l = None
     slice_conclusion = None
     if slice_depth is not None:
-        if slice_depth < 1:
-            raise CertificateError("slice depth must be >= 1")
         bound_level = 2 * slice_depth - 1
-        slice_vanish = milnor_vanish_upto(system, bound_level) if cert.genus else True
+        slice_vanish = lowest > bound_level
         slice_l = _spine_l_value(cert, signs, bound_level) if slice_vanish else None
-        if slice_vanish:
+        if not cert.genus:
+            slice_conclusion = _TRIVIAL_BOUNDARY
+        elif slice_vanish:
             slice_conclusion = (
                 f"{slice_depth}-slice input: Vassiliev invariants of orders <= "
                 f"{slice_l} vanish"
@@ -1086,15 +1071,9 @@ def spine_link_pipeline(
                 f"{2 * slice_depth} do not vanish"
             )
 
-    if not vanish:
-        verdict = "invalid"
-    elif missing:
-        verdict = "not-checkable-from-words"
-    else:
-        verdict = "valid"
     return PipelineReport(
         n=n,
-        verdict=verdict,
+        verdict=_verdict(not vanish, missing),
         milnor_vanish=vanish,
         l_n_S=l_value,
         conclusion=conclusion,

@@ -215,10 +215,6 @@ def _laurent_payload(poly: LaurentPolynomial) -> dict:
     return {"min_exp": min_exp, "coeffs": list(coeffs), "pretty": poly.pretty()}
 
 
-def _fraction_str(value: Fraction) -> str:
-    return str(value)
-
-
 # ---------------------------------------------------------------------------
 # subcommand handlers: each returns (exit_code, payload, human lines)
 
@@ -364,7 +360,7 @@ def _cmd_mmr(args):
     series = mmr_series(delta, args.order)
     payload = {
         "order": args.order,
-        "coefficients": [_fraction_str(c) for c in series.coefficients],
+        "coefficients": [str(c) for c in series.coefficients],
     }
     lines = [f"h^{i}: {c}" for i, c in enumerate(series.coefficients)]
     return 0, payload, lines
@@ -384,7 +380,7 @@ def _cmd_altsum(args):
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad alternating-sum data: {exc}") from exc
     total = alternating_sum(values)
-    return 0, {"sum": _fraction_str(total)}, [str(total)]
+    return 0, {"sum": str(total)}, [str(total)]
 
 
 _BOUND_ARITY = {
@@ -429,7 +425,7 @@ def _cmd_bounds(args):
             "q_bound_holds": report.q_bound_holds,
             "q_param_bounds_hold": report.q_param_bounds_hold,
             "violations": list(report.violations),
-            "l_bound_argument": _fraction_str(report.l_bound_argument),
+            "l_bound_argument": str(report.l_bound_argument),
             "all_hold": report.all_hold,
         }
         line = "all inequalities hold" if report.all_hold else "; ".join(report.violations)

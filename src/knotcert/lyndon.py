@@ -13,7 +13,6 @@ sequences, the only shape the rest of the library emits.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Sequence
 
 def lyndon_words(alphabet: Sequence[int], length: int) -> list[tuple[int, ...]]:
@@ -51,7 +50,6 @@ def standard_factorization(word: tuple[int, ...]) -> tuple[tuple[int, ...], tupl
     return word[: len(word) - len(w)], w
 
 
-@lru_cache(maxsize=None)
 def bracketing(word: tuple[int, ...]):
     """Standard bracketing tree of a Lyndon word; leaves are letters."""
     if len(word) == 1:
@@ -85,7 +83,6 @@ def _tree_poly(tree) -> dict[tuple[int, ...], int]:
     return _poly_bracket(_tree_poly(tree[0]), _tree_poly(tree[1]))
 
 
-@lru_cache(maxsize=None)
 def lyndon_lie_polynomial(word: tuple[int, ...]) -> dict[tuple[int, ...], int]:
     """Associative polynomial of the standard bracketing of a Lyndon word.
 
@@ -130,7 +127,6 @@ def _ln_append(base: dict[tuple[int, ...], int], tree, sign: int,
     _ln_append(ue, c, -sign, out)
 
 
-@lru_cache(maxsize=None)
 def left_normed_form(word: tuple[int, ...]) -> dict[tuple[int, ...], int]:
     """The standard bracketing of a Lyndon word as a left-normed combination.
 

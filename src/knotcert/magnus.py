@@ -294,7 +294,7 @@ def lcs_at_least(word: Sequence[int], k: int) -> bool:
     return lcs_degree(word, k - 1) is None
 
 
-def fox_coefficient(word: Sequence[int], indices: Sequence[int], degree: int | None = None) -> int:
+def fox_coefficient(word: Sequence[int], indices: Sequence[int]) -> int:
     """Coefficient of X_{i1}...X_{ik} in the Magnus expansion.
 
     Equals the augmentation of the iterated Fox derivative d/dx_{i1}
@@ -302,8 +302,6 @@ def fox_coefficient(word: Sequence[int], indices: Sequence[int], degree: int | N
     truncation degree as long as it is >= len(indices), so the expansion
     is computed at exactly that degree.
     """
-    if degree is not None and len(indices) > degree:
-        raise ValueError("index sequence longer than truncation degree")
     if not indices:
         return 1
     return expand(word, len(indices)).coefficient(indices)

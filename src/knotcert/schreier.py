@@ -110,13 +110,3 @@ def normal_closure_lcs_degree(
     is the answer.  None means the degree exceeds ``degree``.
     """
     return lcs_degree(rewrite_to_word(word, subset), degree)
-
-
-def normal_closure_lcs_at_least(word: Sequence[int], subset: Sequence[int], k: int) -> bool:
-    """True iff the word lies in the k-th lower central term of the closure."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    rewritten = rewrite_to_word(word, subset)
-    if not rewritten:
-        return True
-    return lcs_degree(rewritten, k - 1) is None if k > 1 else True

@@ -186,9 +186,6 @@ class LaurentPolynomial:
         """The substitution t -> 1/t."""
         return LaurentPolynomial.from_dict({-e: c for e, c in self.coeffs})
 
-    def shift(self, k: int) -> "LaurentPolynomial":
-        return LaurentPolynomial(tuple((e + k, c) for e, c in self.coeffs))
-
     def is_symmetric(self) -> bool:
         return self == self.reciprocal()
 
@@ -213,9 +210,6 @@ class LaurentPolynomial:
     @classmethod
     def one(cls) -> "LaurentPolynomial":
         return cls(((0, 1),))
-
-
-LAURENT_ONE = LaurentPolynomial.one()
 
 
 def alexander(matrix: SeifertMatrix) -> LaurentPolynomial:

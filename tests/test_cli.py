@@ -222,6 +222,37 @@ class TestCertifyCommands:
         code, _, err = run(capsys, "certify", "elliptic", str(path))
         assert code == 2 and err.startswith("error:")
 
+    @pytest.mark.parametrize("stem, curve, field, argv", [
+        ("parabolic_g1_n2", 1, "m", ["--simplicity", "3"]),
+        ("unknotted_g1_n2", 0, "m_mu", []),
+        ("unknotted_g1_n2", 0, "m_chi", []),
+        ("unknotted_g1_n2", 1, "m_zeta", []),
+    ], ids=["m", "m_mu", "m_chi", "m_zeta"])
+    def test_negative_depth_exit_2(self, capsys, tmp_path, stem, curve, field, argv):
+        doc = json.loads((DATA / f"{stem}.json").read_text())
+        entry = doc["curves"][curve]
+        (entry if field == "m" else entry["factors"])[field] = -1
+        path = tmp_path / "negative.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "certify", doc["kind"], str(path), *argv)
+        assert code == 2 and out == ""
+        assert err == f"error: curve {entry['name']}: {field} must be >= 0\n"
+
+    def test_zero_depth_accepted(self, capsys, tmp_path):
+        doc = json.loads((DATA / "parabolic_g1_n2.json").read_text())
+        doc["curves"][1]["m"] = 0
+        path = tmp_path / "zero.json"
+        path.write_text(json.dumps(doc))
+        code, out_doc, _ = run_json(capsys, "certify", "parabolic", str(path), "--simplicity", "3")
+        assert code == 0 and out_doc["verdict"] == "valid"
+
+    def test_negative_n_exit_2(self, capsys):
+        code, out, err = run(
+            capsys, "certify", "hyperbolic", str(DATA / "hyperbolic_g2_n3.json"), "--n", "-1"
+        )
+        assert code == 2 and out == ""
+        assert err == "error: n must be >= 0\n"
+
     def test_translate(self, capsys):
         code, doc, _ = run_json(
             capsys, "translate", "unknotted", str(DATA / "unknotted_twist_n4.json"),
@@ -237,6 +268,26 @@ class TestCertifyCommands:
             "--signs", "++++",
         )
         assert code == 0 and doc["milnor_vanish"] is True
+
+    @pytest.mark.parametrize("flags, exit_code, verdict", [
+        (["regular-spine", "admissible-spine"], 0, "valid"),
+        (["regular-spine"], 3, "not-checkable-from-words"),
+    ], ids=["admissible", "not-asserted"])
+    def test_pipeline_genus_0(self, capsys, tmp_path, flags, exit_code, verdict):
+        doc = {"kind": "hyperbolic", "genus": 0, "n": 3, "curves": [], "asserted_flags": flags}
+        path = tmp_path / "genus0.json"
+        path.write_text(json.dumps(doc))
+        code, out_doc, _ = run_json(
+            capsys, "pipeline", "spine-link", str(path), "--signs", "", "--slice-depth", "2"
+        )
+        assert code == exit_code and out_doc["verdict"] == verdict
+        trivial = "genus 0: boundary is the trivial knot"
+        assert out_doc["milnor_vanish"] is True and out_doc["l_n_S"] is None
+        assert out_doc["conclusion"] == trivial
+        assert out_doc["slice_vanish"] is True and out_doc["slice_l"] is None
+        assert out_doc["slice_conclusion"] == trivial
+        code, hyperbolic, _ = run_json(capsys, "certify", "hyperbolic", str(path))
+        assert hyperbolic["quantities"]["conclusion"] == trivial
 
 
 class TestAltsum:

@@ -88,6 +88,16 @@ class TestTriangularity:
         out = left_normed_combination({(1, 2): 1, (2, 1): -1})
         assert out == {(1, 2): 1}
 
+    def test_returned_dicts_are_fresh(self):
+        # a caller that edits a result must not change the next call's result
+        poly = lyndon_lie_polynomial((1, 2))
+        poly[(1, 2)] = 5
+        assert lyndon_lie_polynomial((1, 2)) == {(1, 2): 1, (2, 1): -1}
+        form = left_normed_form((1, 1, 2))
+        expected = dict(form)
+        form[(1, 2)] = 7
+        assert left_normed_form((1, 1, 2)) == expected
+
 
 class TestExpandCommutator:
     def test_matches_letterwise(self):

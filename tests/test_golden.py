@@ -2,10 +2,12 @@
 
 ``golden_reports.json`` pins the exact bytes that ``--format structured``
 prints, and the exit code, for every shipped certificate, the index-shift
-translations, the spine-link pipeline and one one-letter mutant per
-certificate kind, so the failure details are pinned as well.  The
-mutants come from ``mutate_certificate`` at a fixed seed and are stored
-in the file, so the reports do not depend on later changes to ``synth``.
+translations, the spine-link pipeline (with and without a slice depth)
+and one one-letter mutant per certificate kind, so the failure details
+are pinned as well.  A few hand-made certificates (``DOCUMENTS``) pin
+failure details that neither the corpus nor the mutants reach.  The
+mutants come from ``mutate_certificate`` at a fixed seed; they and the
+hand-made documents are stored in the file, so the reports do not depend on later changes to ``synth``.
 A change to any verdict, detail string, factor count or q-value shows
 up here as a diff against the recorded text.
 
@@ -44,6 +46,12 @@ JOBS = {
     "translate-elliptic": ["translate", "elliptic", "elliptic_g1_n2.json", "--n", "1"],
     "translate-unknotted-twist": ["translate", "unknotted", "unknotted_twist_n4.json", "--n", "2"],
     "pipeline-spine-link": ["pipeline", "spine-link", "hyperbolic_g2_n3.json", "--signs", "++++"],
+    "pipeline-spine-link-slice-holds": [
+        "pipeline", "spine-link", "hyperbolic_g3_n5.json", "--signs", "++++++", "--slice-depth", "3",
+    ],
+    "pipeline-spine-link-slice-fails": [
+        "pipeline", "spine-link", "hyperbolic_g2_n3.json", "--signs", "++++", "--slice-depth", "3",
+    ],
 }
 
 # kind -> shipped certificate the mutant is made from
@@ -54,12 +62,48 @@ MUTANT_SOURCES = {
     "unknotted": "unknotted_g1_n2.json",
 }
 
+# name -> (kind, certificate document): hand-made certificates whose
+# failure details are not reached by the shipped corpus or the mutants
+DOCUMENTS = {
+    # pushoff + fails at lcs degree 1, pushoff - at degree 2 below n+1 = 4
+    "hyperbolic-both-pushoffs-fail": ("hyperbolic", {
+        "schema": 1, "kind": "hyperbolic", "genus": 1, "n": 3,
+        "asserted_flags": ["regular-spine"],
+        "curves": [
+            {"name": "a1", "role": "A", "index": 1,
+             "pushoff_plus": "g1", "pushoff_minus": "g1 g2 g1^-1 g2^-1"},
+        ],
+    }),
+    # mu = [x1, y1, x1] passes at m_mu = 2 with the wrong q-value, and
+    # mu = [x2, y2, x2] is not in F^(4) at m_mu = 3
+    "unknotted-mu-checks": ("unknotted", {
+        "schema": 1, "kind": "unknotted", "genus": 2, "n": 2,
+        "asserted_flags": ["regular-spine"],
+        "curves": [
+            {"name": "a1", "role": "A", "index": 1,
+             "pushoff_plus": "g1 g2 g1^-1 g2^-1 g1 g2 g1 g2^-1 g1^-1 g1^-1", "pushoff_minus": None,
+             "factors": {"mu": "g1 g2 g1^-1 g2^-1 g1 g2 g1 g2^-1 g1^-1 g1^-1", "m_mu": 2}},
+            {"name": "b1", "role": "B", "index": 1, "pushoff_plus": None, "pushoff_minus": ""},
+            {"name": "a2", "role": "A", "index": 2,
+             "pushoff_plus": "g3 g4 g3^-1 g4^-1 g3 g4 g3 g4^-1 g3^-1 g3^-1", "pushoff_minus": None,
+             "factors": {"mu": "g3 g4 g3^-1 g4^-1 g3 g4 g3 g4^-1 g3^-1 g3^-1", "m_mu": 3}},
+            {"name": "b2", "role": "B", "index": 2, "pushoff_plus": None, "pushoff_minus": ""},
+        ],
+    }),
+}
+
 
 def _run(argv):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = main(argv + ["--format", "structured"])
     return code, out.getvalue()
+
+
+def _certify_document(kind, doc, tmp):
+    path = Path(tmp) / "certificate.json"
+    path.write_text(json.dumps(doc))
+    return _run(["certify", kind, str(path)])
 
 
 def _job_argv(args):
@@ -87,26 +131,35 @@ def test_shipped_job_report(name):
 @pytest.mark.parametrize("kind", sorted(MUTANT_SOURCES))
 def test_mutant_report(tmp_path, kind):
     expected = _golden()["mutants"][kind]
-    path = tmp_path / "mutant.json"
-    path.write_text(json.dumps(expected["certificate"]))
-    code, out = _run(["certify", kind, str(path)])
+    code, out = _certify_document(kind, expected["certificate"], tmp_path)
+    assert code == expected["exit"]
+    assert out == expected["stdout"]
+
+
+@pytest.mark.parametrize("name", sorted(DOCUMENTS))
+def test_document_report(tmp_path, name):
+    expected = _golden()["documents"][name]
+    code, out = _certify_document(expected["kind"], expected["certificate"], tmp_path)
     assert code == expected["exit"]
     assert out == expected["stdout"]
 
 
 def regenerate() -> None:
-    jobs, mutants = {}, {}
+    jobs, mutants, documents = {}, {}, {}
     for name, args in JOBS.items():
         code, out = _run(_job_argv(args))
         jobs[name] = {"argv": args, "exit": code, "stdout": out}
     with tempfile.TemporaryDirectory() as tmp:
         for kind in MUTANT_SOURCES:
             doc = _mutant_document(kind)
-            path = Path(tmp) / "mutant.json"
-            path.write_text(json.dumps(doc))
-            code, out = _run(["certify", kind, str(path)])
+            code, out = _certify_document(kind, doc, tmp)
             mutants[kind] = {"certificate": doc, "exit": code, "stdout": out}
-    golden = {"mutant_seed": MUTANT_SEED, "jobs": jobs, "mutants": mutants}
+        for name, (kind, doc) in DOCUMENTS.items():
+            code, out = _certify_document(kind, doc, tmp)
+            documents[name] = {"kind": kind, "certificate": doc, "exit": code, "stdout": out}
+    golden = {
+        "mutant_seed": MUTANT_SEED, "jobs": jobs, "mutants": mutants, "documents": documents,
+    }
     GOLDEN.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n")
 
 

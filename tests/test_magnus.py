@@ -137,10 +137,6 @@ class TestFox:
     def test_empty_word(self):
         assert fox_coefficient((), (1, 2)) == 0
 
-    def test_degree_check(self):
-        with pytest.raises(ValueError):
-            fox_coefficient((1,), (1, 2), degree=1)
-
 
 def hopf():
     return LongitudeSystem(2, ((2,), (1,)))

@@ -4,7 +4,6 @@ from knotcert.magnus import lcs_degree
 from knotcert.schreier import (
     NotInNormalClosure,
     SchreierLetter,
-    normal_closure_lcs_at_least,
     normal_closure_lcs_degree,
     schreier_alphabet_word,
     schreier_rewrite,
@@ -81,14 +80,6 @@ class TestClosureDegree:
             d = normal_closure_lcs_degree(w, {1}, 5)
             for t in [(2,), (3, -2), (2, 3, 2)]:
                 assert normal_closure_lcs_degree(conjugate(w, t), {1}, 5) == d
-
-    def test_membership_helper(self):
-        w = concat(
-            conjugate((1,), (2,)), (1,), invert(conjugate((1,), (2,))), (-1,)
-        )
-        assert normal_closure_lcs_at_least(w, {1}, 2)
-        assert not normal_closure_lcs_at_least((1,), {1}, 2)
-        assert normal_closure_lcs_at_least((), {1}, 9)
 
     def test_deep_membership(self):
         a = (1,)
