@@ -492,7 +492,11 @@ def certify_hyperbolic(cert: SurfaceCertificate, n: int | None = None) -> Certif
         )
     else:
         rb.quantities["l_n_S"] = None
-        rb.quantities["conclusion"] = _TRIVIAL_BOUNDARY
+        rb.quantities["conclusion"] = (
+            _TRIVIAL_BOUNDARY
+            if cert.genus == 0
+            else "no A-curve passed its quotient membership: no triviality bound"
+        )
     return rb.finish()
 
 

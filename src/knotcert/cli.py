@@ -8,7 +8,9 @@ produce byte-identical structured output.
 
 Exit codes: 0 success/valid verdict, 1 invalid (a checked property is
 false), 2 malformed input, 3 not checkable from word data (required
-geometric assertions missing).
+geometric assertions missing), 4 internal error (an internal self-check
+such as the Lyndon solve's or a decomposition stage's raised
+RuntimeError: a defect in knotcert, not a verdict on the input).
 """
 
 from __future__ import annotations
@@ -667,6 +669,9 @@ def main(argv: list[str] | None = None) -> int:
         # NotInNormalClosure are all ValueErrors: malformed input
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 4
     return _emit(args, code, payload, lines)
 
 

@@ -44,10 +44,23 @@ class CommutatorCombination:
         return out
 
     def product_word(self) -> tuple[int, ...]:
-        merged: list[int] = []
+        out: list[int] = []
         for w in self.factor_words():
-            merged.extend(w)
-        return reduce_word(merged)
+            _push_reduced(out, w)
+        return tuple(out)
+
+
+def _push_reduced(out: list[int], piece: Sequence[int]) -> None:
+    """Append a reduced word to the reduced word ``out``, keeping it reduced.
+
+    Both sides are already reduced, so letters can cancel only at the
+    junction: pop while the end of ``out`` inverts the head of ``piece``.
+    """
+    i, n = 0, len(piece)
+    while i < n and out and out[-1] == -piece[i]:
+        out.pop()
+        i += 1
+    out.extend(piece[i:] if i else piece)
 
 
 @lru_cache(maxsize=None)
@@ -197,10 +210,9 @@ def decompose(word: Sequence[int], m: int, degree: int) -> CommutatorCombination
                 remainder = nc_mul(base_inv if exponent > 0 else base, remainder)
 
     # residual = G^-1 * word with G the factor product in emitted order
-    merged: list[int] = []
+    residual: list[int] = []
     for entries, exponent in reversed(factors):
         w = commutator_group_word(entries)
-        merged.extend(invert(w) if exponent > 0 else w)
-    merged.extend(word)
-    residual = reduce_word(merged)
-    return CommutatorCombination(tuple(factors), residual, degree)
+        _push_reduced(residual, invert(w) if exponent > 0 else w)
+    _push_reduced(residual, word)
+    return CommutatorCombination(tuple(factors), tuple(residual), degree)

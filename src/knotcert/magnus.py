@@ -45,7 +45,8 @@ class NCPolynomial:
     """Integer polynomial in non-commuting X_i, truncated beyond ``degree``.
 
     ``buckets[d]`` maps packed degree-d monomials to nonzero integer
-    coefficients.  Instances are never mutated after construction.
+    coefficients.  An instance is never mutated after it is returned; the
+    functions that build one (``expand`` among them) fill it in place.
     """
 
     __slots__ = ("degree", "buckets")
@@ -196,58 +197,37 @@ def nc_inverse(a: NCPolynomial) -> NCPolynomial:
 # Magnus expansion of words
 
 
-def _mul_letter(p: NCPolynomial, letter: int) -> NCPolynomial:
-    """Multiply on the right by the Magnus image of one letter."""
-    degree = p.degree
+def _mul_letter(p: NCPolynomial, letter: int) -> None:
+    """Multiply ``p`` in place on the right by the Magnus image of one letter.
+
+    For x_g the new degree-d part is p_d + p_{d-1} X_g; walking d from
+    the top down reads each p_{d-1} before it changes.  For x_g^-1 the
+    product q = p (1 + X_g)^-1 solves q (1 + X_g) = p, so
+    q_d = p_d - q_{d-1} X_g; walking d from the bottom up reads each
+    q_{d-1} already updated.  Either way every bucket is touched once.
+    """
     gen = abs(letter)
     if not 1 <= gen <= MAX_GENERATOR:
         raise ValueError(f"generator index {gen} out of range 1..{MAX_GENERATOR}")
-    out = NCPolynomial(degree)
-    obuckets = out.buckets
+    buckets = p.buckets
     if letter > 0:
-        # p * (1 + X)
-        for d, bucket in enumerate(p.buckets):
-            if not bucket:
-                continue
-            target = obuckets[d]
-            for m, c in bucket.items():
-                target[m] = target.get(m, 0) + c
-            if d < degree:
-                high = gen << (_SHIFT * d)
-                target = obuckets[d + 1]
-                get = target.get
-                for m, c in bucket.items():
-                    key = m | high
-                    val = get(key, 0) + c
-                    if val:
-                        target[key] = val
-                    else:
-                        del target[key]
+        sign, degrees = 1, range(p.degree, 0, -1)
     else:
-        # p * (1 - X + X^2 - ...)
-        for d, bucket in enumerate(p.buckets):
-            if not bucket:
-                continue
-            xpow = 0
-            for j in range(degree - d + 1):
-                sign = 1 if j % 2 == 0 else -1
-                target = obuckets[d + j]
-                get = target.get
-                high = xpow << (_SHIFT * d)
-                for m, c in bucket.items():
-                    key = m | high
-                    val = get(key, 0) + sign * c
-                    if val:
-                        target[key] = val
-                    else:
-                        del target[key]
-                xpow = (xpow << _SHIFT) | gen
-    for d in range(degree + 1):
-        bucket = obuckets[d]
-        zeros = [m for m, c in bucket.items() if not c]
-        for m in zeros:
-            del bucket[m]
-    return out
+        sign, degrees = -1, range(1, p.degree + 1)
+    for d in degrees:
+        source = buckets[d - 1]
+        if not source:
+            continue
+        high = gen << (_SHIFT * (d - 1))
+        target = buckets[d]
+        get = target.get
+        for m, c in source.items():
+            key = m | high
+            val = get(key, 0) + sign * c
+            if val:
+                target[key] = val
+            else:
+                del target[key]
 
 
 def expand(word: Sequence[int], degree: int) -> NCPolynomial:
@@ -256,7 +236,7 @@ def expand(word: Sequence[int], degree: int) -> NCPolynomial:
         raise ValueError("truncation degree must be >= 1")
     p = NCPolynomial.one(degree)
     for letter in word:
-        p = _mul_letter(p, letter)
+        _mul_letter(p, letter)
     return p
 
 

@@ -10,6 +10,7 @@ which is what the letter-set trivializer needs.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -39,7 +40,7 @@ def concat(*words: Sequence[int]) -> tuple[int, ...]:
 
 
 def invert(word: Sequence[int]) -> tuple[int, ...]:
-    return tuple(-letter for letter in reversed(word))
+    return tuple(map(operator.neg, reversed(word)))
 
 
 def conjugate(word: Sequence[int], by: Sequence[int]) -> tuple[int, ...]:
@@ -48,7 +49,7 @@ def conjugate(word: Sequence[int], by: Sequence[int]) -> tuple[int, ...]:
 
 
 def generators_in(word: Sequence[int]) -> frozenset[int]:
-    return frozenset(abs(letter) for letter in word)
+    return frozenset(map(abs, word))
 
 
 def kill_generators(word: Sequence[int], subset: Iterable[int]) -> tuple[int, ...]:

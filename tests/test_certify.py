@@ -107,6 +107,35 @@ class TestHyperbolic:
         assert report.verdict == "valid"
         assert report.quantities["per_curve"]["a1"]["sign"] == "-"
 
+    def test_every_curve_failing_gives_no_bound(self):
+        # genus 1: no pushoff reaches F^(4), so nothing follows about the
+        # boundary; in particular it is not reported as the trivial knot
+        cert = SurfaceCertificate(
+            kind="hyperbolic",
+            genus=1,
+            n=3,
+            curves=(
+                Curve(name="a1", role="A", index=1,
+                      pushoff_plus=(1,), pushoff_minus=commutator_word((1, 2))),
+            ),
+            asserted_flags=FLAGS,
+        )
+        report = certify_hyperbolic(cert)
+        assert report.verdict == "invalid"
+        assert report.quantities["l_n_S"] is None
+        assert report.quantities["conclusion"] == (
+            "no A-curve passed its quotient membership: no triviality bound"
+        )
+
+    def test_genus_0_boundary_is_trivial(self):
+        cert = SurfaceCertificate(
+            kind="hyperbolic", genus=0, n=2, curves=(), asserted_flags=FLAGS
+        )
+        report = certify_hyperbolic(cert)
+        assert report.verdict == "valid"
+        assert report.quantities["l_n_S"] is None
+        assert report.quantities["conclusion"] == "genus 0: boundary is the trivial knot"
+
     def test_missing_flag_not_checkable(self):
         cert = plain_hyperbolic(commutator_word((1, 2, 1)), 2, flags=())
         report = certify_hyperbolic(cert)

@@ -61,6 +61,31 @@ class TestDecomposeAndSchreier:
         assert doc["factors"] == [["g1 g2", 1]]
         assert doc["residual"] == ""
 
+    def test_internal_defect_exit_4(self, capsys, monkeypatch):
+        # a Lyndon solve that is off by one copy of a factor fails the
+        # stage check: a defect, reported as such and not as a verdict
+        from knotcert import decomp
+
+        solve = decomp.left_normed_combination
+
+        def off_by_one(component):
+            combo = dict(solve(component))
+            combo[min(combo)] += 1
+            return combo
+
+        monkeypatch.setattr(decomp, "left_normed_combination", off_by_one)
+        # [g1, g2, g3] [g2, g1, g1]: two letter multisets, so the general
+        # solver runs rather than the single-commutator match
+        word = (
+            "g1 g2 g1^-1 g2^-1 g3 g2 g1 g2^-1 g1^-1 g3^-1 "
+            "g2 g1 g2^-1 g1 g2 g1^-1 g2^-1 g1^-1"
+        )
+        code, out, err = run(capsys, "decompose", word, "-m", "2", "-D", "3")
+        assert code == 4
+        assert out == ""
+        assert err.startswith("internal error: stage 3")
+        assert "Traceback" not in err
+
     def test_schreier_degree(self, capsys):
         code, out, _ = run(capsys, "schreier", "degree", "g2 g1 g2^-1", "--subset", "1", "-D", "3")
         assert code == 0 and out.strip() == "1"

@@ -235,6 +235,55 @@ class TestSingleStageAgainstDenseExpansion:
         assert lcs_degree(comb.residual, m + 1) is None
 
 
+def plain_residual(comb, word):
+    """G^-1 * w by reducing the whole concatenation letter by letter."""
+    merged = []
+    for w in reversed(comb.factor_words()):
+        merged.extend(invert(w))
+    merged.extend(word)
+    return reduce_word(merged)
+
+
+class TestResidualAgainstPlainReduction:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 3).flatmap(lambda m: st.tuples(st.just(m), conjugated_commutator_products(m))),
+        st.integers(1, 2),
+    )
+    def test_matches_reduced_concatenation(self, case, extra):
+        m, word = case
+        comb = decompose(word, m, m + extra)
+        assert comb.residual == plain_residual(comb, word)
+        assert comb.product_word() == reduce_word(
+            [letter for w in comb.factor_words() for letter in w]
+        )
+
+    def test_whole_piece_cancels(self):
+        # G = [g1, g2] = w: the word cancels its whole inverse at the
+        # junction and nothing is left
+        word = commutator_word((1, 2))
+        comb = decompose(word, 1, 2)
+        assert plain_residual(comb, word) == comb.residual == ()
+        # [g1, g2]^2: pushing the word cancels both inverse factors, the
+        # word's first half the second factor and its second half the first
+        word = concat(word, word)
+        comb = decompose(word, 1, 3)
+        assert comb.factors == (((1, 2), 1), ((1, 2), 1))
+        assert plain_residual(comb, word) == comb.residual == ()
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(words_strategy(max_gen=3, max_len=8), st.integers(0, 8)), max_size=6))
+    def test_push_reduced_is_free_reduction(self, parts):
+        # pieces that start with the inverse of a tail of what is built
+        # cancel partly or wholly at the junction
+        out, merged = [], []
+        for letters, back in parts:
+            piece = reduce_word(invert(out[max(0, len(out) - back):] if back else ()) + letters)
+            decomp._push_reduced(out, piece)
+            merged.extend(piece)
+            assert out == list(reduce_word(merged))
+
+
 class TestSingleFactorWithSigns:
     def test_signed_nest_is_one_factor(self):
         # the nest on (x, y^-1, x) matches a single positive-alphabet

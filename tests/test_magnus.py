@@ -1,5 +1,6 @@
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from knotcert.magnus import (
     LongitudeSystem,
@@ -85,6 +86,63 @@ class TestExpand:
     def test_inverse_law(self, w):
         d = 5
         assert nc_mul(expand(w, d), expand(invert(w), d)).is_one()
+
+
+def letter_series(letter, degree):
+    """Magnus image of one letter built from its terms: 1 + X_g, or the
+    truncated geometric series sum_j (-1)^j X_g^j for g^-1."""
+    g = abs(letter)
+    if letter > 0:
+        return poly(degree, ((), 1), ((g,), 1))
+    return poly(degree, *(((g,) * j, (-1) ** j) for j in range(degree + 1)))
+
+
+def run_words(max_gen=4, max_len=25):
+    """Words with a long run of one inverse letter between two short words."""
+    return st.tuples(
+        words_strategy(max_gen, 6),
+        st.integers(1, max_gen),
+        st.integers(5, 13),
+        words_strategy(max_gen, 6),
+    ).map(lambda t: (t[0] + (-t[1],) * t[2] + t[3])[:max_len])
+
+
+class TestExpandAgainstSeriesProducts:
+    """The in-place letterwise kernel against ordered products of
+    independently built single-letter series."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.one_of(words_strategy(max_gen=4, max_len=25), run_words()),
+        st.integers(1, 6),
+    )
+    def test_matches_product_of_letter_series(self, word, degree):
+        expected = NCPolynomial.one(degree)
+        for i, letter in enumerate(word):
+            expected = nc_mul(expected, letter_series(letter, degree))
+            # every prefix: the accumulator after each letter, not just the end
+            got = expand(word[: i + 1], degree)
+            assert got == expected
+            assert all(c for bucket in got.buckets for c in bucket.values())
+        assert expand(word, degree) == expected
+
+    def test_long_inverse_run(self):
+        # g^-13 has coefficient (-1)^j C(12+j, j) on X_g^j
+        from math import comb
+
+        p = expand((-2,) * 13, 6)
+        assert p.terms() == [((2,) * j, (-1) ** j * comb(12 + j, j)) for j in range(7)]
+
+    def test_cancelling_letters_leave_no_zeros(self):
+        p = expand((1, 2, -2, -1, 3, 1, -1, -3), 4)
+        assert p.is_one()
+        assert p.buckets == [{0: 1}, {}, {}, {}, {}]
+
+    def test_generator_range_checked(self):
+        with pytest.raises(ValueError):
+            expand((1, 1024), 3)
+        with pytest.raises(ValueError):
+            expand((-1024,), 3)
 
 
 class TestLcsDegree:
