@@ -14,13 +14,14 @@ whose algebra passes but whose assertions are missing is
 
 from __future__ import annotations
 
+import json
 import re
 from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
 
 from . import bounds
-from .decomp import decompose
-from .magnus import lcs_degree
+from .decomp import residual_word, stage_factors
+from .magnus import NCPolynomial, expand, lcs_degree, staged_expand
 from .schreier import NotInNormalClosure, rewrite_to_word
 from .words import (
     concat,
@@ -180,6 +181,21 @@ def _word_or_none(value) -> tuple[int, ...] | None:
     return parse_word(value)
 
 
+def _integer(value, field: str) -> int:
+    """``value`` if it is a JSON integer; TypeError naming ``field`` otherwise.
+
+    ``bool`` is an ``int`` subclass, and a float or string would be cut or
+    parsed by ``int()``, so only a true ``int`` is accepted.
+    """
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{field} must be an integer, got {json.dumps(value)}")
+    return value
+
+
+def _optional_integer(value, field: str) -> int | None:
+    return None if value is None else _integer(value, field)
+
+
 def certificate_from_dict(data: dict) -> SurfaceCertificate:
     """Build a certificate from its JSON document.
 
@@ -188,8 +204,8 @@ def certificate_from_dict(data: dict) -> SurfaceCertificate:
     """
     try:
         kind = data["kind"]
-        genus = int(data["genus"])
-        n = int(data["n"])
+        genus = _integer(data["genus"], "genus")
+        n = _integer(data["n"], "n")
         raw_curves = data["curves"]
     except (KeyError, TypeError, ValueError) as exc:
         raise CertificateError(f"bad certificate document: {exc}") from exc
@@ -205,13 +221,13 @@ def certificate_from_dict(data: dict) -> SurfaceCertificate:
             if raw.get("factors") is not None:
                 f = raw["factors"]
                 factors = UnknottedFactors(
-                    x_exponent=int(f.get("x_exponent", 0)),
+                    x_exponent=_integer(f.get("x_exponent", 0), "x_exponent"),
                     chi=parse_word(f.get("chi", "") or ""),
                     mu=parse_word(f.get("mu", "") or ""),
                     zeta=parse_word(f.get("zeta", "") or ""),
-                    m_mu=None if f.get("m_mu") is None else int(f["m_mu"]),
-                    m_chi=None if f.get("m_chi") is None else int(f["m_chi"]),
-                    m_zeta=None if f.get("m_zeta") is None else int(f["m_zeta"]),
+                    m_mu=_optional_integer(f.get("m_mu"), "m_mu"),
+                    m_chi=_optional_integer(f.get("m_chi"), "m_chi"),
+                    m_zeta=_optional_integer(f.get("m_zeta"), "m_zeta"),
                 )
             pair = raw.get("pair")
             if pair is not None and not isinstance(pair, str):
@@ -220,10 +236,10 @@ def certificate_from_dict(data: dict) -> SurfaceCertificate:
                 Curve(
                     name=str(raw["name"]),
                     role=str(raw["role"]),
-                    index=int(raw["index"]),
+                    index=_integer(raw["index"], "index"),
                     pushoff_plus=_word_or_none(raw.get("pushoff_plus")),
                     pushoff_minus=_word_or_none(raw.get("pushoff_minus")),
-                    m=None if raw.get("m") is None else int(raw["m"]),
+                    m=_optional_integer(raw.get("m"), "m"),
                     pair=pair,
                     factors=factors,
                 )
@@ -360,31 +376,47 @@ class QInfo:
     factor_count: int
 
 
-def q_of_word(word: Sequence[int], m: int, exclude: frozenset[int] = frozenset()) -> QInfo:
+def q_of_word(
+    word: Sequence[int],
+    m: int,
+    exclude: frozenset[int] = frozenset(),
+    expansion: NCPolynomial | None = None,
+) -> QInfo:
     """q-value of a word lying in F^(m+1), from its factor partition.
 
-    The word is decomposed into weight-(m+1) commutators plus a deeper
-    residual; the factor generator sets (minus ``exclude``, the dual of
-    the curve's own band) are partitioned into components and the
-    minimal block generator count k feeds the two-branch bound at depth
-    m.  A trivial word imposes no constraint and gets the k-free branch
-    value q(m+1).
+    The word is w = G * r with G the product of the weight-(m+1)
+    commutator factors of its degree-(m+1) Magnus slice and r a deeper
+    residual; the factor generator sets and that of r (minus
+    ``exclude``, the dual of the curve's own band) are partitioned into
+    components and the minimal block generator count k feeds the
+    two-branch bound at depth m.  A trivial word imposes no constraint
+    and gets the k-free branch value q(m+1).
+
+    ``expansion`` is the word's expansion at degree m+1 when the caller
+    already has it (a membership check); otherwise the word is expanded
+    here.  The residual is built only when it can change k: r = G^-1 * w
+    uses only generators of w and of the factors, so when the factor
+    sets form at most one block and that block covers the generators
+    of w (both minus ``exclude``), r's set either is empty or lies inside
+    the block and merges into it, and k is already exact.
     """
     word = reduce_word(word)
     if not word or m < 1:
         # trivial word, or depth 0 where membership in F^(1) says nothing:
         # no factorization constrains the curve
         return QInfo(0, bounds.q(m + 1), 0)
-    comb = decompose(word, m, m + 1)
-    gensets = [
-        frozenset(entries) - exclude for entries, _ in comb.factors
-    ]
-    if comb.residual:
-        gensets.append(generators_in(comb.residual) - exclude)
-    gensets = [s for s in gensets if s]
-    _, k = bounds.partition_k(gensets)
+    if expansion is None:
+        expansion = expand(word, m + 1)
+    factors = stage_factors(expansion, m, m + 1)
+    gensets = [s for s in (frozenset(entries) - exclude for entries, _ in factors) if s]
+    partition, k = bounds.partition_k(gensets)
+    covered = frozenset().union(*gensets)
+    if len(partition.blocks) > 1 or not generators_in(word) - exclude <= covered:
+        rest = generators_in(residual_word(word, factors)) - exclude
+        if rest:
+            _, k = bounds.partition_k(gensets + [rest])
     q = bounds.q_param(m, k) if k >= 1 else bounds.q(m + 1)
-    return QInfo(k, q, len(comb.factors))
+    return QInfo(k, q, len(factors))
 
 
 def _stage_image(index: int, word: Sequence[int]) -> tuple[int, ...]:
@@ -392,14 +424,24 @@ def _stage_image(index: int, word: Sequence[int]) -> tuple[int, ...]:
     return kill_generators(word, prefix_kill_set(index))
 
 
-def _stage_q(index: int, image: tuple[int, ...], depth: int) -> QInfo:
+def _stage_q(
+    index: int, image: tuple[int, ...], depth: int, expansion: NCPolynomial | None = None
+) -> QInfo:
     """q-value of a stage image, with the handle's own x-dual excluded."""
-    return q_of_word(image, depth, exclude=frozenset({x_generator(index)}))
+    return q_of_word(image, depth, frozenset({x_generator(index)}), expansion)
 
 
-def _lcs_below(word: Sequence[int], depth: int) -> int | None:
-    """The word's lcs degree when it lies outside F^(depth+1), else None."""
-    return lcs_degree(word, depth) if depth >= 1 else None
+def _lcs_below(word: Sequence[int], depth: int) -> tuple[int | None, NCPolynomial | None]:
+    """(the word's lcs degree when it lies outside F^(depth+1), else None; expansion).
+
+    The staged caps end at depth+1, not depth, so a nonempty member's
+    expansion is the degree-(depth+1) one its q-value reads.
+    """
+    if depth < 1 or not word:
+        return None, None
+    expansion = staged_expand(word, depth + 1)
+    low = expansion.min_positive_degree()
+    return (low if low is not None and low <= depth else None), expansion
 
 
 # ---------------------------------------------------------------------------
@@ -431,10 +473,10 @@ def _orient(
 
 def _quotient_membership(
     image: tuple[int, ...], n: int
-) -> tuple[bool, tuple[tuple[int, ...], int | None]]:
-    """(passed, (stage image, lcs degree below n+1 or None)) for F^(n+1)."""
-    degree = _lcs_below(image, n)
-    return degree is None, (image, degree)
+) -> tuple[bool, tuple[tuple[int, ...], int | None, NCPolynomial | None]]:
+    """(passed, (stage image, lcs degree below n+1 or None, expansion)) for F^(n+1)."""
+    degree, expansion = _lcs_below(image, n)
+    return degree is None, (image, degree, expansion)
 
 
 # ---------------------------------------------------------------------------
@@ -463,10 +505,10 @@ def certify_hyperbolic(cert: SurfaceCertificate, n: int | None = None) -> Certif
         if not tried:
             raise CertificateError(f"curve {curve.name} has no pushoff word")
         if sign is None:
-            detail = "; ".join(f"pushoff {s}: lcs degree {d}" for s, (_, d) in tried)
+            detail = "; ".join(f"pushoff {s}: lcs degree {d}" for s, (_, d, _) in tried)
             rb.add("quotient-membership", "fail", curve.name, detail + f" < {n + 1}")
             continue
-        image, _ = tried[-1][1]
+        image, _, expansion = tried[-1][1]
         rb.add(
             "quotient-membership",
             "pass",
@@ -474,7 +516,7 @@ def certify_hyperbolic(cert: SurfaceCertificate, n: int | None = None) -> Certif
             f"pushoff {sign}: image in F^({n + 1}) after killing "
             f"{sorted(prefix_kill_set(curve.index))}",
         )
-        info = _stage_q(curve.index, image, n)
+        info = _stage_q(curve.index, image, n, expansion)
         q_values.append(info.q)
         per_curve[curve.name] = {
             "sign": sign,
@@ -527,15 +569,19 @@ def _paired_curves(cert: SurfaceCertificate) -> list[tuple[Curve, Curve]]:
 
 def _closure_membership(
     word: tuple[int, ...], subset: frozenset[int], depth: int
-) -> tuple[bool, tuple[tuple[int, ...] | None, str]]:
-    """(passed, (Schreier-alphabet word for the q-value, detail)) for G^(depth+1)."""
+) -> tuple[bool, tuple[tuple[int, ...] | None, NCPolynomial | None, str]]:
+    """(passed, (Schreier-alphabet word, its expansion, detail)) for G^(depth+1).
+
+    The word and its expansion at depth+1 are what ``q_of_word`` reads.
+    """
     try:
         rewritten = rewrite_to_word(word, subset)
     except NotInNormalClosure as exc:
-        return False, (None, f"not in normal closure: {exc}")
-    if _lcs_below(rewritten, depth) is None:
-        return True, (rewritten, f"lies in G^({depth + 1})")
-    return False, (rewritten, f"closure lcs degree below {depth + 1}")
+        return False, (None, None, f"not in normal closure: {exc}")
+    degree, expansion = _lcs_below(rewritten, depth)
+    if degree is None:
+        return True, (rewritten, expansion, f"lies in G^({depth + 1})")
+    return False, (rewritten, expansion, f"closure lcs degree below {depth + 1}")
 
 
 def certify_elliptic(cert: SurfaceCertificate, n: int | None = None) -> CertificateReport:
@@ -564,14 +610,14 @@ def certify_elliptic(cert: SurfaceCertificate, n: int | None = None) -> Certific
         if not tried:
             raise CertificateError(f"pair ({a.name}, {b.name}): no orientation has both pushoffs")
         if eps is None:
-            for curve, (ok, (_, detail)) in zip((a, b), tried[0][1]):
+            for curve, (ok, (_, _, detail)) in zip((a, b), tried[0][1]):
                 rb.add("closure-membership", "pass" if ok else "fail", curve.name, detail)
             continue
-        (_, (word_a, detail_a)), (_, (word_b, detail_b)) = tried[-1][1]
+        (_, (word_a, exp_a, detail_a)), (_, (word_b, exp_b, detail_b)) = tried[-1][1]
         rb.add("closure-membership", "pass", a.name, f"epsilon {eps}: {detail_a}")
         rb.add("closure-membership", "pass", b.name, f"epsilon -{eps}: {detail_b}")
-        qa = q_of_word(word_a, a.m)
-        qb = q_of_word(word_b, b.m)
+        qa = q_of_word(word_a, a.m, expansion=exp_a)
+        qb = q_of_word(word_b, b.m, expansion=exp_b)
         per_pair[a.name] = {
             "epsilon": eps,
             "m_A": a.m,
@@ -622,12 +668,12 @@ def certify_parabolic(
         if not tried:
             raise CertificateError(f"curve {curve.name} has no pushoff word")
         if eps is None:
-            _, detail = tried[0][1]
+            _, _, detail = tried[0][1]
             rb.add("closure-membership", "fail", curve.name, detail)
             continue
-        rewritten, detail = tried[-1][1]
+        rewritten, expansion, detail = tried[-1][1]
         rb.add("closure-membership", "pass", curve.name, f"epsilon {eps}: {detail}")
-        info = q_of_word(rewritten, curve.m)
+        info = q_of_word(rewritten, curve.m, expansion=expansion)
         per_curve[curve.name] = {"epsilon": eps, "m": curve.m, "q": info.q, "k": info.k}
         rb.equation("q-plus-s", curve.name, (info.q, s))
     rb.quantities["per_curve"] = per_curve
@@ -691,9 +737,10 @@ def certify_unknotted(cert: SurfaceCertificate, n: int | None = None) -> Certifi
             if fa.m_mu is None:
                 raise CertificateError(f"curve {a.name}: m_mu required for nontrivial mu")
             image = _stage_image(a.index, fa.mu)
-            if _lcs_below(image, fa.m_mu) is None:
+            degree, expansion = _lcs_below(image, fa.m_mu)
+            if degree is None:
                 rb.add("mu-membership", "pass", a.name, f"in F^({fa.m_mu + 1}) after quotient")
-                info = _stage_q(a.index, image, fa.m_mu)
+                info = _stage_q(a.index, image, fa.m_mu, expansion)
                 pair_data["q_mu"] = info.q
                 if info.q == n + 1:
                     rb.add("mu-q-equation", "pass", a.name, f"q_mu = {n + 1}")
@@ -713,13 +760,13 @@ def certify_unknotted(cert: SurfaceCertificate, n: int | None = None) -> Certifi
                     raise CertificateError(
                         f"pair ({a.name}, {b.name}): m_chi required for nontrivial chi"
                     )
-                ok_a, (word_a, detail_a) = _closure_membership(fa.chi, s_a, fa.m_chi)
-                ok_b, (word_b, detail_b) = _closure_membership(fb.chi, s_b, fb.m_chi)
+                ok_a, (word_a, exp_a, detail_a) = _closure_membership(fa.chi, s_a, fa.m_chi)
+                ok_b, (word_b, exp_b, detail_b) = _closure_membership(fb.chi, s_b, fb.m_chi)
                 rb.add("chi-membership", "pass" if ok_a else "fail", a.name, detail_a)
                 rb.add("chi-membership", "pass" if ok_b else "fail", b.name, detail_b)
                 if ok_a and ok_b:
-                    qa = q_of_word(word_a, fa.m_chi)
-                    qb = q_of_word(word_b, fb.m_chi)
+                    qa = q_of_word(word_a, fa.m_chi, expansion=exp_a)
+                    qb = q_of_word(word_b, fb.m_chi, expansion=exp_b)
                     pair_data["q_chi_A"] = qa.q
                     pair_data["q_chi_B"] = qb.q
                     rb.equation("chi-q-sum", a.name, (qa.q, qb.q))
@@ -750,13 +797,13 @@ def certify_unknotted(cert: SurfaceCertificate, n: int | None = None) -> Certifi
         if fb.zeta:
             if fb.m_zeta is None:
                 raise CertificateError(f"curve {b.name}: m_zeta required for nontrivial zeta")
-            ok, (rewritten, detail) = _closure_membership(fb.zeta, s_b, fb.m_zeta)
+            ok, (rewritten, expansion, detail) = _closure_membership(fb.zeta, s_b, fb.m_zeta)
             rb.add("zeta-membership", "pass" if ok else "fail", b.name, detail)
             if ok:
                 if s is None:
                     rb.missing.append("simplicity=<s>")
                 else:
-                    info = q_of_word(rewritten, fb.m_zeta)
+                    info = q_of_word(rewritten, fb.m_zeta, expansion=expansion)
                     pair_data["q_zeta"] = info.q
                     rb.equation("zeta-q-equation", b.name, (info.q, s))
         else:

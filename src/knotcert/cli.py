@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -649,13 +650,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(args, code: int, payload: dict, lines: list[str]) -> int:
-    if args.format == "structured":
-        doc = {"schema": SCHEMA, "command": args.command, "exit_code": code}
-        doc.update(payload)
-        print(json.dumps(doc, sort_keys=True, separators=(",", ":")))
-    else:
-        for line in lines:
-            print(line)
+    """Print the report and return the job's exit code.
+
+    A reader that has gone away (``| head``) does not change the exit
+    code: stdout is pointed at the null device, so neither this flush
+    nor the interpreter's final one can raise BrokenPipeError.
+    """
+    try:
+        if args.format == "structured":
+            doc = {"schema": SCHEMA, "command": args.command, "exit_code": code}
+            doc.update(payload)
+            print(json.dumps(doc, sort_keys=True, separators=(",", ":")))
+        else:
+            for line in lines:
+                print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return code
 
 

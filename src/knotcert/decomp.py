@@ -1,15 +1,21 @@
 """Products of simple commutators matching a word modulo F^(D+1).
 
-``decompose`` peels a word of lower-central-series degree >= m+1 one
-degree at a time: at each degree d the degree-d slice of the Magnus
-expansion of the current remainder is a Lie element, which the Lyndon
-solver turns into an integer combination of left-normed commutators of
-weight d.  Each stage is checked exactly at the Lie level: the weighted
-sum of the left-normed Lie polynomials of the emitted commutators must
-equal the slice.  The degree-d Magnus part is a homomorphism on
-F^(d)/F^(d+1) (Reutenauer, *Free Lie Algebras*, 1993), so that identity
-pushes the remainder one degree deeper; after degree D the residual
-lies in F^(D+1).
+``stage_factors`` peels an expansion of lower-central-series degree
+>= m+1 one degree at a time: at each degree d the degree-d slice of the
+Magnus expansion of the current remainder is a Lie element, which the
+Lyndon solver turns into an integer combination of left-normed
+commutators of weight d.  Each stage is checked exactly at the Lie
+level: the weighted sum of the left-normed Lie polynomials of the
+emitted commutators must equal the slice.  The degree-d Magnus part is a
+homomorphism on F^(d)/F^(d+1) (Reutenauer, *Free Lie Algebras*, 1993),
+so that identity pushes the remainder one degree deeper; after degree D
+the residual lies in F^(D+1).
+
+``decompose`` is a word's expansion, its ``stage_factors`` and the
+residual word G^-1 * w (``residual_word``).  Callers that already hold
+the expansion, such as a membership check that expanded the word to
+degree m+1, call ``stage_factors`` directly and build the residual only
+if they need it.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from typing import Sequence
 
 from .lyndon import left_normed_combination, left_normed_lie_polynomial
 from .magnus import NCPolynomial, expand, nc_mul, unpack_monomial
-from .words import invert, reduce_word, simple_commutator
+from .words import _push_reduced, commutator_word, invert, reduce_word
 
 
 @dataclass(frozen=True)
@@ -50,22 +56,10 @@ class CommutatorCombination:
         return tuple(out)
 
 
-def _push_reduced(out: list[int], piece: Sequence[int]) -> None:
-    """Append a reduced word to the reduced word ``out``, keeping it reduced.
-
-    Both sides are already reduced, so letters can cancel only at the
-    junction: pop while the end of ``out`` inverts the head of ``piece``.
-    """
-    i, n = 0, len(piece)
-    while i < n and out and out[-1] == -piece[i]:
-        out.pop()
-        i += 1
-    out.extend(piece[i:] if i else piece)
-
-
 @lru_cache(maxsize=None)
 def commutator_group_word(entries: tuple[int, ...]) -> tuple[int, ...]:
-    return simple_commutator(entries).word()
+    """Cached ``commutator_word``: a solve emits the same nests many times."""
+    return commutator_word(entries)
 
 
 @lru_cache(maxsize=256)
@@ -167,26 +161,34 @@ def _check_stage(
         raise RuntimeError(f"stage {d}: the factors do not sum to the degree-{d} slice")
 
 
-def decompose(word: Sequence[int], m: int, degree: int) -> CommutatorCombination:
-    """Write ``word`` as simple commutators of weights m+1..degree.
+def _check_depths(m: int, degree: int) -> None:
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    if degree < m + 1:
+        raise ValueError("degree must be >= m+1")
 
-    Preconditions: lcs degree of the word >= m+1 and degree >= m+1.
-    At each weight the integer solve is triangular in Lyndon
+
+def stage_factors(
+    expansion: NCPolynomial, m: int, degree: int
+) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """Commutator factors of weights m+1..degree read off an expansion.
+
+    ``expansion`` is a word's Magnus expansion truncated at ``degree`` or
+    beyond, with no nonzero coefficient of degree 1..m (lcs degree >=
+    m+1).  At each weight the integer solve is triangular in Lyndon
     coordinates; a solution failing the Lie-level stage check cannot
     occur for a genuine group element and raises RuntimeError.  The
     remainder is advanced by series products only when a later weight
     needs its next slice, so a single-stage call multiplies no series.
     """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    if degree < m + 1:
-        raise ValueError("degree must be >= m+1")
-    word = reduce_word(word)
-    remainder = expand(word, degree)
-    low = remainder.min_positive_degree()
+    _check_depths(m, degree)
+    if expansion.degree < degree:
+        raise ValueError(f"expansion of degree {expansion.degree} < {degree}")
+    low = expansion.min_positive_degree()
     if low is not None and low <= m:
         raise ValueError(f"word has lcs degree {low} <= m = {m}")
 
+    remainder = expansion
     factors: list[tuple[tuple[int, ...], int]] = []
     for d in range(m + 1, degree + 1):
         component = _bucket_tuples(remainder, d)
@@ -206,13 +208,31 @@ def decompose(word: Sequence[int], m: int, degree: int) -> CommutatorCombination
             # remainder <- G_d^-1 * remainder; left-multiplying by the
             # factor inverses in emitted order builds f_k^-1 ... f_1^-1 R
             for entries, exponent in stage:
-                base, base_inv = _expand_nest_pair(entries, degree)
+                base, base_inv = _expand_nest_pair(entries, remainder.degree)
                 remainder = nc_mul(base_inv if exponent > 0 else base, remainder)
+    return tuple(factors)
 
-    # residual = G^-1 * word with G the factor product in emitted order
+
+def residual_word(
+    word: tuple[int, ...], factors: Sequence[tuple[tuple[int, ...], int]]
+) -> tuple[int, ...]:
+    """G^-1 * word for the reduced ``word``, G the factor product in order."""
     residual: list[int] = []
     for entries, exponent in reversed(factors):
         w = commutator_group_word(entries)
         _push_reduced(residual, invert(w) if exponent > 0 else w)
     _push_reduced(residual, word)
-    return CommutatorCombination(tuple(factors), tuple(residual), degree)
+    return tuple(residual)
+
+
+def decompose(word: Sequence[int], m: int, degree: int) -> CommutatorCombination:
+    """Write ``word`` as simple commutators of weights m+1..degree.
+
+    Preconditions: lcs degree of the word >= m+1 and degree >= m+1.
+    The factors are ``stage_factors`` of the word's expansion at
+    ``degree``, and the residual is exact, of lcs degree > ``degree``.
+    """
+    _check_depths(m, degree)  # before ``expand``, which rejects degree < 1 itself
+    word = reduce_word(word)
+    factors = stage_factors(expand(word, degree), m, degree)
+    return CommutatorCombination(factors, residual_word(word, factors), degree)

@@ -240,6 +240,29 @@ def expand(word: Sequence[int], degree: int) -> NCPolynomial:
     return p
 
 
+def staged_expand(word: Sequence[int], degree: int) -> NCPolynomial:
+    """Expansion of ``word`` at the first staged cap with a nonzero term.
+
+    The caps are 1, 3, 9, ... and finally ``degree`` itself, so a word
+    shallow in the lower central series stops before paying for the
+    full truncation degree, while a deep one ends with its expansion at
+    ``degree``, which a caller can reuse.  Every coefficient up to the
+    returned truncation is exact, so its lowest positive degree with a
+    nonzero coefficient is the word's lcs degree when that is <= ``degree``.
+    """
+    if degree < 1:
+        raise ValueError("truncation degree must be >= 1")
+    cap = 1
+    while True:
+        cap = min(cap, degree)
+        poly = expand(word, cap)
+        if cap == degree or poly.min_positive_degree() is not None:
+            return poly
+        # release this cap's expansion before the next, larger one is built
+        del poly
+        cap *= 3
+
+
 def lcs_degree(word: Sequence[int], degree: int) -> int | None:
     """Smallest d in 1..degree with a nonzero degree-d Magnus coefficient.
 
@@ -252,17 +275,7 @@ def lcs_degree(word: Sequence[int], degree: int) -> int | None:
         raise ValueError("truncation degree must be >= 1")
     if not word:
         return None
-    # Stage the expansion so shallow words exit before paying for the
-    # full truncation degree.
-    cap = 1
-    while True:
-        cap = min(cap, degree)
-        d = expand(word, cap).min_positive_degree()
-        if d is not None:
-            return d
-        if cap == degree:
-            return None
-        cap *= 3
+    return staged_expand(word, degree).min_positive_degree()
 
 
 def lcs_at_least(word: Sequence[int], k: int) -> bool:

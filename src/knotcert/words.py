@@ -122,9 +122,38 @@ def simple_commutator(entries: Sequence[int]) -> TaggedWord:
     return TaggedWord(tuple(letters), tuple(tags))
 
 
+def _push_reduced(out: list[int], piece: Sequence[int]) -> None:
+    """Append a reduced word to the reduced word ``out``, keeping it reduced.
+
+    Both sides are already reduced, so letters can cancel only at the
+    junction: pop while the end of ``out`` inverts the head of ``piece``.
+    """
+    i, n = 0, len(piece)
+    while i < n and out and out[-1] == -piece[i]:
+        out.pop()
+        i += 1
+    out.extend(piece[i:] if i else piece)
+
+
 def commutator_word(entries: Sequence[int]) -> tuple[int, ...]:
-    """Reduced word of the left-normed commutator on ``entries``."""
-    return simple_commutator(entries).word()
+    """Reduced word of the left-normed commutator on ``entries``.
+
+    Built stage by stage from the reduced prefix as w' = w y w^-1 y^-1,
+    cancelling only at the junctions, so the unreduced nest of
+    3*2^(k-1)-2 letters (weight k) that ``simple_commutator`` spells out
+    is never formed.
+    """
+    if len(entries) < 2:
+        raise ValueError("a commutator needs at least two entries")
+    if any(e == 0 for e in entries):
+        raise ValueError("entries must be nonzero letters")
+    w: tuple[int, ...] = (entries[0],)
+    for y in entries[1:]:
+        out = list(w)
+        for piece in ((y,), invert(w), (-y,)):
+            _push_reduced(out, piece)
+        w = tuple(out)
+    return w
 
 
 def insert_canceling_pair(tagged: TaggedWord, position: int, letter: int) -> TaggedWord:

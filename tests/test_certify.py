@@ -1,6 +1,9 @@
 import json
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from knotcert.certify import (
     CertificateError,
@@ -29,7 +32,13 @@ from knotcert.synth import (
     unknotted_example,
     vacuous_parabolic_example,
 )
-from knotcert.words import commutator_word, conjugate, parse_word
+from knotcert import certify, decomp, magnus
+from knotcert.bounds import partition_k, q, q_param
+from knotcert.decomp import decompose
+from knotcert.words import commutator_word, concat, conjugate, generators_in, invert, parse_word
+from conftest import letters_strategy, words_strategy
+
+DATA = Path(__file__).resolve().parent.parent / "src" / "knotcert" / "data"
 
 FLAGS = ("regular-spine",)
 
@@ -491,6 +500,122 @@ class TestQOfWord:
         with_x = q_of_word(word, 2)
         without_x = q_of_word(word, 2, exclude=frozenset({1}))
         assert with_x.k == 2 and without_x.k == 1
+
+
+def q_oracle(word, m, exclude):
+    """(k, q, factor count) from the full decomposition, residual included."""
+    comb = decompose(word, m, m + 1)
+    gensets = [frozenset(entries) - exclude for entries, _ in comb.factors]
+    gensets.append(generators_in(comb.residual) - exclude)
+    _, k = partition_k([s for s in gensets if s])
+    return k, q_param(m, k) if k >= 1 else q(m + 1), len(comb.factors)
+
+
+def products_with_deeper_words(m):
+    """Conjugated weight-(m+1) commutators, each maybe inverted, times words in F^(m+2)."""
+    lead = st.tuples(
+        st.lists(letters_strategy(4), min_size=m + 1, max_size=m + 1),
+        words_strategy(max_gen=4, max_len=3),
+        st.booleans(),
+    )
+    deeper = st.tuples(
+        st.lists(letters_strategy(4), min_size=m + 2, max_size=m + 2),
+        words_strategy(max_gen=4, max_len=3),
+    )
+
+    def build(parts):
+        leads, deeps = parts
+        words = []
+        for entries, conj, inverse in leads:
+            w = conjugate(commutator_word(entries), conj)
+            words.append(invert(w) if inverse else w)
+        words += [conjugate(commutator_word(entries), conj) for entries, conj in deeps]
+        return concat(*words)
+
+    return st.tuples(
+        st.lists(lead, min_size=1, max_size=3), st.lists(deeper, max_size=2)
+    ).map(build)
+
+
+class TestFastQPath:
+    """``q_of_word`` skips the residual; the oracle always builds it."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(1, 3).flatmap(
+            lambda m: st.tuples(st.just(m), products_with_deeper_words(m))
+        ),
+        st.frozensets(st.integers(1, 4), max_size=3),
+    )
+    def test_matches_full_decomposition(self, case, exclude):
+        m, word = case
+        info = q_of_word(word, m, exclude)
+        assert (info.k, info.q, info.factor_count) == q_oracle(word, m, exclude)
+
+    def spy_residual(self, monkeypatch):
+        calls = []
+
+        def residual(word, factors):
+            calls.append(word)
+            return decomp.residual_word(word, factors)
+
+        monkeypatch.setattr(certify, "residual_word", residual)
+        return calls
+
+    def test_two_blocks_build_the_residual(self, monkeypatch):
+        calls = self.spy_residual(monkeypatch)
+        word = concat(commutator_word((1, 2)), commutator_word((3, 4)))
+        info = q_of_word(word, 1)
+        assert calls == [word]
+        assert (info.k, info.q, info.factor_count) == q_oracle(word, 1, frozenset())
+        assert info.k == 2
+
+    def test_uncovered_generator_joins_through_the_residual(self, monkeypatch):
+        # the weight-3 part uses g3, which no weight-2 factor covers: its
+        # residual joins g3 to the block {g1, g2}
+        calls = self.spy_residual(monkeypatch)
+        word = concat(commutator_word((1, 2)), commutator_word((3, 1, 1)))
+        info = q_of_word(word, 1)
+        assert calls == [word]
+        assert info.k == 3 == q_oracle(word, 1, frozenset())[0]
+
+    def test_one_covering_block_skips_the_residual(self, monkeypatch):
+        calls = self.spy_residual(monkeypatch)
+        word = concat(commutator_word((1, 2)), commutator_word((2, 1, 1)))
+        assert q_of_word(word, 1).k == 2
+        assert calls == []
+
+    def test_shipped_elliptic_reuses_the_membership_expansion(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("the shipped q-values need no residual")
+
+        monkeypatch.setattr(decomp, "commutator_group_word", forbidden)
+        monkeypatch.setattr(decomp, "residual_word", forbidden)
+        monkeypatch.setattr(certify, "residual_word", forbidden)
+        stages = []
+        check_stage = decomp._check_stage
+
+        def counting_check(combo, component, d):
+            stages.append(d)
+            check_stage(combo, component, d)
+
+        monkeypatch.setattr(decomp, "_check_stage", counting_check)
+        expansions = []
+        expand = magnus.expand
+
+        def counting_expand(word, degree):
+            expansions.append((len(word), degree))
+            return expand(word, degree)
+
+        for module in (magnus, decomp, certify):
+            monkeypatch.setattr(module, "expand", counting_expand)
+        cert = certificate_from_dict(json.loads((DATA / "elliptic_g1_n2.json").read_text()))
+        report = certify_elliptic(cert)
+        assert report.verdict == "valid"
+        a_word = [degree for letters, degree in expansions if letters == 140]
+        assert a_word.count(12) == 1 and 11 not in a_word
+        # one stage per q-value, each checked at the Lie level
+        assert stages == [12, 6]
 
 
 class TestMutationSensitivity:

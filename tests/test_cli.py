@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -239,6 +242,24 @@ class TestCertifyCommands:
         assert code == 2 and out == ""
         assert err.startswith("error:") and "Traceback" not in err
 
+    @pytest.mark.parametrize("stem, keys, value", [
+        ("elliptic_g1_n2", ("curves", 0, "m"), 1.5),
+        ("elliptic_g1_n2", ("genus",), True),
+        ("elliptic_g1_n2", ("genus",), "x"),
+        ("unknotted_g1_n2", ("curves", 0, "factors", "m_chi"), 2.0),
+    ], ids=["m-float", "genus-bool", "genus-string", "m_chi-float"])
+    def test_non_integer_exit_2(self, capsys, tmp_path, stem, keys, value):
+        doc = json.loads((DATA / f"{stem}.json").read_text())
+        target = doc
+        for key in keys[:-1]:
+            target = target[key]
+        target[keys[-1]] = value
+        path = tmp_path / "non_integer.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "certify", doc["kind"], str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and f"{keys[-1]} must be an integer" in err
+
     def test_malformed_pair_exit_2(self, capsys, tmp_path):
         doc = json.loads((DATA / "elliptic_g1_n2.json").read_text())
         doc["curves"][0]["pair"] = ["B1"]
@@ -313,6 +334,31 @@ class TestCertifyCommands:
         assert out_doc["slice_conclusion"] == trivial
         code, hyperbolic, _ = run_json(capsys, "certify", "hyperbolic", str(path))
         assert hyperbolic["quantities"]["conclusion"] == trivial
+
+
+class TestBrokenPipe:
+    @pytest.mark.parametrize("extra, exit_code", [
+        ([], 0),
+        (["--n", "3", "--format", "structured"], 1),
+    ], ids=["valid-text", "invalid-structured"])
+    def test_reader_gone_keeps_exit_code(self, extra, exit_code):
+        # the read end is closed before the job starts, so its first
+        # write to stdout meets EPIPE
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        src = str(DATA.parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else []))}
+        argv = ["certify", "elliptic", str(DATA / "elliptic_g1_n2.json"), *extra]
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "knotcert.cli", *argv],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == exit_code
+        assert proc.stderr == b""
 
 
 class TestAltsum:

@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import letters_strategy, words_strategy
-from knotcert import decomp
+from knotcert import decomp, words
 from knotcert.decomp import decompose, expand_commutator, lie_component
 from knotcert.lyndon import (
     bracketing,
@@ -279,7 +279,7 @@ class TestResidualAgainstPlainReduction:
         out, merged = [], []
         for letters, back in parts:
             piece = reduce_word(invert(out[max(0, len(out) - back):] if back else ()) + letters)
-            decomp._push_reduced(out, piece)
+            words._push_reduced(out, piece)
             merged.extend(piece)
             assert out == list(reduce_word(merged))
 

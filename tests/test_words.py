@@ -126,6 +126,24 @@ class TestSimpleCommutator:
         assert by_group == expected
 
 
+class TestCommutatorWord:
+    @given(st.lists(st.sampled_from([1, -1, 2, -2, 3, -3]), min_size=2, max_size=8))
+    def test_matches_reduced_nest(self, entries):
+        # repeats and negative letters make the junctions cancel, down to
+        # the trivial word when an inner stage collapses
+        assert commutator_word(entries) == reduce_word(simple_commutator(entries).letters)
+
+    @pytest.mark.parametrize("entries, message", [
+        ((1,), "at least two entries"),
+        ((), "at least two entries"),
+        ((1, 0, 2), "nonzero letters"),
+    ])
+    def test_errors_match_simple_commutator(self, entries, message):
+        for build in (commutator_word, simple_commutator):
+            with pytest.raises(ValueError, match=message):
+                build(entries)
+
+
 class TestInsertDelete:
     def test_insert_into_empty(self):
         tw = TaggedWord((), ())
