@@ -317,6 +317,11 @@ def _cmd_trivialize_verify(args):
     try:
         letters = parse_letters(data["word"])
         tags = tuple(t if t else None for t in data["tags"])
+        for position in (p for s in data["sets"] for p in s):
+            # before the frozensets, which would merge true with 1 and 1.0 with 1
+            if not isinstance(position, int) or isinstance(position, bool):
+                raise InputError(
+                    f"bad trivializer report: position {json.dumps(position)} is not an integer")
         sets = tuple(frozenset(s) for s in data["sets"])
     except (KeyError, TypeError) as exc:
         raise InputError(f"bad trivializer report: {exc}") from exc

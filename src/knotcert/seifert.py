@@ -4,10 +4,10 @@ A Seifert matrix V of a genus-g surface is a 2g x 2g integer matrix
 whose antisymmetrization V - V^T is unimodular (determinant 1).  The
 Alexander polynomial is det(V - t V^T) normalized by t^-g, which makes
 it symmetric under t -> 1/t with value 1 at t = 1.  Every determinant
-goes through one routine, the fraction-free Bareiss ``int_det``: the
-polynomial det(V - t V^T) of degree <= 2g is evaluated at 2g + 1
-integers and interpolated exactly (``pencil_det``), which is polynomial
-in g.  The canonical finite-type invariants come from the expansion of
+goes through one routine, fraction-free Bareiss elimination (``int_det``
+for one matrix): the polynomial det(V - t V^T) of degree <= 2g is
+evaluated at 2g + 1 integers and interpolated exactly (``pencil_det``),
+which is polynomial in g.  The canonical finite-type invariants come from the expansion of
 p(h)/Delta(e^h) with p(h) = (e^{h/2} - e^{-h/2})/h, computed in exact
 rational arithmetic.
 """
@@ -26,8 +26,16 @@ def _as_matrix(rows: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
     return out
 
 
-def int_det(rows: Sequence[Sequence[int]]) -> int:
-    """Exact integer determinant (fraction-free Bareiss elimination).
+def _row_end(row: Sequence[int]) -> int:
+    """One past the last nonzero entry of ``row`` (0 for a zero row)."""
+    end = len(row)
+    while end and not row[end - 1]:
+        end -= 1
+    return end
+
+
+def _bareiss(m: list[list[int]], end: list[int]) -> int:
+    """Determinant of the square int matrix ``m``, eliminated in place.
 
     A row whose entry in the pivot column is 0 is left as it is for that
     step instead of being rescaled by pivot / previous pivot; ``lag[i]``
@@ -35,11 +43,15 @@ def int_det(rows: Sequence[Sequence[int]]) -> int:
     next takes part, its update divides by ``lag[i]`` instead of the
     previous pivot, and a lagging pivot row or final entry is brought up
     to date with ``x * prev // lag[i]``.  Every division is exact, since
-    each result is a minor of the input (Sylvester's identity).  Dense
-    matrices cost the same as plain Bareiss; banded ones skip the
-    rescales.
+    each result is a minor of the input (Sylvester's identity).
+
+    ``end[i]`` bounds row i's nonzero entries from the right: every entry
+    from column ``end[i]`` on is 0.  An update of row i by pivot row k
+    covers only the columns before max(end[i], end[k]); both rows are 0
+    beyond that, so their combination is too, and so is any rescale of a
+    lagging row.  Dense matrices cost the same as plain Bareiss; a
+    banded one skips the rescales and costs O(n * band^2) row work.
     """
-    m = [list(row) for row in _as_matrix(rows)]
     n = len(m)
     if n == 0:
         return 1
@@ -52,43 +64,57 @@ def int_det(rows: Sequence[Sequence[int]]) -> int:
                 if m[i][k]:
                     m[k], m[i] = m[i], m[k]
                     lag[k], lag[i] = lag[i], lag[k]
+                    end[k], end[i] = end[i], end[k]
                     sign = -sign
                     break
             else:
                 return 0
         top = m[k]
+        top_end = end[k]
         if lag[k] != prev:
-            top[k:] = [x * prev // lag[k] for x in top[k:]]
+            top[k:top_end] = [x * prev // lag[k] for x in top[k:top_end]]
         pivot = top[k]
         for i in range(k + 1, n):
             row = m[i]
             head = row[k]
             if head:
                 div = lag[i]
-                row[k + 1:] = [
-                    (x * pivot - head * y) // div for x, y in zip(row[k + 1:], top[k + 1:])
+                stop = max(end[i], top_end)
+                row[k + 1:stop] = [
+                    (x * pivot - head * y) // div
+                    for x, y in zip(row[k + 1:stop], top[k + 1:stop])
                 ]
                 row[k] = 0
                 lag[i] = pivot
+                end[i] = stop
         prev = pivot
     return sign * m[-1][-1] * prev // lag[-1]
+
+
+def int_det(rows: Sequence[Sequence[int]]) -> int:
+    """Exact integer determinant (fraction-free Bareiss elimination)."""
+    m = [list(row) for row in _as_matrix(rows)]
+    return _bareiss(m, [_row_end(row) for row in m])
 
 
 def pencil_det(x: Sequence[Sequence[int]], y: Sequence[Sequence[int]]) -> tuple[int, ...]:
     """Coefficients of det(X - tY), low degree first, trailing zeros trimmed.
 
-    The determinant has degree at most n, so it is evaluated with
-    ``int_det`` at the n + 1 integers centred on 0 (small |t| keeps the
-    Bareiss entries small) and recovered by Newton divided differences
-    over the rationals.  A non-integer coefficient is an internal defect.
+    The determinant has degree at most n, so it is evaluated by Bareiss
+    elimination at the n + 1 integers centred on 0 (small |t| keeps the
+    entries small) and recovered by Newton divided differences over the
+    rationals.  X and Y are validated once; row i of every X - tY is 0
+    from column max(end of X's row i, end of Y's row i) on.  A
+    non-integer coefficient is an internal defect.
     """
     x, y = _as_matrix(x), _as_matrix(y)
     n = len(x)
     if len(y) != n:
         raise ValueError("pencil matrices must have the same size")
+    ends = [max(_row_end(rx), _row_end(ry)) for rx, ry in zip(x, y)]
     nodes = range(-(n // 2), n + 1 - n // 2)
     diffs = [
-        Fraction(int_det([[a - t * b for a, b in zip(rx, ry)] for rx, ry in zip(x, y)]))
+        Fraction(_bareiss([[a - t * b for a, b in zip(rx, ry)] for rx, ry in zip(x, y)], ends[:]))
         for t in nodes
     ]
     for level in range(1, n + 1):

@@ -11,12 +11,12 @@ exhaustively rather than trusting the construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, compress, count
+from operator import add
 from typing import Sequence
 
 from .words import (
     TaggedWord,
-    delete_letters,
     insert_canceling_pair,
     simple_commutator,
     successive_entry_check,
@@ -93,21 +93,120 @@ def build_letter_sets(
     return tagged, family
 
 
+# Segments of at most this many letters are leaves of the deletion tree.
+_LEAF_LETTERS = 64
+# A segment carrying at most this many labels keeps its images.
+_MEMO_LABELS = 7
+
+
+def _cancel_length(left: tuple[int, ...], right: tuple[int, ...]) -> int:
+    """Letters that cancel where reduced ``left`` meets reduced ``right``.
+
+    Both sides are reduced, so letters cancel only at the junction: pair
+    the end of ``left``, read backwards, with the head of ``right``, and
+    the first pair whose sum is not 0 ends the cancellation.  The scan
+    runs in C iterators, with no Python step per letter.
+    """
+    if not left or not right or left[-1] != -right[0]:
+        return 0
+    return next(compress(count(), map(add, reversed(left), right)), min(len(left), len(right)))
+
+
+def _segment(letters: Sequence[int], labels: Sequence[int], lo: int, hi: int,
+             kept_above: bool) -> list:
+    """Deletion tree over ``letters[lo:hi]``.
+
+    A node is [held, memo, letters, labels] for a leaf and [held, memo,
+    left node, right node] otherwise, where ``held`` is the OR of its
+    positions' labels.  Only the largest segments with few labels keep a
+    memo (a dict, else None): below one, a segment is asked for at most
+    as many images as its ancestor keeps, so a second memo would save
+    little and cost as much.
+    """
+    held = 0
+    for t in labels[lo:hi]:
+        held |= t
+    memo = {} if not kept_above and held.bit_count() <= _MEMO_LABELS else None
+    if hi - lo <= _LEAF_LETTERS:
+        return [held, memo, tuple(letters[lo:hi]), tuple(labels[lo:hi])]
+    mid = (lo + hi) // 2
+    kept = kept_above or memo is not None
+    return [held, memo, _segment(letters, labels, lo, mid, kept),
+            _segment(letters, labels, mid, hi, kept)]
+
+
+def _image(node: list, mask: int, pool: dict) -> tuple[int, ...]:
+    """Reduced word of the node's segment with the labels in ``mask`` deleted.
+
+    A kept image is stored through ``pool``, so each distinct word is
+    held once however many memos refer to it.
+    """
+    held, memo, first, second = node
+    key = mask & held
+    if memo is not None:
+        hit = memo.get(key)
+        if hit is not None:
+            return hit
+    if type(first) is tuple:
+        out: list[int] = []
+        for letter, label in zip(first, second):
+            if label & key:
+                continue
+            if out and out[-1] == -letter:
+                out.pop()
+            else:
+                out.append(letter)
+        word = tuple(out)
+    else:
+        left, right = _image(first, key, pool), _image(second, key, pool)
+        cut = _cancel_length(left, right)
+        word = left[:len(left) - cut] + right[cut:] if cut else left + right
+    if memo is not None:
+        word = memo[key] = pool.setdefault(word, word)
+    return word
+
+
 def verify_family(tagged: TaggedWord, family: LetterSetFamily) -> FamilyCheck:
     """Check that every nonempty subfamily deletion reduces to the identity.
 
-    Walks all 2^(m+1)-1 nonempty subfamilies and reports the first one
-    whose deletion leaves a nontrivial word.
+    Walks all 2^(m+1)-1 nonempty subfamilies, by size and then in
+    ``combinations`` order, and reports the first one whose deletion
+    leaves a nontrivial word.  Every position must index the word; one
+    that does not raises ValueError before any deletion.
+
+    Deletion work is shared between subfamilies.  Each position gets the
+    bitmask of the set it lies in, and the word is split into a balanced
+    tree of segments with leaves of at most 64 letters.  The reduced
+    image of a segment under a deletion mask depends only on the mask
+    restricted to the segment's own labels, so the largest segments with
+    at most 7 labels keep their images keyed by that restriction.  That
+    is at most 128 images per kept segment, none longer than it, so at
+    most 128 letters per letter of the word; each distinct image is
+    stored once.  Every other image is recomputed, a node's by joining
+    its children's images with cancellation at the junction only.  Free
+    reduction is confluent, so each subfamily still gets exactly the
+    reduced word that deleting its letters and reducing gives, and it is
+    compared with the empty word.
     """
+    n = len(tagged)
+    labels = [0] * n
+    for j, chosen in enumerate(family.sets):
+        bit = 1 << j
+        for p in chosen:
+            if not 0 <= p < n:
+                raise ValueError(f"position {p} out of range 0..{n - 1}")
+            labels[p] |= bit
+    root = _segment(tagged.letters, labels, 0, n, False)
+    pool: dict[tuple[int, ...], tuple[int, ...]] = {}
     indices = range(len(family))
     checked = 0
     for size in range(1, len(family) + 1):
         for chosen in combinations(indices, size):
-            positions: set[int] = set()
+            mask = 0
             for i in chosen:
-                positions |= family.sets[i]
+                mask |= 1 << i
             checked += 1
-            leftover = delete_letters(tagged, positions)
+            leftover = _image(root, mask, pool)
             if leftover:
                 return FamilyCheck(False, checked, chosen, leftover)
     return FamilyCheck(True, checked)

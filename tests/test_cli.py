@@ -118,6 +118,20 @@ class TestTrivializeCommands:
         code, out, _ = run(capsys, "trivialize", "verify", str(report))
         assert code == 1 and "fails" in out
 
+    @pytest.mark.parametrize("sets, message", [
+        ([[0], [5]], "position 5 out of range 0..1"),
+        ([["a"], [1]], 'bad trivializer report: position "a" is not an integer'),
+        ([[0.5], [1]], "bad trivializer report: position 0.5 is not an integer"),
+        ([[True], [1]], "bad trivializer report: position true is not an integer"),
+        ([[0], [1, 1.0]], "bad trivializer report: position 1.0 is not an integer"),
+    ])
+    def test_bad_position_exit_2(self, capsys, tmp_path, sets, message):
+        # set 0 alone leaves g1^-1, so a late check would report "invalid"
+        report = tmp_path / "report.json"
+        report.write_text(json.dumps({"word": "g1 g1^-1", "tags": [1, 2], "sets": sets}))
+        code, doc, err = run_json(capsys, "trivialize", "verify", str(report))
+        assert (code, doc, err) == (2, None, f"error: {message}\n")
+
 
 class TestMilnorCommands:
     def test_hopf_invariant(self, capsys):

@@ -279,6 +279,15 @@ def sparse_matrices(draw, max_n=10):
     return rows
 
 
+@st.composite
+def banded_matrices(draw, max_n=24):
+    """Integer matrices up to max_n x max_n, 0 more than 1-3 places off the diagonal."""
+    n = draw(st.integers(min_value=0, max_value=max_n))
+    below, above = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    values = st.integers(-9, 9)
+    return [[draw(values) if -below <= j - i <= above else 0 for j in range(n)] for i in range(n)]
+
+
 def square_matrices(n):
     return st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=n, max_size=n)
 
@@ -286,6 +295,11 @@ def square_matrices(n):
 class TestIntDet:
     @given(sparse_matrices())
     def test_sparse_against_fraction_elimination(self, rows):
+        assert int_det(rows) == fraction_det(rows)
+
+    @given(banded_matrices())
+    def test_banded_against_fraction_elimination(self, rows):
+        # row updates stop at the last nonzero column of the two rows
         assert int_det(rows) == fraction_det(rows)
 
     def test_zero_leading_pivot(self):
@@ -320,6 +334,14 @@ class TestPencilDet:
         n = len(x)
         entries = [[_poly_trim([x[i][j], -y[i][j]]) for j in range(n)] for i in range(n)]
         assert pencil_det(x, y) == poly_matrix_det(entries)
+
+    @given(banded_matrices(12), banded_matrices(12), st.integers(-5, 5))
+    def test_banded_pencil_at_a_point(self, x, y, t):
+        n = min(len(x), len(y))
+        x, y = [row[:n] for row in x[:n]], [row[:n] for row in y[:n]]
+        coeffs = pencil_det(x, y)
+        value = sum(c * t ** i for i, c in enumerate(coeffs))
+        assert value == fraction_det([[a - t * b for a, b in zip(rx, ry)] for rx, ry in zip(x, y)])
 
     def test_empty(self):
         assert pencil_det((), ()) == (1,)
