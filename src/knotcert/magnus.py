@@ -8,13 +8,18 @@ presented by longitude words are coefficients of these expansions.
 
 Monomials X_{i1}...X_{id} are packed into integers, 10 bits per index,
 first index in the low bits, and stored in one dict per degree.  All
-arithmetic is exact over the integers.
+arithmetic is exact over the integers.  ``expand`` multiplies letter by
+letter into those dicts; once a word over few generators has a large
+enough state, it switches to one big integer per degree holding every
+coefficient in a fixed-width slot (Kronecker substitution), where a
+letter step is one shift and add per degree, and decodes into dicts at
+the end.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import comb, gcd
 from typing import Iterable, Sequence
 
 from .words import reduce_word
@@ -207,8 +212,6 @@ def _mul_letter(p: NCPolynomial, letter: int) -> None:
     q_{d-1} already updated.  Either way every bucket is touched once.
     """
     gen = abs(letter)
-    if not 1 <= gen <= MAX_GENERATOR:
-        raise ValueError(f"generator index {gen} out of range 1..{MAX_GENERATOR}")
     buckets = p.buckets
     if letter > 0:
         sign, degrees = 1, range(p.degree, 0, -1)
@@ -230,13 +233,155 @@ def _mul_letter(p: NCPolynomial, letter: int) -> None:
                 del target[key]
 
 
+# When packed slots pay (see ``expand``), measured in process on a 2-core
+# Intel Xeon with Python 3.11.
+# The table sum_{d<=D} r^d may hold at most this many slots: a 382-letter
+# word at D = 17 (2^18 - 1 slots of 99 bits) peaks 12 MB above the
+# interpreter, mostly the top degree's 3.2 MB integer, its shifted copy
+# and their sum.
+_PACK_SLOTS = 1 << 18
+# On 200-letter words over 2 and 3 generators at D = 6..14, a packed
+# letter step costs 3.4..6 ns per table slot and a sparse one 120..230 ns
+# per monomial of the state: 26..43 times more.
+_PACK_FILL = 32
+# Decoding costs 0.6..0.8 us per nonzero slot of a dense part and up to
+# 2.7 us in a sparse one, 4..15 sparse monomial steps.  Without this many
+# letters of sparse work set aside for it, words of 6..14 letters at
+# D = 6..14 expanded up to 4 times slower than with the dict kernel alone.
+_PACK_DECODE = 8
+
+
+def _slot_width(length: int, degree: int) -> int:
+    """Bits per packed slot for a ``length``-letter word at ``degree``.
+
+    A degree-d coefficient counts weakly increasing d-sequences of
+    positions with signs, so |c| <= C(L+d-1, d) <= C(L+D-1, D); one more
+    bit holds the sign.
+    """
+    return comb(length + degree - 1, degree).bit_length() + 1
+
+
+def _unpack(value: int, d: int, width: int, gens: list[int], out: dict[int, int]) -> None:
+    """Store the nonzero slots of a packed degree-``d`` part in ``out``.
+
+    ``value`` holds width-bit two's-complement slots side by side, so a
+    run of zero slots is a zero integer.  It is split by its last index
+    until blocks of at most 64 slots remain, skipping zero blocks whole;
+    each block is read slot by slot against a table of its low keys.
+    """
+    r, low, keys = len(gens), 0, [0]
+    while low < d and len(keys) * r <= 64:
+        keys = [k | (g << (_SHIFT * low)) for g in gens for k in keys]
+        low += 1
+    mask, sign = (1 << width) - 1, 1 << (width - 1)
+    blocks = [(width * r**level, (1 << (width * r**level)) - 1) for level in range(d)]
+    stack = [(value, d, 0)]
+    while stack:
+        value, level, key = stack.pop()
+        if level == low:
+            slot = 0
+            while value:
+                c = value & mask
+                if not c:
+                    # jump over the zero slots below the lowest set bit
+                    skip = ((value & -value).bit_length() - 1) // width
+                    value >>= width * skip
+                    slot += skip
+                    c = value & mask
+                out[key | keys[slot]] = c - ((c & sign) << 1)
+                value >>= width
+                slot += 1
+            continue
+        level -= 1
+        block, block_mask = blocks[level]
+        shift = _SHIFT * level
+        for g in gens:
+            part = value & block_mask
+            if part:
+                stack.append((part, level, key | (g << shift)))
+            value >>= block
+            if not value:
+                break
+
+
+def _expand_packed(word: Sequence[int], degree: int, gens: list[int]) -> list[dict[int, int]]:
+    """Buckets 1..``degree`` of the expansion of ``word`` over ``gens``.
+
+    Degree d is one integer, sum c * 2^(width * slot) over its r^d slots,
+    where the slot of X_{i1}...X_{id} has the digits of i1 .. id in base
+    r, i1 lowest.  Appending X_g at digit i moves slot s to s + i r^(d-1),
+    so the letter step of ``_mul_letter`` is one shift and add per
+    degree.  Shifts and adds are exact whatever the slots hold; only
+    decoding needs every |c| < 2^(width-1), which ``_slot_width`` gives.
+    """
+    width, r = _slot_width(len(word), degree), len(gens)
+    shifts = {g: [0] + [width * i * r ** (d - 1) for d in range(1, degree + 1)]
+              for i, g in enumerate(gens)}
+    packed = [1] + [0] * degree
+    top_down, bottom_up = range(degree, 0, -1), range(1, degree + 1)
+    for letter in word:
+        if letter > 0:
+            s = shifts[letter]
+            for d in top_down:
+                if packed[d - 1]:
+                    packed[d] += packed[d - 1] << s[d]
+        else:
+            s = shifts[-letter]
+            for d in bottom_up:
+                if packed[d - 1]:
+                    packed[d] -= packed[d - 1] << s[d]
+    buckets: list[dict[int, int]] = []
+    bias = 1 << (width - 1)
+    for d in range(1, degree + 1):
+        bias = sum(bias << shifts[g][d] for g in gens)
+        bucket: dict[int, int] = {}
+        if packed[d]:
+            # adding 2^(width-1) to every slot makes each one nonnegative
+            # with no carries; xor-ing it back gives two's complement
+            _unpack((packed[d] + bias) ^ bias, d, width, gens, bucket)
+        buckets.append(bucket)
+    return buckets
+
+
+def _alphabet(word: Sequence[int]) -> list[int]:
+    """The word's generators, sorted; every letter's range is checked."""
+    gens = sorted({abs(letter) for letter in word})
+    if gens and not (1 <= gens[0] and gens[-1] <= MAX_GENERATOR):
+        bad = next(g for g in map(abs, word) if not 1 <= g <= MAX_GENERATOR)
+        raise ValueError(f"generator index {bad} out of range 1..{MAX_GENERATOR}")
+    return gens
+
+
 def expand(word: Sequence[int], degree: int) -> NCPolynomial:
-    """Magnus expansion of a word, truncated beyond ``degree``."""
+    """Magnus expansion of a word, truncated beyond ``degree``.
+
+    The word runs letter by letter through the sparse ``_mul_letter``
+    until its state is big enough for packed slots to pay: the table of
+    sum_{d<=D} r^d slots over the word's r generators fits _PACK_SLOTS,
+    and the sparse work still to come (at least the state's monomial
+    count per letter, less _PACK_DECODE letters for decoding) outweighs
+    replaying the whole word on the table at 1/_PACK_FILL per slot.
+    ``_expand_packed`` then computes the expansion afresh.  Both paths
+    are exact and give equal buckets, with no zero coefficients.
+    """
     if degree < 1:
         raise ValueError("truncation degree must be >= 1")
+    gens = _alphabet(word)
+    table, size = 0, 1
+    for _ in range(degree + 1):
+        table += size
+        size *= len(gens)
+        if table > _PACK_SLOTS:
+            break
     p = NCPolynomial.one(degree)
-    for letter in word:
+    buckets, length = p.buckets, len(word)
+    pays = table <= _PACK_SLOTS
+    for done, letter in enumerate(word, 1):
         _mul_letter(p, letter)
+        rest = length - done - _PACK_DECODE
+        if pays and sum(map(len, buckets)) * _PACK_FILL * rest >= table * length:
+            buckets[1:] = _expand_packed(word, degree, gens)
+            break
     return p
 
 
@@ -287,17 +432,31 @@ def lcs_at_least(word: Sequence[int], k: int) -> bool:
     return lcs_degree(word, k - 1) is None
 
 
+def _fox_expansion(word: Sequence[int], indices: Sequence[int]) -> NCPolynomial:
+    """Expansion at degree len(indices) of ``word`` without the letters
+    whose generator is not in ``indices``.
+
+    Killing those generators is a ring map that fixes every monomial
+    over ``indices``, so each coefficient read there is the word's own.
+    Every letter's range is checked before any is dropped.
+    """
+    _alphabet(word)
+    wanted = set(indices)
+    return expand([letter for letter in word if abs(letter) in wanted], len(indices))
+
+
 def fox_coefficient(word: Sequence[int], indices: Sequence[int]) -> int:
     """Coefficient of X_{i1}...X_{ik} in the Magnus expansion.
 
     Equals the augmentation of the iterated Fox derivative d/dx_{i1}
     ... d/dx_{ik} of the word.  The result does not depend on the
     truncation degree as long as it is >= len(indices), so the expansion
-    is computed at exactly that degree.
+    is computed at exactly that degree, over the generators in
+    ``indices`` only.
     """
     if not indices:
         return 1
-    return expand(word, len(indices)).coefficient(indices)
+    return _fox_expansion(word, indices).coefficient(indices)
 
 
 # ---------------------------------------------------------------------------
@@ -341,14 +500,16 @@ def milnor_invariant(system: LongitudeSystem, index: Sequence[int], reduced: boo
     for i in index:
         if not 1 <= i <= system.components:
             raise ValueError(f"component index {i} out of range 1..{system.components}")
-    raw = fox_coefficient(system.longitudes[index[-1] - 1], tuple(index[:-1]))
-    if not reduced:
+    head = tuple(index[:-1])
+    expansion = _fox_expansion(system.longitudes[index[-1] - 1], head)
+    raw = expansion.coefficient(head)
+    if not reduced or k == 2:
         return raw
-    modulus = 0
-    for drop in range(k):
-        sub = tuple(index[:drop]) + tuple(index[drop + 1:])
-        if len(sub) >= 2:
-            modulus = gcd(modulus, milnor_invariant(system, sub))
+    # a sub-index keeping the last index reads the same longitude, one
+    # degree lower; only dropping the last index needs another one
+    modulus = milnor_invariant(system, head)
+    for drop in range(k - 1):
+        modulus = gcd(modulus, expansion.coefficient(head[:drop] + head[drop + 1:]))
     return raw % modulus if modulus else raw
 
 

@@ -56,6 +56,12 @@ class TestMagnusCommands:
         code, out, _ = run(capsys, "magnus", "fox", "g1 g2 g1^-1 g2^-1", "--index", "2 1")
         assert code == 0 and out.strip() == "-1"
 
+    @pytest.mark.parametrize("word,index,bad", [("1 2000", "1", "2000"), ("1 2", "1 1024", "1024")])
+    def test_fox_range_exit_2(self, capsys, word, index, bad):
+        # letters outside the index set are dropped, but still range-checked
+        code, out, err = run(capsys, "magnus", "fox", word, "--index", index)
+        assert code == 2 and out == "" and f"generator index {bad} out of range" in err
+
 
 class TestDecomposeAndSchreier:
     def test_decompose(self, capsys):

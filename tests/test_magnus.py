@@ -1,7 +1,10 @@
+from math import comb, gcd
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from knotcert import magnus
 from knotcert.magnus import (
     LongitudeSystem,
     NCPolynomial,
@@ -145,6 +148,125 @@ class TestExpandAgainstSeriesProducts:
             expand((-1024,), 3)
 
 
+def sparse_expand(word, degree):
+    """The dict kernel alone, letter by letter."""
+    p = NCPolynomial.one(degree)
+    for letter in word:
+        magnus._mul_letter(p, letter)
+    return p
+
+
+def packed_expand(word, degree):
+    """The packed-slot kernel alone, from the first letter."""
+    p = NCPolynomial.one(degree)
+    gens = sorted({abs(letter) for letter in word})
+    p.buckets[1:] = magnus._expand_packed(tuple(word), degree, gens)
+    return p
+
+
+def no_zeros(p):
+    return all(c for bucket in p.buckets for c in bucket.values())
+
+
+SCATTERED = (1, 2, 7, 1023)
+
+
+def scattered_words(max_len=30):
+    """Words over non-contiguous generators, some with long inverse runs."""
+    relabel = lambda w: tuple(SCATTERED[abs(x) - 1] * (1 if x > 0 else -1) for x in w)
+    return st.one_of(words_strategy(4, max_len), run_words(4, max_len)).map(relabel)
+
+
+class TestPackedKernel:
+    """Packed slots against the dict kernel, and the rule choosing them."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(scattered_words(), st.integers(1, 8))
+    def test_matches_sparse(self, word, degree):
+        expected = sparse_expand(word, degree)
+        got = packed_expand(word, degree)
+        assert got == expected and no_zeros(got)
+        assert expand(word, degree) == expected
+
+    @pytest.mark.parametrize("length,degree", [(13, 6), (40, 8), (200, 4)])
+    def test_slot_width_is_tight(self, monkeypatch, length, degree):
+        # g^-L has coefficient (-1)^d C(L+d-1, d) on X_g^d: at d = D this
+        # is the bound the width is set from, so one bit less must fail
+        word = (-7,) * length
+        want = [((7,) * d, (-1) ** d * comb(length + d - 1, d)) for d in range(degree + 1)]
+        assert packed_expand(word, degree).terms() == want
+        width = magnus._slot_width(length, degree)
+        assert comb(length + degree - 1, degree).bit_length() == width - 1
+        monkeypatch.setattr(magnus, "_slot_width", lambda n, d: width - 1)
+        try:
+            narrow = packed_expand(word, degree).terms()
+        except IndexError:  # the overflow carried past the last slot
+            narrow = None
+        assert narrow != want
+
+    def test_cancelling_word_stores_no_zeros(self):
+        word = (1, 7, -2, 7, 1023, -1, 2, 2)
+        p = packed_expand(word + invert(word), 6)
+        assert p.buckets == [{0: 1}, {}, {}, {}, {}, {}, {}]
+
+    @staticmethod
+    def spy(monkeypatch):
+        calls = []
+        packed = magnus._expand_packed
+
+        def recorded(word, degree, gens):
+            calls.append(len(word))
+            return packed(word, degree, gens)
+
+        monkeypatch.setattr(magnus, "_expand_packed", recorded)
+        return calls
+
+    def test_table_cap(self, monkeypatch):
+        word, degree = (1, 2, -1, 7) * 10, 5
+        table = sum(3**d for d in range(degree + 1))
+        expected = sparse_expand(word, degree)
+        calls = self.spy(monkeypatch)
+        monkeypatch.setattr(magnus, "_PACK_FILL", table * len(word))
+        for cap, packs in ((table, True), (table - 1, False)):
+            calls.clear()
+            monkeypatch.setattr(magnus, "_PACK_SLOTS", cap)
+            assert expand(word, degree) == expected
+            assert bool(calls) is packs
+
+    def test_fill_switch(self, monkeypatch):
+        # the smallest fill constant that switches at some letter does,
+        # and one less never does
+        word, degree = (1, -2, -2, 7, 1, -7, 2, 1) * 3, 7
+        table, length = sum(3**d for d in range(degree + 1)), len(word)
+        p, needed = NCPolynomial.one(degree), []
+        for done, letter in enumerate(word, 1):
+            magnus._mul_letter(p, letter)
+            rest = length - done - magnus._PACK_DECODE
+            if rest > 0:
+                count = sum(map(len, p.buckets))
+                needed.append(-(-table * length // (count * rest)))
+        fill = min(needed)
+        expected = sparse_expand(word, degree)
+        calls = self.spy(monkeypatch)
+        for constant, packs in ((fill, True), (fill - 1, False)):
+            calls.clear()
+            monkeypatch.setattr(magnus, "_PACK_FILL", constant)
+            assert expand(word, degree) == expected
+            assert bool(calls) is packs
+
+    @pytest.mark.parametrize("bad", [0, 1024, -1024])
+    def test_range_checked_on_both_paths(self, monkeypatch, bad):
+        word = (1, 2, -1, -2) * 8 + (bad, 1)
+        messages = []
+        for fill in (0, 1 << 40):  # never packs / packs after one letter
+            monkeypatch.setattr(magnus, "_PACK_FILL", fill)
+            with pytest.raises(ValueError) as exc:
+                expand(word, 4)
+            messages.append(str(exc.value))
+        assert messages[0] == messages[1]
+        assert f"generator index {abs(bad)} out of range" in messages[0]
+
+
 class TestLcsDegree:
     def test_weight_two(self):
         assert lcs_degree(commutator_word((1, 2)), 4) == 2
@@ -184,6 +306,21 @@ class TestLcsDegree:
 
 
 class TestFox:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        words_strategy(max_gen=5, max_len=30),
+        st.lists(st.integers(1, 5), min_size=1, max_size=4),
+    )
+    def test_unused_generators_dropped(self, word, indices):
+        k = len(indices)
+        assert fox_coefficient(word, indices) == expand(word, k).coefficient(indices)
+
+    def test_range_checked_before_dropping(self):
+        with pytest.raises(ValueError, match="2000"):
+            fox_coefficient((1, 2000), (1,))
+        with pytest.raises(ValueError, match="1024"):
+            fox_coefficient((1, 2), (1, 1024))
+
     def test_single_letter(self):
         assert fox_coefficient((1,), (1,)) == 1
 
@@ -274,6 +411,52 @@ class TestMilnor:
                 if not by_coeffs:
                     break
             assert by_lcs == by_coeffs
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(2, 4).flatmap(
+            lambda r: st.tuples(
+                st.just(r),
+                st.lists(words_strategy(r, 14), min_size=r, max_size=r),
+                st.lists(st.integers(1, r), min_size=2, max_size=5),
+            )
+        )
+    )
+    def test_reduced_against_recursion(self, case):
+        r, longitudes, index = case
+        system = LongitudeSystem(r, tuple(longitudes))
+
+        def by_recursion(index):
+            raw = milnor_invariant(system, index)
+            modulus = 0
+            for drop in range(len(index)):
+                sub = tuple(index[:drop]) + tuple(index[drop + 1:])
+                if len(sub) >= 2:
+                    modulus = gcd(modulus, milnor_invariant(system, sub))
+            return raw % modulus if modulus else raw
+
+        assert milnor_invariant(system, index, reduced=True) == by_recursion(index)
+
+    @pytest.mark.parametrize(
+        "longitudes",
+        [
+            # only mu(12) = 2 (from l2 = g1^2) reduces mu(123) = 3
+            ((), (1, 1), (1, 2, -1, -2) * 3),
+            # only mu(13) = 2 (from l3's g1^2) reduces it
+            ((), (), (1, 1) + (1, 2, -1, -2) * 3),
+        ],
+    )
+    def test_each_sub_index_reduces(self, longitudes):
+        system = LongitudeSystem(3, longitudes)
+        assert milnor_invariant(system, (1, 2, 3)) == 3
+        assert milnor_invariant(system, (1, 2, 3), reduced=True) == 1
+
+    def test_reduced_expands_twice(self, monkeypatch):
+        calls = []
+        real = magnus.expand
+        monkeypatch.setattr(magnus, "expand", lambda w, d: calls.append(d) or real(w, d))
+        milnor_invariant(borromean(), (1, 2, 3, 1, 2), reduced=True)
+        assert calls == [4, 3]
 
     def test_longitude_generator_range(self):
         with pytest.raises(ValueError):
