@@ -8,9 +8,10 @@ values are legitimate (the bounds go vacuous for small parameters).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
+
+from ._value import Record
 
 
 def q(m: int) -> int:
@@ -60,8 +61,7 @@ def q_param(n: int, k: int) -> int:
     return k + floor_log2(Fraction(n + 1 - 6 * k, 6))
 
 
-@dataclass(frozen=True)
-class FactorPartition:
+class FactorPartition(Record):
     """Factors grouped into blocks with pairwise disjoint generator sets."""
 
     factor_generators: tuple[frozenset[int], ...]
@@ -121,19 +121,16 @@ def l_n_S(q_values: Sequence[int]) -> int:
     return min(q_values) - 1
 
 
-@dataclass(frozen=True)
-class InequalityReport:
+class InequalityReport(Record):
     n: int
     q_bound_holds: bool
     q_param_bounds_hold: bool
     violations: tuple[str, ...]
     l_bound_argument: Fraction
-    all_hold: bool = field(init=False)
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "all_hold", self.q_bound_holds and self.q_param_bounds_hold
-        )
+    @property
+    def all_hold(self) -> bool:
+        return self.q_bound_holds and self.q_param_bounds_hold
 
 
 def check_inequalities(n: int) -> InequalityReport:

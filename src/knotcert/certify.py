@@ -16,10 +16,11 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from . import bounds
+from ._value import Record, as_dict
 from .decomp import residual_word, stage_factors
 from .magnus import NCPolynomial, expand, lcs_degree, staged_expand
 from .schreier import NotInNormalClosure, rewrite_to_word
@@ -58,8 +59,7 @@ class GuardViolation(TranslationError):
 # Certificate data model
 
 
-@dataclass(frozen=True)
-class UnknottedFactors:
+class UnknottedFactors(Record):
     """Per-pair witness factorization for the mixed-type definition."""
 
     x_exponent: int = 0
@@ -71,6 +71,9 @@ class UnknottedFactors:
     m_zeta: int | None = None
 
 
+# Curve and SurfaceCertificate stay dataclasses, unlike the Record values:
+# the benchmark's mutant builder (bench/inputs.py) copies them with
+# dataclasses.replace.
 @dataclass(frozen=True)
 class Curve:
     name: str
@@ -196,6 +199,13 @@ def _optional_integer(value, field: str) -> int | None:
     return None if value is None else _integer(value, field)
 
 
+def _string(value, field: str) -> str:
+    """``value`` if it is a JSON string; TypeError naming ``field`` otherwise."""
+    if not isinstance(value, str):
+        raise TypeError(f"{field} must be a string, got {json.dumps(value)}")
+    return value
+
+
 def certificate_from_dict(data: dict) -> SurfaceCertificate:
     """Build a certificate from its JSON document.
 
@@ -230,17 +240,15 @@ def certificate_from_dict(data: dict) -> SurfaceCertificate:
                     m_zeta=_optional_integer(f.get("m_zeta"), "m_zeta"),
                 )
             pair = raw.get("pair")
-            if pair is not None and not isinstance(pair, str):
-                raise TypeError("pair must be a curve name")
             curves.append(
                 Curve(
-                    name=str(raw["name"]),
-                    role=str(raw["role"]),
+                    name=_string(raw["name"], "name"),
+                    role=_string(raw["role"], "role"),
                     index=_integer(raw["index"], "index"),
                     pushoff_plus=_word_or_none(raw.get("pushoff_plus")),
                     pushoff_minus=_word_or_none(raw.get("pushoff_minus")),
                     m=_optional_integer(raw.get("m"), "m"),
-                    pair=pair,
+                    pair=None if pair is None else _string(pair, "pair"),
                     factors=factors,
                 )
             )
@@ -296,16 +304,14 @@ def certificate_to_dict(cert: SurfaceCertificate) -> dict:
 # Reports
 
 
-@dataclass(frozen=True)
-class ConditionResult:
+class ConditionResult(Record):
     name: str
     status: str  # pass | fail | error | vacuous | asserted
     curve: str | None = None
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class CertificateReport:
+class CertificateReport(Record):
     kind: str
     n: int
     verdict: str
@@ -314,7 +320,7 @@ class CertificateReport:
     missing_flags: tuple[str, ...] = ()
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return as_dict(self)
 
 
 def _verdict(failed: bool, missing: Sequence[str]) -> str:
@@ -369,8 +375,7 @@ class _ReportBuilder:
 # q-values from decompositions
 
 
-@dataclass(frozen=True)
-class QInfo:
+class QInfo(Record):
     k: int
     q: int
     factor_count: int
@@ -825,8 +830,7 @@ CERTIFIERS: dict[str, Callable[..., CertificateReport]] = {
 }
 
 
-@dataclass(frozen=True)
-class TranslationResult:
+class TranslationResult(Record):
     certificate: SurfaceCertificate
     report: CertificateReport
     source_report: CertificateReport
@@ -1024,8 +1028,7 @@ def _resolve_depth(
 # Spine-link pipeline
 
 
-@dataclass(frozen=True)
-class PipelineReport:
+class PipelineReport(Record):
     n: int
     verdict: str
     milnor_vanish: bool
@@ -1038,7 +1041,7 @@ class PipelineReport:
     missing_flags: tuple[str, ...] = ()
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return as_dict(self)
 
 
 def _spine_l_value(cert: SurfaceCertificate, signs: Sequence[str], depth: int) -> int | None:

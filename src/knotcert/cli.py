@@ -315,7 +315,14 @@ def _cmd_trivialize_verify(args):
     except json.JSONDecodeError as exc:
         raise InputError(f"line {exc.lineno}, col {exc.colno}: {exc.msg}") from exc
     try:
-        letters = parse_letters(data["word"])
+        word = data["word"]
+        if not isinstance(word, str):
+            raise InputError(f"bad trivializer report: word {json.dumps(word)} is not a string")
+        letters = parse_letters(word)
+        for tag in data["tags"]:
+            if tag is not None and (not isinstance(tag, int) or isinstance(tag, bool)):
+                raise InputError(
+                    f"bad trivializer report: tag {json.dumps(tag)} is not an integer or null")
         tags = tuple(t if t else None for t in data["tags"])
         for position in (p for s in data["sets"] for p in s):
             # before the frozensets, which would merge true with 1 and 1.0 with 1
@@ -419,7 +426,11 @@ def _cmd_bounds(args):
     elif fn == "l-n-s":
         value = bounds_mod.l_n_S(args.ints)
     elif fn == "conflict-max":
-        value = bounds_mod.conflict_max(args.ints[0])
+        try:
+            value = bounds_mod.conflict_max(args.ints[0])
+        except OverflowError as exc:
+            raise InputError(
+                f"bounds conflict-max: s = {args.ints[0]} is out of range: {exc}") from exc
     elif fn == "ratio-check":
         value = bounds_mod.ratio_check(args.ints[0], args.ints[1])
     elif fn == "good-arc-bound":

@@ -20,17 +20,16 @@ if they need it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
+from ._value import Record
 from .lyndon import left_normed_combination, left_normed_lie_polynomial
 from .magnus import NCPolynomial, expand, nc_mul, unpack_monomial
 from .words import _push_reduced, commutator_word, invert, reduce_word
 
 
-@dataclass(frozen=True)
-class CommutatorCombination:
+class CommutatorCombination(Record):
     """Factors of a word modulo F^(valid_mod_degree + 1).
 
     The original word equals (product of the commutators of ``factors``

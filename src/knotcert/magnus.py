@@ -18,10 +18,10 @@ the end.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb, gcd
 from typing import Iterable, Sequence
 
+from ._value import Record
 from .words import reduce_word
 
 _SHIFT = 10
@@ -463,8 +463,7 @@ def fox_coefficient(word: Sequence[int], indices: Sequence[int]) -> int:
 # Milnor invariants from longitude words
 
 
-@dataclass(frozen=True)
-class LongitudeSystem:
+class LongitudeSystem(Record):
     """Longitude words of a link, over its meridian generators 1..r."""
 
     components: int

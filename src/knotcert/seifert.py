@@ -14,9 +14,11 @@ rational arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
+
+from ._value import Record
+
 
 def _as_matrix(rows: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
     out = tuple(tuple(int(x) for x in row) for row in rows)
@@ -146,8 +148,7 @@ def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> tuple[tup
     )
 
 
-@dataclass(frozen=True)
-class SeifertMatrix:
+class SeifertMatrix(Record):
     genus: int
     rows: tuple[tuple[int, ...], ...]
 
@@ -170,8 +171,7 @@ class SeifertMatrix:
 # Laurent polynomials (integer coefficients)
 
 
-@dataclass(frozen=True)
-class LaurentPolynomial:
+class LaurentPolynomial(Record):
     """Integer Laurent polynomial, stored as exponent -> nonzero coefficient."""
 
     coeffs: tuple[tuple[int, int], ...]
@@ -353,8 +353,7 @@ def anti_block_determinant_check(
 # Canonical invariant series p(h) / Delta(e^h)
 
 
-@dataclass(frozen=True)
-class RationalSeries:
+class RationalSeries(Record):
     """Truncated power series in h with exact rational coefficients."""
 
     coefficients: tuple[Fraction, ...]

@@ -10,11 +10,11 @@ exhaustively rather than trusting the construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations, compress, count
 from operator import add
 from typing import Sequence
 
+from ._value import Record
 from .words import (
     TaggedWord,
     insert_canceling_pair,
@@ -23,8 +23,7 @@ from .words import (
 )
 
 
-@dataclass(frozen=True)
-class LetterSetFamily:
+class LetterSetFamily(Record):
     """m+1 pairwise disjoint position sets into an unreduced tagged word."""
 
     sets: tuple[frozenset[int], ...]
@@ -42,8 +41,7 @@ class LetterSetFamily:
         return len(self.sets)
 
 
-@dataclass(frozen=True)
-class FamilyCheck:
+class FamilyCheck(Record):
     ok: bool
     checked: int
     failing_subfamily: tuple[int, ...] | None = None

@@ -11,8 +11,9 @@ which is what the letter-set trivializer needs.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from typing import Iterable, Sequence
+
+from ._value import Record
 
 Word = tuple[int, ...]
 
@@ -73,8 +74,7 @@ def cyclic_reduce(word: Sequence[int]) -> tuple[int, ...]:
     return tuple(w[lo:hi])
 
 
-@dataclass(frozen=True)
-class TaggedWord:
+class TaggedWord(Record):
     """Unreduced letter sequence with per-letter origin tags.
 
     ``tags[i]`` is the 1-based index of the commutator entry that letter

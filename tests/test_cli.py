@@ -138,6 +138,25 @@ class TestTrivializeCommands:
         code, doc, err = run_json(capsys, "trivialize", "verify", str(report))
         assert (code, doc, err) == (2, None, f"error: {message}\n")
 
+    @pytest.mark.parametrize("word, tags, message", [
+        ([1, -1], [1, 2], "word [1, -1] is not a string"),
+        (None, [1, 2], "word null is not a string"),
+        ("g1 g1^-1", [True, 2], "tag true is not an integer or null"),
+        ("g1 g1^-1", [1, 2.0], "tag 2.0 is not an integer or null"),
+        ("g1 g1^-1", ["1", 2], 'tag "1" is not an integer or null'),
+    ])
+    def test_bad_word_or_tag_exit_2(self, capsys, tmp_path, word, tags, message):
+        report = tmp_path / "report.json"
+        report.write_text(json.dumps({"word": word, "tags": tags, "sets": [[0], [1]]}))
+        code, doc, err = run_json(capsys, "trivialize", "verify", str(report))
+        assert (code, doc, err) == (2, None, f"error: bad trivializer report: {message}\n")
+
+    def test_null_and_zero_tags_accepted(self, capsys, tmp_path):
+        report = tmp_path / "report.json"
+        report.write_text(json.dumps({"word": "g1 g1^-1", "tags": [None, 0], "sets": [[0], [1]]}))
+        code, out, _ = run(capsys, "trivialize", "verify", str(report))
+        assert code == 1 and "fails" in out
+
 
 class TestMilnorCommands:
     def test_hopf_invariant(self, capsys):
@@ -210,6 +229,15 @@ class TestBoundsCommands:
         code, _, err = run(capsys, "bounds", "l-n-s")
         assert code == 2 and "q-value" in err
 
+    def test_conflict_max_limit(self, capsys):
+        code, out, _ = run(capsys, "bounds", "conflict-max", "61")
+        assert code == 0 and out.strip() == str((1 << 61) - 2)
+        for s in ("62", "1000"):
+            code, out, err = run(capsys, "bounds", "conflict-max", s)
+            assert (code, out) == (2, "")
+            assert err == (f"error: bounds conflict-max: s = {s} is out of range: "
+                           "conflict count guarded for s >= 62\n")
+
 
 class TestCertifyCommands:
     def test_hyperbolic_valid_exit_0(self, capsys):
@@ -279,6 +307,22 @@ class TestCertifyCommands:
         code, out, err = run(capsys, "certify", doc["kind"], str(path))
         assert code == 2 and out == ""
         assert err.startswith("error:") and f"{keys[-1]} must be an integer" in err
+
+    @pytest.mark.parametrize("field, value", [
+        ("name", ["A1"]),
+        ("name", 7),
+        ("role", ["A"]),
+        ("role", None),
+    ], ids=["name-list", "name-int", "role-list", "role-null"])
+    def test_non_string_exit_2(self, capsys, tmp_path, field, value):
+        doc = json.loads((DATA / "elliptic_g1_n2.json").read_text())
+        doc["curves"][0][field] = value
+        path = tmp_path / "non_string.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "certify", "elliptic", str(path))
+        assert (code, out) == (2, "")
+        assert err == (f"error: bad curve entry: {field} must be a string, "
+                       f"got {json.dumps(value)}\n")
 
     def test_malformed_pair_exit_2(self, capsys, tmp_path):
         doc = json.loads((DATA / "elliptic_g1_n2.json").read_text())
