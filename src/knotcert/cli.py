@@ -200,13 +200,16 @@ def read_longitudes_file(source: str) -> LongitudeSystem:
     return LongitudeSystem(count, tuple(words))
 
 
-def read_certificate_file(source: str):
+def _read_json(source: str):
     text = _read_text(source)
     try:
-        data = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"line {exc.lineno}, col {exc.colno}: {exc.msg}") from exc
-    return certificate_from_dict(data)
+
+
+def read_certificate_file(source: str):
+    return certificate_from_dict(_read_json(source))
 
 
 def _poly_payload(poly) -> list:
@@ -309,11 +312,7 @@ def _cmd_trivialize_build(args):
 
 
 def _cmd_trivialize_verify(args):
-    text = _read_text(args.report)
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"line {exc.lineno}, col {exc.colno}: {exc.msg}") from exc
+    data = _read_json(args.report)
     try:
         word = data["word"]
         if not isinstance(word, str):
@@ -382,17 +381,13 @@ def _cmd_mmr(args):
 
 
 def _cmd_altsum(args):
-    text = _read_text(args.values)
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"line {exc.lineno}, col {exc.colno}: {exc.msg}") from exc
+    data = _read_json(args.values)
     try:
         values = {
             tuple(entry["subset"]): Fraction(str(entry["value"]))
             for entry in data
         }
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise InputError(f"bad alternating-sum data: {exc}") from exc
     total = alternating_sum(values)
     return 0, {"sum": str(total)}, [str(total)]

@@ -4,7 +4,9 @@ The Magnus map sends x_k to 1 + X_k and x_k^-1 to the truncated
 geometric series 1 - X_k + X_k^2 - ...; a word's expansion determines
 its position in the lower central series: w lies in F^(k) iff the
 expansion has no terms of degree 1..k-1.  Milnor invariants of a link
-presented by longitude words are coefficients of these expansions.
+presented by longitude words are coefficients of these expansions, and
+``fox_coefficient`` reads one without expanding: a pass over the word
+counts only the coefficients of the index's left factors, exactly.
 
 Monomials X_{i1}...X_{id} are packed into integers, 10 bits per index,
 first index in the low bits, and stored in one dict per degree.  All
@@ -343,11 +345,11 @@ def _expand_packed(word: Sequence[int], degree: int, gens: list[int]) -> list[di
     return buckets
 
 
-def _alphabet(word: Sequence[int]) -> list[int]:
-    """The word's generators, sorted; every letter's range is checked."""
-    gens = sorted({abs(letter) for letter in word})
+def _alphabet(generators: Sequence[int]) -> list[int]:
+    """The distinct ``generators``, sorted, each checked to lie in 1..MAX_GENERATOR."""
+    gens = sorted(set(generators))
     if gens and not (1 <= gens[0] and gens[-1] <= MAX_GENERATOR):
-        bad = next(g for g in map(abs, word) if not 1 <= g <= MAX_GENERATOR)
+        bad = next(g for g in generators if not 1 <= g <= MAX_GENERATOR)
         raise ValueError(f"generator index {bad} out of range 1..{MAX_GENERATOR}")
     return gens
 
@@ -366,7 +368,7 @@ def expand(word: Sequence[int], degree: int) -> NCPolynomial:
     """
     if degree < 1:
         raise ValueError("truncation degree must be >= 1")
-    gens = _alphabet(word)
+    gens = _alphabet([abs(letter) for letter in word])
     table, size = 0, 1
     for _ in range(degree + 1):
         table += size
@@ -432,31 +434,35 @@ def lcs_at_least(word: Sequence[int], k: int) -> bool:
     return lcs_degree(word, k - 1) is None
 
 
-def _fox_expansion(word: Sequence[int], indices: Sequence[int]) -> NCPolynomial:
-    """Expansion at degree len(indices) of ``word`` without the letters
-    whose generator is not in ``indices``.
-
-    Killing those generators is a ring map that fixes every monomial
-    over ``indices``, so each coefficient read there is the word's own.
-    Every letter's range is checked before any is dropped.
-    """
-    _alphabet(word)
-    wanted = set(indices)
-    return expand([letter for letter in word if abs(letter) in wanted], len(indices))
-
-
 def fox_coefficient(word: Sequence[int], indices: Sequence[int]) -> int:
     """Coefficient of X_{i1}...X_{ik} in the Magnus expansion.
 
     Equals the augmentation of the iterated Fox derivative d/dx_{i1}
-    ... d/dx_{ik} of the word.  The result does not depend on the
-    truncation degree as long as it is >= len(indices), so the expansion
-    is computed at exactly that degree, over the generators in
-    ``indices`` only.
+    ... d/dx_{ik} of the word.  One pass keeps c[j], the coefficient of
+    X_{i1}...X_{ij} in the expansion of the letters read so far.  A
+    letter changes a monomial's coefficient only through those of its
+    left factors, so these k+1 follow ``_mul_letter``'s recurrence
+    exactly: x_g adds c[j-1] to c[j] wherever i_j = g, top down; x_g^-1
+    subtracts the new c[j-1], bottom up.
     """
     if not indices:
         return 1
-    return _fox_expansion(word, indices).coefficient(indices)
+    _alphabet([abs(letter) for letter in word])
+    _alphabet(indices)
+    steps: dict[int, list[int]] = {}
+    for j, g in enumerate(indices, 1):
+        steps.setdefault(-g, []).append(j)
+        steps.setdefault(g, []).insert(0, j)
+    c = [1] + [0] * len(indices)
+    for letter in word:
+        positions = steps.get(letter, ())
+        if letter > 0:
+            for j in positions:
+                c[j] += c[j - 1]
+        else:
+            for j in positions:
+                c[j] -= c[j - 1]
+    return c[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -488,10 +494,11 @@ def milnor_invariant(system: LongitudeSystem, index: Sequence[int], reduced: boo
     """Milnor invariant mu(i1 ... ik) as a Magnus coefficient.
 
     The raw value is the coefficient of X_{i1}...X_{i_{k-1}} in the
-    expansion of the longitude of component i_k.  With ``reduced=True``
-    the value is returned modulo the gcd of the invariants of all
-    multi-indices obtained by deleting one index (length-1 invariants
-    are 0 by convention, and a vanishing gcd means no reduction).
+    expansion of the longitude of component i_k, read by one pass of
+    ``fox_coefficient``.  With ``reduced=True`` the value is returned
+    modulo the gcd of the raw invariants of all multi-indices obtained
+    by deleting one index (length-1 invariants are 0 by convention, and
+    a vanishing gcd means no reduction).
     """
     k = len(index)
     if k < 2:
@@ -499,16 +506,12 @@ def milnor_invariant(system: LongitudeSystem, index: Sequence[int], reduced: boo
     for i in index:
         if not 1 <= i <= system.components:
             raise ValueError(f"component index {i} out of range 1..{system.components}")
-    head = tuple(index[:-1])
-    expansion = _fox_expansion(system.longitudes[index[-1] - 1], head)
-    raw = expansion.coefficient(head)
+    raw = fox_coefficient(system.longitudes[index[-1] - 1], index[:-1])
     if not reduced or k == 2:
         return raw
-    # a sub-index keeping the last index reads the same longitude, one
-    # degree lower; only dropping the last index needs another one
-    modulus = milnor_invariant(system, head)
-    for drop in range(k - 1):
-        modulus = gcd(modulus, expansion.coefficient(head[:drop] + head[drop + 1:]))
+    modulus = 0
+    for drop in range(k):
+        modulus = gcd(modulus, milnor_invariant(system, (*index[:drop], *index[drop + 1:])))
     return raw % modulus if modulus else raw
 
 

@@ -58,7 +58,7 @@ class TestMagnusCommands:
 
     @pytest.mark.parametrize("word,index,bad", [("1 2000", "1", "2000"), ("1 2", "1 1024", "1024")])
     def test_fox_range_exit_2(self, capsys, word, index, bad):
-        # letters outside the index set are dropped, but still range-checked
+        # letters whose generator is not in the index are still range-checked
         code, out, err = run(capsys, "magnus", "fox", word, "--index", index)
         assert code == 2 and out == "" and f"generator index {bad} out of range" in err
 
@@ -444,6 +444,13 @@ class TestAltsum:
         path.write_text(json.dumps([{"subset": [1], "value": 1}]))
         code, _, err = run(capsys, "altsum", str(path))
         assert code == 2 and "missing" in err
+
+    def test_zero_denominator_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "values.json"
+        path.write_text(json.dumps([{"subset": [1], "value": "1/0"}]))
+        code, out, err = run(capsys, "altsum", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error: bad alternating-sum data: ")
 
 
 class TestDeterminism:

@@ -315,11 +315,37 @@ class TestFox:
         k = len(indices)
         assert fox_coefficient(word, indices) == expand(word, k).coefficient(indices)
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.integers(1, 3), st.sampled_from([1, -1]), st.integers(1, 5)),
+            max_size=10,
+        ),
+        st.lists(st.tuples(st.integers(1, 3), st.integers(1, 4)), min_size=1, max_size=4),
+    )
+    def test_runs_against_dense_expansion(self, letter_runs, index_runs):
+        # runs of one inverse letter and indices repeating one generator
+        # are where the bottom-up and top-down order of the count matters
+        word = [g * sign for g, sign, n in letter_runs for _ in range(n)]
+        indices = [g for g, n in index_runs for _ in range(n)][:6]
+        k = len(indices)
+        assert fox_coefficient(word, indices) == expand(word, k).coefficient(indices)
+
     def test_range_checked_before_dropping(self):
         with pytest.raises(ValueError, match="2000"):
             fox_coefficient((1, 2000), (1,))
         with pytest.raises(ValueError, match="1024"):
             fox_coefficient((1, 2), (1, 1024))
+
+    @pytest.mark.parametrize(
+        "word,indices,bad", [((1,), (0,), 0), ((1,), (2, -3), -3), ((1, 0), (1,), 0)]
+    )
+    def test_zero_and_negative_rejected(self, word, indices, bad):
+        with pytest.raises(ValueError, match=f"generator index {bad} out of range 1..1023"):
+            fox_coefficient(word, indices)
+
+    def test_empty_index_is_one_before_any_check(self):
+        assert fox_coefficient((2000, 0), ()) == 1
 
     def test_single_letter(self):
         assert fox_coefficient((1,), (1,)) == 1
@@ -451,12 +477,17 @@ class TestMilnor:
         assert milnor_invariant(system, (1, 2, 3)) == 3
         assert milnor_invariant(system, (1, 2, 3), reduced=True) == 1
 
-    def test_reduced_expands_twice(self, monkeypatch):
-        calls = []
-        real = magnus.expand
-        monkeypatch.setattr(magnus, "expand", lambda w, d: calls.append(d) or real(w, d))
-        milnor_invariant(borromean(), (1, 2, 3, 1, 2), reduced=True)
-        assert calls == [4, 3]
+    def test_no_series_expansion(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("series expansion")
+
+        for name in ("expand", "_mul_letter", "_expand_packed"):
+            monkeypatch.setattr(magnus, name, refuse)
+        assert fox_coefficient(commutator_word((1, 2)), (2, 1)) == -1
+        assert milnor_invariant(borromean(), (1, 2, 3)) == 1
+        # mu(123) = 3 reduced modulo mu(12) = 2
+        system = LongitudeSystem(3, ((), (1, 1), (1, 2, -1, -2) * 3))
+        assert milnor_invariant(system, (1, 2, 3), reduced=True) == 1
 
     def test_longitude_generator_range(self):
         with pytest.raises(ValueError):
