@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from . import bounds
 from ._value import Record, as_dict
@@ -25,6 +25,7 @@ from .decomp import residual_word, stage_factors
 from .magnus import NCPolynomial, expand, lcs_degree, staged_expand
 from .schreier import NotInNormalClosure, rewrite_to_word
 from .words import (
+    WordSyntaxError,
     concat,
     format_word,
     generators_in,
@@ -176,14 +177,6 @@ def b_dual_set(genus: int) -> frozenset[int]:
 # JSON (de)serialization
 
 
-def _word_or_none(value) -> tuple[int, ...] | None:
-    if value is None:
-        return None
-    if not isinstance(value, str):
-        raise CertificateError("pushoff words must be strings or null")
-    return parse_word(value)
-
-
 def _integer(value, field: str) -> int:
     """``value`` if it is a JSON integer; TypeError naming ``field`` otherwise.
 
@@ -204,6 +197,16 @@ def _string(value, field: str) -> str:
     if not isinstance(value, str):
         raise TypeError(f"{field} must be a string, got {json.dumps(value)}")
     return value
+
+
+def _word(value, field: str) -> tuple[int, ...] | None:
+    """The word a JSON string spells, None for null; any error names ``field``."""
+    if value is None:
+        return None
+    try:
+        return parse_word(_string(value, field))
+    except WordSyntaxError as exc:
+        raise ValueError(f"{field}: {exc}") from exc
 
 
 def certificate_from_dict(data: dict) -> SurfaceCertificate:
@@ -228,13 +231,15 @@ def certificate_from_dict(data: dict) -> SurfaceCertificate:
     for raw in raw_curves:
         try:
             factors = None
-            if raw.get("factors") is not None:
-                f = raw["factors"]
+            f = raw.get("factors")
+            if f is not None:
+                if not isinstance(f, dict):
+                    raise TypeError(f"factors must be an object, got {json.dumps(f)}")
                 factors = UnknottedFactors(
                     x_exponent=_integer(f.get("x_exponent", 0), "x_exponent"),
-                    chi=parse_word(f.get("chi", "") or ""),
-                    mu=parse_word(f.get("mu", "") or ""),
-                    zeta=parse_word(f.get("zeta", "") or ""),
+                    chi=_word(f.get("chi"), "chi") or (),
+                    mu=_word(f.get("mu"), "mu") or (),
+                    zeta=_word(f.get("zeta"), "zeta") or (),
                     m_mu=_optional_integer(f.get("m_mu"), "m_mu"),
                     m_chi=_optional_integer(f.get("m_chi"), "m_chi"),
                     m_zeta=_optional_integer(f.get("m_zeta"), "m_zeta"),
@@ -245,8 +250,8 @@ def certificate_from_dict(data: dict) -> SurfaceCertificate:
                     name=_string(raw["name"], "name"),
                     role=_string(raw["role"], "role"),
                     index=_integer(raw["index"], "index"),
-                    pushoff_plus=_word_or_none(raw.get("pushoff_plus")),
-                    pushoff_minus=_word_or_none(raw.get("pushoff_minus")),
+                    pushoff_plus=_word(raw.get("pushoff_plus"), "pushoff_plus"),
+                    pushoff_minus=_word(raw.get("pushoff_minus"), "pushoff_minus"),
                     m=_optional_integer(raw.get("m"), "m"),
                     pair=None if pair is None else _string(pair, "pair"),
                     factors=factors,
@@ -372,7 +377,7 @@ class _ReportBuilder:
 
 
 # ---------------------------------------------------------------------------
-# q-values from decompositions
+# q-values and memberships
 
 
 class QInfo(Record):
@@ -398,7 +403,7 @@ def q_of_word(
     and gets the k-free branch value q(m+1).
 
     ``expansion`` is the word's expansion at degree m+1 when the caller
-    already has it (a membership check); otherwise the word is expanded
+    already has it (a passing membership's); otherwise the word is expanded
     here.  The residual is built only when it can change k: r = G^-1 * w
     uses only generators of w and of the factors, so when the factor
     sets form at most one block and that block covers the generators
@@ -424,64 +429,83 @@ def q_of_word(
     return QInfo(k, q, len(factors))
 
 
-def _stage_image(index: int, word: Sequence[int]) -> tuple[int, ...]:
-    """Image of a handle-``index`` word after killing the earlier handles' duals."""
-    return kill_generators(word, prefix_kill_set(index))
+class _Membership(Record):
+    """One membership, kept for its q-value: ``word`` is the stage image or
+    Schreier rewrite (None outside the closure), ``degree`` its lcs degree
+    when at most ``depth``, ``expansion`` its staged expansion (up to depth+1)."""
+
+    word: tuple[int, ...] | None
+    depth: int
+    exclude: frozenset[int]
+    degree: int | None
+    expansion: NCPolynomial | None
+    detail: str
+
+    @property
+    def passed(self) -> bool:
+        return self.word is not None and self.degree is None
+
+    def q(self, depth: int | None = None) -> QInfo:
+        """q-value at ``depth``; by default the membership depth, reusing the expansion."""
+        if depth is None:
+            return q_of_word(self.word, self.depth, self.exclude, self.expansion)
+        return q_of_word(self.word, depth, self.exclude)
 
 
-def _stage_q(
-    index: int, image: tuple[int, ...], depth: int, expansion: NCPolynomial | None = None
-) -> QInfo:
-    """q-value of a stage image, with the handle's own x-dual excluded."""
-    return q_of_word(image, depth, frozenset({x_generator(index)}), expansion)
+def _membership(word: Sequence[int], depth: int, *, index: int | None = None,
+                subset: frozenset[int] | None = None) -> _Membership:
+    """Membership of ``word`` in the (depth+1)-st lower central term.
 
-
-def _lcs_below(word: Sequence[int], depth: int) -> tuple[int | None, NCPolynomial | None]:
-    """(the word's lcs degree when it lies outside F^(depth+1), else None; expansion).
-
-    The staged caps end at depth+1, not depth, so a nonempty member's
-    expansion is the degree-(depth+1) one its q-value reads.
+    With ``index``: its stage image in F, whose q-value excludes the
+    handle's x-dual.  With ``subset``: its Schreier rewrite in the normal
+    closure of ``subset``.  Depth 0 expands nothing; the staged caps end
+    at depth+1, so a member's expansion is the one its q-value reads.
     """
-    if depth < 1 or not word:
-        return None, None
-    expansion = staged_expand(word, depth + 1)
-    low = expansion.min_positive_degree()
-    return (low if low is not None and low <= depth else None), expansion
+    exclude: frozenset[int] = frozenset()
+    if index is not None:
+        target = kill_generators(word, prefix_kill_set(index))
+        exclude = frozenset({x_generator(index)})
+    else:
+        try:
+            target = rewrite_to_word(word, subset)
+        except NotInNormalClosure as exc:
+            return _Membership(None, depth, exclude, None, None, f"not in normal closure: {exc}")
+    degree = expansion = None
+    if depth >= 1 and target:
+        expansion = staged_expand(target, depth + 1)
+        low = expansion.min_positive_degree()
+        if low is not None and low <= depth:
+            degree = low
+    if degree is None:
+        return _Membership(target, depth, exclude, None, expansion, f"lies in G^({depth + 1})")
+    detail = f"closure lcs degree below {depth + 1}"
+    return _Membership(target, depth, exclude, degree, expansion, detail)
 
 
 # ---------------------------------------------------------------------------
 # Orientation search
 
 
-def _orient(
-    curves: Sequence[Curve], check: Callable[..., tuple[bool, object]]
-) -> tuple[str | None, list[tuple[str, object]]]:
-    """Try the orientations epsilon = +, then -, of one curve or a dual pair.
-
-    The first curve is read at epsilon and the second, when given, at
-    -epsilon; an orientation missing one of those pushoffs is skipped.
-    ``check`` gets the words and returns (passed, result).  Returns the
-    first passing epsilon (None when none passes) and the (epsilon,
-    result) of every orientation tried, the passing one last.
-    """
-    attempts = []
+def _orientations(curves: Sequence[Curve]) -> Iterator[tuple[str, list[tuple[int, ...]]]]:
+    """(epsilon, words) for epsilon = +, then -: the first curve read at
+    epsilon, a second at -epsilon; orientations missing a pushoff are skipped."""
     for eps in ("+", "-"):
         words = [c.pushoff(s) for c, s in zip(curves, (eps, "-" if eps == "+" else "+"))]
-        if any(w is None for w in words):
-            continue
-        passed, result = check(*words)
-        attempts.append((eps, result))
-        if passed:
+        if all(w is not None for w in words):
+            yield eps, words
+
+
+def _orient(
+    curves: Sequence[Curve], check: Callable[..., Sequence[_Membership]]
+) -> tuple[str | None, list[tuple[str, Sequence[_Membership]]]]:
+    """The first epsilon whose memberships (``check`` of its words) all pass,
+    or None, and the (epsilon, memberships) of every orientation tried."""
+    attempts = []
+    for eps, words in _orientations(curves):
+        attempts.append((eps, check(*words)))
+        if all(m.passed for m in attempts[-1][1]):
             return eps, attempts
     return None, attempts
-
-
-def _quotient_membership(
-    image: tuple[int, ...], n: int
-) -> tuple[bool, tuple[tuple[int, ...], int | None, NCPolynomial | None]]:
-    """(passed, (stage image, lcs degree below n+1 or None, expansion)) for F^(n+1)."""
-    degree, expansion = _lcs_below(image, n)
-    return degree is None, (image, degree, expansion)
 
 
 # ---------------------------------------------------------------------------
@@ -504,16 +528,13 @@ def certify_hyperbolic(cert: SurfaceCertificate, n: int | None = None) -> Certif
     q_values = []
     per_curve = {}
     for curve in a_curves:
-        sign, tried = _orient(
-            (curve,), lambda w: _quotient_membership(_stage_image(curve.index, w), n)
-        )
+        sign, tried = _orient((curve,), lambda w: (_membership(w, n, index=curve.index),))
         if not tried:
             raise CertificateError(f"curve {curve.name} has no pushoff word")
         if sign is None:
-            detail = "; ".join(f"pushoff {s}: lcs degree {d}" for s, (_, d, _) in tried)
+            detail = "; ".join(f"pushoff {s}: lcs degree {m.degree}" for s, (m,) in tried)
             rb.add("quotient-membership", "fail", curve.name, detail + f" < {n + 1}")
             continue
-        image, _, expansion = tried[-1][1]
         rb.add(
             "quotient-membership",
             "pass",
@@ -521,7 +542,7 @@ def certify_hyperbolic(cert: SurfaceCertificate, n: int | None = None) -> Certif
             f"pushoff {sign}: image in F^({n + 1}) after killing "
             f"{sorted(prefix_kill_set(curve.index))}",
         )
-        info = _stage_q(curve.index, image, n, expansion)
+        info = tried[-1][1][0].q()
         q_values.append(info.q)
         per_curve[curve.name] = {
             "sign": sign,
@@ -572,23 +593,6 @@ def _paired_curves(cert: SurfaceCertificate) -> list[tuple[Curve, Curve]]:
     return pairs
 
 
-def _closure_membership(
-    word: tuple[int, ...], subset: frozenset[int], depth: int
-) -> tuple[bool, tuple[tuple[int, ...] | None, NCPolynomial | None, str]]:
-    """(passed, (Schreier-alphabet word, its expansion, detail)) for G^(depth+1).
-
-    The word and its expansion at depth+1 are what ``q_of_word`` reads.
-    """
-    try:
-        rewritten = rewrite_to_word(word, subset)
-    except NotInNormalClosure as exc:
-        return False, (None, None, f"not in normal closure: {exc}")
-    degree, expansion = _lcs_below(rewritten, depth)
-    if degree is None:
-        return True, (rewritten, expansion, f"lies in G^({depth + 1})")
-    return False, (rewritten, expansion, f"closure lcs degree below {depth + 1}")
-
-
 def certify_elliptic(cert: SurfaceCertificate, n: int | None = None) -> CertificateReport:
     """Check paired normal-closure memberships and the q-sum for each pair.
 
@@ -605,24 +609,20 @@ def certify_elliptic(cert: SurfaceCertificate, n: int | None = None) -> Certific
     for a, b in _paired_curves(cert):
         if a.m is None or b.m is None:
             raise CertificateError(f"pair ({a.name}, {b.name}): membership depths m required")
-
-        def pair_membership(wa, wb):
-            at_a = _closure_membership(wa, s_a, a.m)
-            at_b = _closure_membership(wb, s_b, b.m)
-            return at_a[0] and at_b[0], (at_a, at_b)
-
-        eps, tried = _orient((a, b), pair_membership)
+        eps, tried = _orient(
+            (a, b),
+            lambda wa, wb: (_membership(wa, a.m, subset=s_a), _membership(wb, b.m, subset=s_b)),
+        )
         if not tried:
             raise CertificateError(f"pair ({a.name}, {b.name}): no orientation has both pushoffs")
         if eps is None:
-            for curve, (ok, (_, _, detail)) in zip((a, b), tried[0][1]):
-                rb.add("closure-membership", "pass" if ok else "fail", curve.name, detail)
+            for curve, at in zip((a, b), tried[0][1]):
+                rb.add("closure-membership", "pass" if at.passed else "fail", curve.name, at.detail)
             continue
-        (_, (word_a, exp_a, detail_a)), (_, (word_b, exp_b, detail_b)) = tried[-1][1]
-        rb.add("closure-membership", "pass", a.name, f"epsilon {eps}: {detail_a}")
-        rb.add("closure-membership", "pass", b.name, f"epsilon -{eps}: {detail_b}")
-        qa = q_of_word(word_a, a.m, expansion=exp_a)
-        qb = q_of_word(word_b, b.m, expansion=exp_b)
+        at_a, at_b = tried[-1][1]
+        rb.add("closure-membership", "pass", a.name, f"epsilon {eps}: {at_a.detail}")
+        rb.add("closure-membership", "pass", b.name, f"epsilon -{eps}: {at_b.detail}")
+        qa, qb = at_a.q(), at_b.q()
         per_pair[a.name] = {
             "epsilon": eps,
             "m_A": a.m,
@@ -669,16 +669,15 @@ def certify_parabolic(
     for curve in cert.curves_of_role("B"):
         if curve.m is None:
             raise CertificateError(f"curve {curve.name}: membership depth m required")
-        eps, tried = _orient((curve,), lambda w: _closure_membership(w, s_b, curve.m))
+        eps, tried = _orient((curve,), lambda w: (_membership(w, curve.m, subset=s_b),))
         if not tried:
             raise CertificateError(f"curve {curve.name} has no pushoff word")
         if eps is None:
-            _, _, detail = tried[0][1]
-            rb.add("closure-membership", "fail", curve.name, detail)
+            rb.add("closure-membership", "fail", curve.name, tried[0][1][0].detail)
             continue
-        rewritten, expansion, detail = tried[-1][1]
-        rb.add("closure-membership", "pass", curve.name, f"epsilon {eps}: {detail}")
-        info = q_of_word(rewritten, curve.m, expansion=expansion)
+        at = tried[-1][1][0]
+        rb.add("closure-membership", "pass", curve.name, f"epsilon {eps}: {at.detail}")
+        info = at.q()
         per_curve[curve.name] = {"epsilon": eps, "m": curve.m, "q": info.q, "k": info.k}
         rb.equation("q-plus-s", curve.name, (info.q, s))
     rb.quantities["per_curve"] = per_curve
@@ -687,12 +686,6 @@ def certify_parabolic(
 
 # ---------------------------------------------------------------------------
 # n-unknotted
-
-
-def _x_power_word(index: int, exponent: int) -> tuple[int, ...]:
-    gen = x_generator(index)
-    letter = gen if exponent >= 0 else -gen
-    return (letter,) * abs(exponent)
 
 
 def certify_unknotted(cert: SurfaceCertificate, n: int | None = None) -> CertificateReport:
@@ -719,13 +712,16 @@ def certify_unknotted(cert: SurfaceCertificate, n: int | None = None) -> Certifi
     for a, b in _paired_curves(cert):
         fa = a.factors or UnknottedFactors()
         fb = b.factors or UnknottedFactors()
-        x_word = _x_power_word(a.index, fa.x_exponent)
-        product_a = concat(x_word, fa.chi, fa.mu)
-        product_b = concat(fb.zeta, fb.chi)
-        eps, _ = _orient(
-            (a, b),
-            lambda wa, wb: (product_a == reduce_word(wa) and product_b == reduce_word(wb), None),
-        )
+        # x^l chi mu keeps at least |l| - |chi| - |mu| letters after reduction,
+        # so a longer power than this matches no pushoff and is never built
+        longest = max((len(w) for w in (a.pushoff_plus, a.pushoff_minus) if w), default=0)
+        eps = None
+        if abs(fa.x_exponent) <= len(fa.chi) + len(fa.mu) + longest:
+            x = x_generator(a.index) if fa.x_exponent >= 0 else -x_generator(a.index)
+            product_a = concat((x,) * abs(fa.x_exponent), fa.chi, fa.mu)
+            product_b = concat(fb.zeta, fb.chi)
+            eps = next((e for e, (wa, wb) in _orientations((a, b))
+                        if product_a == reduce_word(wa) and product_b == reduce_word(wb)), None)
         if eps is None:
             rb.add(
                 "factorization-product",
@@ -741,11 +737,10 @@ def certify_unknotted(cert: SurfaceCertificate, n: int | None = None) -> Certifi
         if fa.mu:
             if fa.m_mu is None:
                 raise CertificateError(f"curve {a.name}: m_mu required for nontrivial mu")
-            image = _stage_image(a.index, fa.mu)
-            degree, expansion = _lcs_below(image, fa.m_mu)
-            if degree is None:
+            mu = _membership(fa.mu, fa.m_mu, index=a.index)
+            if mu.passed:
                 rb.add("mu-membership", "pass", a.name, f"in F^({fa.m_mu + 1}) after quotient")
-                info = _stage_q(a.index, image, fa.m_mu, expansion)
+                info = mu.q()
                 pair_data["q_mu"] = info.q
                 if info.q == n + 1:
                     rb.add("mu-q-equation", "pass", a.name, f"q_mu = {n + 1}")
@@ -765,13 +760,12 @@ def certify_unknotted(cert: SurfaceCertificate, n: int | None = None) -> Certifi
                     raise CertificateError(
                         f"pair ({a.name}, {b.name}): m_chi required for nontrivial chi"
                     )
-                ok_a, (word_a, exp_a, detail_a) = _closure_membership(fa.chi, s_a, fa.m_chi)
-                ok_b, (word_b, exp_b, detail_b) = _closure_membership(fb.chi, s_b, fb.m_chi)
-                rb.add("chi-membership", "pass" if ok_a else "fail", a.name, detail_a)
-                rb.add("chi-membership", "pass" if ok_b else "fail", b.name, detail_b)
-                if ok_a and ok_b:
-                    qa = q_of_word(word_a, fa.m_chi, expansion=exp_a)
-                    qb = q_of_word(word_b, fb.m_chi, expansion=exp_b)
+                at_a = _membership(fa.chi, fa.m_chi, subset=s_a)
+                at_b = _membership(fb.chi, fb.m_chi, subset=s_b)
+                for curve, at in ((a, at_a), (b, at_b)):
+                    rb.add("chi-membership", "pass" if at.passed else "fail", curve.name, at.detail)
+                if at_a.passed and at_b.passed:
+                    qa, qb = at_a.q(), at_b.q()
                     pair_data["q_chi_A"] = qa.q
                     pair_data["q_chi_B"] = qb.q
                     rb.equation("chi-q-sum", a.name, (qa.q, qb.q))
@@ -802,13 +796,13 @@ def certify_unknotted(cert: SurfaceCertificate, n: int | None = None) -> Certifi
         if fb.zeta:
             if fb.m_zeta is None:
                 raise CertificateError(f"curve {b.name}: m_zeta required for nontrivial zeta")
-            ok, (rewritten, expansion, detail) = _closure_membership(fb.zeta, s_b, fb.m_zeta)
-            rb.add("zeta-membership", "pass" if ok else "fail", b.name, detail)
-            if ok:
+            zeta = _membership(fb.zeta, fb.m_zeta, subset=s_b)
+            rb.add("zeta-membership", "pass" if zeta.passed else "fail", b.name, zeta.detail)
+            if zeta.passed:
                 if s is None:
                     rb.missing.append("simplicity=<s>")
                 else:
-                    info = q_of_word(rewritten, fb.m_zeta, expansion=expansion)
+                    info = zeta.q()
                     pair_data["q_zeta"] = info.q
                     rb.equation("zeta-q-equation", b.name, (info.q, s))
         else:
@@ -818,16 +812,16 @@ def certify_unknotted(cert: SurfaceCertificate, n: int | None = None) -> Certifi
     return rb.finish()
 
 
-# ---------------------------------------------------------------------------
-# Certificate translations (index shifts)
-
-
 CERTIFIERS: dict[str, Callable[..., CertificateReport]] = {
     "hyperbolic": certify_hyperbolic,
     "elliptic": certify_elliptic,
     "parabolic": certify_parabolic,
     "unknotted": certify_unknotted,
 }
+
+
+# ---------------------------------------------------------------------------
+# Certificate translations (index shifts)
 
 
 class TranslationResult(Record):
@@ -962,31 +956,30 @@ def translate_certificate(cert: SurfaceCertificate, kind: str, n: int) -> Transl
     for a, b in _paired_curves(cert):
         fa = a.factors or UnknottedFactors()
         fb = b.factors or UnknottedFactors()
-        # the source is valid, so every nontrivial chi and zeta lies in its closure
-        mu_image = _stage_image(a.index, fa.mu)
-        chi_a, chi_b = rewrite_to_word(fa.chi, s_a), rewrite_to_word(fb.chi, s_b)
-        zeta = rewrite_to_word(fb.zeta, s_b)
+        # the source is valid, so every nontrivial chi and zeta lies in its
+        # closure; depth 0 rewrites without expanding
+        mu = _membership(fa.mu, 0, index=a.index)
+        chi_a, chi_b = _membership(fa.chi, 0, subset=s_a), _membership(fb.chi, 0, subset=s_b)
+        zeta = _membership(fb.zeta, 0, subset=s_b)
         new_fa = UnknottedFactors(
             x_exponent=fa.x_exponent,
             chi=fa.chi,
             mu=fa.mu,
             zeta=(),
-            m_mu=_resolve_depth(fa.mu, fa.m_mu, target_n + 1,
-                                lambda m: _stage_q(a.index, mu_image, m).q),
+            m_mu=_resolve_depth(fa.mu, mu, fa.m_mu, target_n + 1),
             m_chi=fa.m_chi,
             m_zeta=None,
         )
         chi_target = None
         if fa.chi and fb.chi:
-            chi_target = target_n + 1 - q_of_word(chi_a, new_fa.m_chi).q
+            chi_target = target_n + 1 - chi_a.q(new_fa.m_chi).q
         new_fb = UnknottedFactors(
             x_exponent=0,
             chi=fb.chi,
             mu=(),
             zeta=fb.zeta,
-            m_chi=_resolve_depth(fb.chi, fb.m_chi, chi_target, lambda m: q_of_word(chi_b, m).q),
-            m_zeta=_resolve_depth(fb.zeta, fb.m_zeta, target_n + 1 - s,
-                                  lambda m: q_of_word(zeta, m).q),
+            m_chi=_resolve_depth(fb.chi, chi_b, fb.m_chi, chi_target),
+            m_zeta=_resolve_depth(fb.zeta, zeta, fb.m_zeta, target_n + 1 - s),
         )
         curves.append(Curve(a.name, "A", a.index, a.pushoff_plus, a.pushoff_minus,
                             m=a.m, pair=a.pair, factors=new_fa))
@@ -1004,11 +997,11 @@ def translate_certificate(cert: SurfaceCertificate, kind: str, n: int) -> Transl
 
 def _resolve_depth(
     word: tuple[int, ...],
+    at: _Membership,
     m_source: int | None,
     q_target: int | None,
-    q_at: Callable[[int], int],
 ) -> int | None:
-    """Largest depth m <= m_source whose q-value hits ``q_target``.
+    """Largest depth m <= m_source at which ``at``'s q-value hits ``q_target``.
 
     Deeper membership implies shallower membership, so lowering m keeps
     the membership valid while re-aiming the q-equation.  Trivial words
@@ -1017,7 +1010,7 @@ def _resolve_depth(
     if not word or m_source is None or q_target is None:
         return m_source
     for m in range(m_source, 0, -1):
-        if q_at(m) == q_target:
+        if at.q(m).q == q_target:
             return m
     raise TranslationError(
         f"no membership depth <= {m_source} realizes the target q-value {q_target}"
@@ -1047,7 +1040,7 @@ class PipelineReport(Record):
 def _spine_l_value(cert: SurfaceCertificate, signs: Sequence[str], depth: int) -> int | None:
     """l(depth, S) from the A-curves at the chosen signs."""
     q_values = [
-        _stage_q(a.index, _stage_image(a.index, a.pushoff(signs[2 * (a.index - 1)])), depth).q
+        _membership(a.pushoff(signs[2 * (a.index - 1)]), 0, index=a.index).q(depth).q
         for a in cert.curves_of_role("A")
     ]
     return bounds.l_n_S(q_values) if q_values else None

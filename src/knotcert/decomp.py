@@ -85,11 +85,6 @@ def _expand_nest_pair(entries: tuple[int, ...], degree: int) -> tuple[NCPolynomi
     return new_p, new_inv
 
 
-def expand_commutator(entries: tuple[int, ...], degree: int) -> NCPolynomial:
-    """Magnus expansion of the left-normed commutator on ``entries``."""
-    return _expand_nest_pair(tuple(entries), degree)[0]
-
-
 def lie_component(word: Sequence[int], m: int) -> dict[tuple[int, ...], int]:
     """Degree-m coefficients of the Magnus expansion of ``word``.
 

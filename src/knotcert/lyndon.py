@@ -15,26 +15,6 @@ from __future__ import annotations
 
 from typing import Sequence
 
-def lyndon_words(alphabet: Sequence[int], length: int) -> list[tuple[int, ...]]:
-    """All Lyndon words of the given length over a sorted alphabet (Duval)."""
-    letters = sorted(alphabet)
-    if not letters or length < 1:
-        return []
-    k = len(letters)
-    out: list[tuple[int, ...]] = []
-    w = [0]
-    while True:
-        if len(w) == length:
-            out.append(tuple(letters[i] for i in w))
-        # extend periodically, then increment
-        w = [w[i % len(w)] for i in range(length)]
-        while w and w[-1] == k - 1:
-            w.pop()
-        if not w:
-            return out
-        w[-1] += 1
-
-
 def is_lyndon(word: Sequence[int]) -> bool:
     w = tuple(word)
     if not w:

@@ -125,23 +125,6 @@ def parabolic_example() -> SurfaceCertificate:
     )
 
 
-def vacuous_parabolic_example(n: int = 3, s: int = 3) -> SurfaceCertificate:
-    """Parabolic certificate with n <= s: the word conditions are vacuous."""
-    if n > s:
-        raise ValueError("vacuous example needs n <= s")
-    curves = (
-        Curve(name="a1", role="A", index=1, pushoff_plus=(x_generator(1),)),
-        Curve(name="b1", role="B", index=1, pushoff_plus=(y_generator(1),), m=1),
-    )
-    return SurfaceCertificate(
-        kind="parabolic",
-        genus=1,
-        n=n,
-        curves=curves,
-        asserted_flags=(FLAG_REGULAR_SPINE, FLAG_UNRELATED, f"simplicity={s}"),
-    )
-
-
 def unknotted_example() -> SurfaceCertificate:
     """2-unknotted certificate of genus 1, chi-flavored.
 
@@ -205,11 +188,6 @@ def twist_unknotted_example(n: int = 4, s: int = 1) -> SurfaceCertificate:
         curves=curves,
         asserted_flags=(FLAG_REGULAR_SPINE, f"simplicity={s}"),
     )
-
-
-def spine_example(genus: int, n: int) -> SurfaceCertificate:
-    """Certificate whose 2g pushoffs are weight-(n+1) pair commutators."""
-    return hyperbolic_example(genus, n, conjugated=False)
 
 
 # ---------------------------------------------------------------------------

@@ -64,16 +64,6 @@ def kill_generators(word: Sequence[int], subset: Iterable[int]) -> tuple[int, ..
     return reduce_word(l for l in word if abs(l) not in killed)
 
 
-def cyclic_reduce(word: Sequence[int]) -> tuple[int, ...]:
-    """Cyclically reduced form (a conjugate of ``word``)."""
-    w = reduce_word(word)
-    lo, hi = 0, len(w)
-    while hi - lo >= 2 and w[lo] == -w[hi - 1]:
-        lo += 1
-        hi -= 1
-    return tuple(w[lo:hi])
-
-
 class TaggedWord(Record):
     """Unreduced letter sequence with per-letter origin tags.
 

@@ -33,7 +33,7 @@ from knotcert.certify import (
     translate_certificate,
     spine_link_pipeline,
 )
-from knotcert.decomp import decompose, expand_commutator
+from knotcert.decomp import decompose
 from knotcert.magnus import (
     LongitudeSystem,
     expand,
@@ -51,7 +51,6 @@ from knotcert.seifert import (
 )
 from knotcert.synth import (
     mutate_certificate,
-    spine_example,
     twist_unknotted_example,
 )
 from knotcert.trivializer import build_letter_sets, verify_family
@@ -63,6 +62,7 @@ from knotcert.words import (
     successive_entry_check,
 )
 
+from conftest import expand_commutator, spine_example
 from det_oracle import poly_matrix_det
 
 DATA = Path(__file__).resolve().parent.parent / "src" / "knotcert" / "data"

@@ -27,20 +27,40 @@ from knotcert.synth import (
     hyperbolic_example,
     mutate_certificate,
     parabolic_example,
-    spine_example,
     twist_unknotted_example,
     unknotted_example,
-    vacuous_parabolic_example,
 )
 from knotcert import certify, decomp, magnus
 from knotcert.bounds import partition_k, q, q_param
 from knotcert.decomp import decompose
-from knotcert.words import commutator_word, concat, conjugate, generators_in, invert, parse_word
-from conftest import letters_strategy, words_strategy
+from knotcert.schreier import NotInNormalClosure, rewrite_to_word
+from knotcert.words import (
+    commutator_word,
+    concat,
+    conjugate,
+    generators_in,
+    invert,
+    kill_generators,
+    parse_word,
+    reduce_word,
+)
+from conftest import letters_strategy, spine_example, words_strategy
 
 DATA = Path(__file__).resolve().parent.parent / "src" / "knotcert" / "data"
 
 FLAGS = ("regular-spine",)
+
+
+def vacuous_parabolic_example(n=3, s=3):
+    """Parabolic certificate with n <= s: the word conditions are vacuous."""
+    curves = (
+        Curve(name="a1", role="A", index=1, pushoff_plus=(1,)),
+        Curve(name="b1", role="B", index=1, pushoff_plus=(2,), m=1),
+    )
+    return SurfaceCertificate(
+        kind="parabolic", genus=1, n=n, curves=curves,
+        asserted_flags=("regular-spine", "geometrically-unrelated", f"simplicity={s}"),
+    )
 
 
 def plain_hyperbolic(word, n, genus=1, flags=FLAGS):
@@ -535,6 +555,60 @@ def products_with_deeper_words(m):
     return st.tuples(
         st.lists(lead, min_size=1, max_size=3), st.lists(deeper, max_size=2)
     ).map(build)
+
+
+def dense_degree(word, depth):
+    """lcs degree of ``word`` when it is at most ``depth``, from one dense expansion."""
+    if depth < 1 or not word:
+        return None
+    low = magnus.expand(word, depth + 1).min_positive_degree()
+    return low if low is not None and low <= depth else None
+
+
+class TestMembershipPrimitive:
+    """``certify._membership`` (staged expansion) against dense expansion."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        words_strategy(max_len=6),
+        words_strategy(max_len=6),
+        st.frozensets(st.integers(1, 4), min_size=1),
+        st.sampled_from(["raw", "member", "commutator"]),
+        st.integers(0, 4),
+    )
+    def test_closure_against_dense(self, u, v, subset, shape, depth):
+        def member(w):
+            # w times the inverse of its image lies in the normal closure
+            return concat(w, invert(kill_generators(w, subset)))
+
+        mu, mv = member(u), member(v)
+        word = {"raw": u, "member": mu, "commutator": concat(mu, mv, invert(mu), invert(mv))}[shape]
+        at = certify._membership(word, depth, subset=subset)
+        try:
+            rewritten = rewrite_to_word(word, subset)
+        except NotInNormalClosure:
+            assert at.word is None and not at.passed
+            return
+        degree = dense_degree(rewritten, depth)
+        assert at.word == rewritten
+        assert (at.passed, at.degree) == (degree is None, degree)
+        if at.passed:
+            assert at.q() == q_of_word(rewritten, depth)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.one_of(words_strategy(), st.integers(1, 3).flatmap(products_with_deeper_words)),
+        st.integers(1, 3),
+        st.integers(0, 4),
+    )
+    def test_quotient_against_dense(self, word, index, depth):
+        at = certify._membership(word, depth, index=index)
+        image = reduce_word(letter for letter in word if abs(letter) > 2 * (index - 1))
+        degree = dense_degree(image, depth)
+        assert at.word == image
+        assert (at.passed, at.degree) == (degree is None, degree)
+        if at.passed:
+            assert at.q() == q_of_word(image, depth, frozenset({2 * index - 1}))
 
 
 class TestFastQPath:

@@ -1,5 +1,6 @@
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -313,7 +314,8 @@ class TestCertifyCommands:
         ("name", 7),
         ("role", ["A"]),
         ("role", None),
-    ], ids=["name-list", "name-int", "role-list", "role-null"])
+        ("pushoff_plus", 5),
+    ], ids=["name-list", "name-int", "role-list", "role-null", "pushoff-int"])
     def test_non_string_exit_2(self, capsys, tmp_path, field, value):
         doc = json.loads((DATA / "elliptic_g1_n2.json").read_text())
         doc["curves"][0][field] = value
@@ -323,6 +325,49 @@ class TestCertifyCommands:
         assert (code, out) == (2, "")
         assert err == (f"error: bad curve entry: {field} must be a string, "
                        f"got {json.dumps(value)}\n")
+
+    @pytest.mark.parametrize("keys, value, message", [
+        ((0, "factors", "chi"), 5, "chi must be a string, got 5"),
+        ((0, "factors", "chi"), ["g1"], 'chi must be a string, got ["g1"]'),
+        ((0, "factors", "mu"), False, "mu must be a string, got false"),
+        ((1, "factors", "zeta"), 0, "zeta must be a string, got 0"),
+        ((0, "factors"), 3, "factors must be an object, got 3"),
+        ((0, "factors", "chi"), "g1 gx", "chi: line 1, col 4: bad generator token 'gx'"),
+        ((1, "pushoff_minus"), "g2 g0", "pushoff_minus: line 1, col 4: bad generator token 'g0'"),
+    ], ids=["chi-int", "chi-list", "mu-bool", "zeta-zero", "factors-int", "chi-syntax",
+            "pushoff-syntax"])
+    def test_bad_curve_field_exit_2(self, capsys, tmp_path, keys, value, message):
+        doc = json.loads((DATA / "unknotted_g1_n2.json").read_text())
+        target = doc["curves"]
+        for key in keys[:-1]:
+            target = target[key]
+        target[keys[-1]] = value
+        path = tmp_path / "bad_field.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "certify", "unknotted", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: bad curve entry: {message}\n"
+
+    def test_huge_x_exponent_exit_1(self, tmp_path):
+        # x^l chi mu cannot reduce to a pushoff far shorter than |l|, so the
+        # power is never built; the address-space limit turns an attempt to
+        # build it into a MemoryError instead of exhausting the host
+        doc = json.loads((DATA / "unknotted_g1_n2.json").read_text())
+        doc["curves"][0]["factors"]["x_exponent"] = 10**9
+        path = tmp_path / "huge_exponent.json"
+        path.write_text(json.dumps(doc))
+        src = str(DATA.parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else []))}
+        limit = 1 << 30
+        proc = subprocess.run(
+            [sys.executable, "-m", "knotcert.cli", "certify", "unknotted", str(path)],
+            capture_output=True, text=True, env=env, timeout=120,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+        )
+        assert proc.returncode == 1
+        assert "supplied factors do not multiply to the pushoff words" in proc.stdout
+        assert proc.stderr == ""
 
     def test_malformed_pair_exit_2(self, capsys, tmp_path):
         doc = json.loads((DATA / "elliptic_g1_n2.json").read_text())

@@ -2,9 +2,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import letters_strategy, words_strategy
+from conftest import expand_commutator, letters_strategy, words_strategy
 from knotcert import decomp, words
-from knotcert.decomp import decompose, expand_commutator, lie_component
+from knotcert.decomp import decompose, lie_component
 from knotcert.lyndon import (
     bracketing,
     is_lyndon,
@@ -13,11 +13,30 @@ from knotcert.lyndon import (
     left_normed_lie_polynomial,
     lie_coordinates,
     lyndon_lie_polynomial,
-    lyndon_words,
     standard_factorization,
 )
 from knotcert.magnus import expand, lcs_degree
 from knotcert.words import commutator_word, concat, conjugate, invert, reduce_word
+
+
+def lyndon_words(alphabet, length):
+    """All Lyndon words of the given length over a sorted alphabet (Duval)."""
+    letters = sorted(alphabet)
+    if not letters or length < 1:
+        return []
+    k = len(letters)
+    out = []
+    w = [0]
+    while True:
+        if len(w) == length:
+            out.append(tuple(letters[i] for i in w))
+        # extend periodically, then increment
+        w = [w[i % len(w)] for i in range(length)]
+        while w and w[-1] == k - 1:
+            w.pop()
+        if not w:
+            return out
+        w[-1] += 1
 
 
 class TestLyndonWords:

@@ -90,6 +90,71 @@ DOCUMENTS = {
             {"name": "b2", "role": "B", "index": 2, "pushoff_plus": None, "pushoff_minus": ""},
         ],
     }),
+    # pair a1/b1: g1 lies in the closure of the A-duals but only at lcs
+    # degree 1, below m+1 = 2; pair a2/b2: both memberships pass and the
+    # q-sum 0 + 0 misses n+1 = 3
+    "elliptic-closure-too-shallow-and-q-sum": ("elliptic", {
+        "schema": 1, "kind": "elliptic", "genus": 2, "n": 2,
+        "asserted_flags": ["regular-spine", "geometrically-unrelated"],
+        "curves": [
+            {"name": "a1", "role": "A", "index": 1, "m": 1,
+             "pushoff_plus": "g1", "pushoff_minus": None},
+            {"name": "b1", "role": "B", "index": 1, "m": 1,
+             "pushoff_plus": None, "pushoff_minus": ""},
+            {"name": "a2", "role": "A", "index": 2, "m": 1,
+             "pushoff_plus": "", "pushoff_minus": None},
+            {"name": "b2", "role": "B", "index": 2, "m": 1,
+             "pushoff_plus": None, "pushoff_minus": "g4 g2 g4^-1 g2^-1"},
+        ],
+    }),
+    # b1 = g2 is in the B-closure at lcs degree 1, below m+1 = 2; b2 passes
+    # and q + s = 0 + 1 misses n+1 = 4
+    "parabolic-closure-too-shallow-and-q-plus-s": ("parabolic", {
+        "schema": 1, "kind": "parabolic", "genus": 2, "n": 3,
+        "asserted_flags": ["regular-spine", "geometrically-unrelated", "simplicity=1"],
+        "curves": [
+            {"name": "a1", "role": "A", "index": 1, "pushoff_plus": "g1", "pushoff_minus": None},
+            {"name": "b1", "role": "B", "index": 1, "m": 1,
+             "pushoff_plus": "g2", "pushoff_minus": None},
+            {"name": "a2", "role": "A", "index": 2, "pushoff_plus": "g3", "pushoff_minus": None},
+            {"name": "b2", "role": "B", "index": 2, "m": 1,
+             "pushoff_plus": "g4 g2 g4^-1 g2^-1", "pushoff_minus": None},
+        ],
+    }),
+    # n = 2 <= s = 2: no B-closure condition applies
+    "parabolic-vacuous": ("parabolic", {
+        "schema": 1, "kind": "parabolic", "genus": 1, "n": 2,
+        "asserted_flags": ["regular-spine", "geometrically-unrelated", "simplicity=2"],
+        "curves": [
+            {"name": "a1", "role": "A", "index": 1, "pushoff_plus": "g1", "pushoff_minus": None},
+            {"name": "b1", "role": "B", "index": 1, "pushoff_plus": "g2", "pushoff_minus": None},
+        ],
+    }),
+    # pair 1: the factors multiply to g2, not to the pushoff g1; pair 2:
+    # chi_A is nontrivial and chi_B trivial, which also breaks the
+    # exclusion pattern; pair 3: zeta = [y2, y1] passes at m_zeta = 1 and
+    # q + s = 0 + 1 misses n+1 = 3; pair 4: zeta = y4 is in the B-closure
+    # only at lcs degree 1, below m_zeta+1 = 2
+    "unknotted-pairing-zeta-and-product": ("unknotted", {
+        "schema": 1, "kind": "unknotted", "genus": 4, "n": 2,
+        "asserted_flags": ["regular-spine", "simplicity=1"],
+        "curves": [
+            {"name": "a1", "role": "A", "index": 1, "pushoff_plus": "g1", "pushoff_minus": None,
+             "factors": {"mu": "g2", "m_mu": 1}},
+            {"name": "b1", "role": "B", "index": 1, "pushoff_plus": None, "pushoff_minus": ""},
+            {"name": "a2", "role": "A", "index": 2,
+             "pushoff_plus": "g3 g1 g3^-1", "pushoff_minus": None,
+             "factors": {"chi": "g3 g1 g3^-1", "m_chi": 1}},
+            {"name": "b2", "role": "B", "index": 2, "pushoff_plus": None, "pushoff_minus": ""},
+            {"name": "a3", "role": "A", "index": 3, "pushoff_plus": "", "pushoff_minus": None},
+            {"name": "b3", "role": "B", "index": 3,
+             "pushoff_plus": None, "pushoff_minus": "g4 g2 g4^-1 g2^-1",
+             "factors": {"zeta": "g4 g2 g4^-1 g2^-1", "m_zeta": 1}},
+            {"name": "a4", "role": "A", "index": 4, "pushoff_plus": "", "pushoff_minus": None},
+            {"name": "b4", "role": "B", "index": 4, "pushoff_plus": None, "pushoff_minus": "g8",
+             "factors": {"zeta": "g8", "m_zeta": 1}},
+        ],
+    }),
 }
 
 

@@ -8,7 +8,6 @@ from knotcert.words import (
     commutator_word,
     concat,
     conjugate,
-    cyclic_reduce,
     delete_letters,
     format_word,
     insert_canceling_pair,
@@ -22,6 +21,16 @@ from knotcert.words import (
 )
 
 from conftest import words_strategy
+
+
+def cyclic_reduce(word):
+    """Cyclically reduced form (a conjugate of ``word``)."""
+    w = reduce_word(word)
+    lo, hi = 0, len(w)
+    while hi - lo >= 2 and w[lo] == -w[hi - 1]:
+        lo += 1
+        hi -= 1
+    return tuple(w[lo:hi])
 
 
 class TestReduce:
