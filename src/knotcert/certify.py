@@ -215,6 +215,8 @@ def certificate_from_dict(data: dict) -> SurfaceCertificate:
     Every field is checked here, so any malformed document raises
     CertificateError (CLI exit code 2) and nothing later trips over it.
     """
+    if not isinstance(data, dict):
+        raise CertificateError(f"certificate must be a JSON object, got {json.dumps(data)}")
     try:
         kind = data["kind"]
         genus = _integer(data["genus"], "genus")
@@ -228,7 +230,9 @@ def certificate_from_dict(data: dict) -> SurfaceCertificate:
     if not isinstance(flags, list) or not all(isinstance(f, str) for f in flags):
         raise CertificateError("asserted_flags must be a list of strings")
     curves = []
-    for raw in raw_curves:
+    for i, raw in enumerate(raw_curves):
+        if not isinstance(raw, dict):
+            raise CertificateError(f"curves[{i}] must be a JSON object, got {json.dumps(raw)}")
         try:
             factors = None
             f = raw.get("factors")
@@ -259,7 +263,7 @@ def certificate_from_dict(data: dict) -> SurfaceCertificate:
             )
         except KeyError as exc:
             raise CertificateError(f"curve entry missing field {exc}") from exc
-        except (AttributeError, TypeError, ValueError) as exc:
+        except (TypeError, ValueError) as exc:
             raise CertificateError(f"bad curve entry: {exc}") from exc
     return SurfaceCertificate(
         kind=kind, genus=genus, n=n, curves=tuple(curves), asserted_flags=tuple(flags)

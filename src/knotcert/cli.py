@@ -397,17 +397,19 @@ _BOUND_ARITY = {
     "q": 1,
     "t": 1,
     "q-param": 2,
+    "l-n-s": None,
     "conflict-max": 1,
     "ratio-check": 2,
     "good-arc-bound": 3,
     "product-bound-check": 4,
     "check-inequalities": 1,
+    "partition-k": None,
 }
 
 
 def _cmd_bounds(args):
     fn = args.fn
-    need = _BOUND_ARITY.get(fn)
+    need = _BOUND_ARITY[fn]
     if need is not None and len(args.ints) != need:
         raise InputError(f"bounds {fn} takes {need} integer argument(s), got {len(args.ints)}")
     if fn == "l-n-s" and not args.ints:
@@ -524,139 +526,130 @@ def _cmd_pipeline(args):
 # parser
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--format",
-        choices=("human", "structured"),
-        default="human",
-        help="output format (structured = JSON with schema field)",
-    )
+def _arg(*flags, **options):
+    return flags, options
+
+
+_FORMAT = _arg("--format", choices=("human", "structured"), default="human",
+               help="output format (structured = JSON with schema field)")
+_DEGREE = _arg("-D", "--degree", type=int, required=True)
+
+# The command table: name -> (help, handler, argument specs) for a leaf or
+# (help, {name -> leaf row}, ()) for a group; a help of None lists no entry.
+# Every leaf takes --format before its own arguments.
+COMMANDS = {
+    "word": ("free-group word operations", {
+        "reduce": (None, _cmd_word_reduce, (_arg("word"),)),
+        "commutator": (None, _cmd_word_commutator, (
+            _arg("entries", help="entry letters in word syntax"),)),
+        "kill": (None, _cmd_word_kill, (
+            _arg("word"),
+            _arg("--subset", required=True, help="generator indices, e.g. '1 2'"))),
+    }, ()),
+    "magnus": ("Magnus expansion operations", {
+        "expand": (None, _cmd_magnus_expand, (_arg("word"), _DEGREE)),
+        "degree": (None, _cmd_magnus_degree, (_arg("word"), _DEGREE)),
+        "fox": (None, _cmd_magnus_fox, (
+            _arg("word"),
+            _arg("--index", required=True, help="monomial indices, e.g. '1 2 1'"))),
+    }, ()),
+    "decompose": ("write a word as simple commutators", _cmd_decompose, (
+        _arg("word"),
+        _arg("-m", type=int, required=True, help="the word lies in F^(m+1)"),
+        _DEGREE)),
+    "schreier": ("normal closure operations", {
+        "degree": (None, _cmd_schreier_degree, (
+            _arg("word"), _arg("--subset", required=True), _DEGREE)),
+    }, ()),
+    "trivialize": ("letter-set trivializer", {
+        "build": (None, _cmd_trivialize_build, (
+            _arg("--factor", action="append", required=True,
+                 help="entry sequence (repeatable)"),
+            _arg("--insert", action="append", default=[],
+                 help="canceling pair POSITION:LETTER (repeatable)"))),
+        "verify": (None, _cmd_trivialize_verify, (
+            _arg("report", help="JSON report from 'trivialize build' (path or -)"),)),
+    }, ()),
+    "milnor": ("Milnor invariants of longitude systems", {
+        "invariant": (None, _cmd_milnor_invariant, (
+            _arg("longitudes", help="longitude file (path or -)"),
+            _arg("--index", required=True),
+            _arg("--mode", choices=("raw", "gcd"), default="raw"))),
+        "vanish": (None, _cmd_milnor_vanish, (
+            _arg("longitudes"), _arg("-n", type=int, required=True))),
+    }, ()),
+    "alexander": ("Alexander polynomial of a Seifert matrix", _cmd_alexander, (
+        _arg("matrix", help="matrix file (path or -)"),)),
+    "classify": ("form shape of a symmetric matrix", _cmd_classify, (
+        _arg("matrix"),
+        _arg("--symmetrize", action="store_true",
+             help="treat the file as a Seifert matrix and classify V + V^T"))),
+    "mmr": ("canonical invariant series p(h)/Delta(e^h)", _cmd_mmr, (
+        _arg("laurent", help="laurent polynomial file (path or -)"),
+        _arg("-N", "--order", type=int, required=True))),
+    "bounds": ("arithmetic bound functions", _cmd_bounds, (
+        _arg("fn", choices=tuple(_BOUND_ARITY)),
+        _arg("ints", type=int, nargs="*"), _arg("--embedded", action="store_true"),
+        _arg("--factors", help="generator sets split by '|', e.g. '1 2|2 3|4'"))),
+    "certify": ("verify a surface certificate", _cmd_certify, (
+        _arg("kind", choices=KINDS),
+        _arg("certificate", help="certificate JSON (path or -)"),
+        _arg("--n", type=int), _arg("--simplicity", type=int))),
+    "translate": ("apply a certificate index shift and re-verify", _cmd_translate, (
+        _arg("kind", choices=KINDS),
+        _arg("certificate"),
+        _arg("--n", type=int, required=True, help="the level parameter of the shift"))),
+    "pipeline": ("derived-link pipelines", {
+        "spine-link": (None, _cmd_pipeline, (
+            _arg("certificate"),
+            _arg("--signs", required=True, help="one +/- per curve, e.g. '++-+'"),
+            _arg("--n", type=int), _arg("--slice-depth", type=int))),
+    }, ()),
+    "altsum": ("alternating sum over a subset family", _cmd_altsum, (
+        _arg("values", help="JSON list of {subset, value} records (path or -)"),)),
+}
+
+
+def _leaf_path(argv: list[str]) -> tuple[str, ...]:
+    """The names ``argv`` starts with if they name a leaf of COMMANDS, else ()."""
+    rows = COMMANDS
+    for depth, name in enumerate(argv[:2], start=1):
+        row = rows.get(name)
+        if row is None:
+            return ()
+        if not isinstance(row[1], dict):
+            return tuple(argv[:depth])
+        rows = row[1]
+    return ()
+
+
+def build_parser(path: tuple[str, ...] = ()) -> argparse.ArgumentParser:
+    """The parser of every command, or of the one leaf that ``path`` names.
+
+    A one-leaf parser lists every command name in its usage lines, so it
+    parses, prints and fails on that leaf's command lines like the full one.
+    """
     parser = argparse.ArgumentParser(
         prog="knotcert",
         description="Free-group commutator calculus and knot certificate checks",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
 
-    def leaf(group, name, handler, **kwargs):
-        p = group.add_parser(name, parents=[common], **kwargs)
-        p.set_defaults(handler=handler)
-        return p
+    def add(parent, dest, rows, path):
+        # an unset metavar keeps "argument command: invalid choice" worded
+        # as it is; only the full tree can reach that error
+        metavar = {"metavar": "{" + ",".join(rows) + "}"} if path else {}
+        sub = parent.add_subparsers(dest=dest, required=True, **metavar)
+        for name in path[:1] or rows:
+            help_, target, specs = rows[name]
+            p = sub.add_parser(name, **({} if help_ is None else {"help": help_}))
+            if isinstance(target, dict):
+                add(p, "subcommand", target, path[1:])
+                continue
+            p.set_defaults(handler=target)
+            for flags, arg_options in (_FORMAT, *specs):
+                p.add_argument(*flags, **arg_options)
 
-    word = sub.add_parser("word", help="free-group word operations").add_subparsers(
-        dest="subcommand", required=True
-    )
-    p = leaf(word, "reduce", _cmd_word_reduce)
-    p.add_argument("word")
-    p = leaf(word, "commutator", _cmd_word_commutator)
-    p.add_argument("entries", help="entry letters in word syntax")
-    p = leaf(word, "kill", _cmd_word_kill)
-    p.add_argument("word")
-    p.add_argument("--subset", required=True, help="generator indices, e.g. '1 2'")
-
-    magnus = sub.add_parser("magnus", help="Magnus expansion operations").add_subparsers(
-        dest="subcommand", required=True
-    )
-    p = leaf(magnus, "expand", _cmd_magnus_expand)
-    p.add_argument("word")
-    p.add_argument("-D", "--degree", type=int, required=True)
-    p = leaf(magnus, "degree", _cmd_magnus_degree)
-    p.add_argument("word")
-    p.add_argument("-D", "--degree", type=int, required=True)
-    p = leaf(magnus, "fox", _cmd_magnus_fox)
-    p.add_argument("word")
-    p.add_argument("--index", required=True, help="monomial indices, e.g. '1 2 1'")
-
-    p = leaf(sub, "decompose", _cmd_decompose, help="write a word as simple commutators")
-    p.add_argument("word")
-    p.add_argument("-m", type=int, required=True, help="the word lies in F^(m+1)")
-    p.add_argument("-D", "--degree", type=int, required=True)
-
-    schreier = sub.add_parser("schreier", help="normal closure operations").add_subparsers(
-        dest="subcommand", required=True
-    )
-    p = leaf(schreier, "degree", _cmd_schreier_degree)
-    p.add_argument("word")
-    p.add_argument("--subset", required=True)
-    p.add_argument("-D", "--degree", type=int, required=True)
-
-    trivialize = sub.add_parser("trivialize", help="letter-set trivializer").add_subparsers(
-        dest="subcommand", required=True
-    )
-    p = leaf(trivialize, "build", _cmd_trivialize_build)
-    p.add_argument("--factor", action="append", required=True, help="entry sequence (repeatable)")
-    p.add_argument(
-        "--insert",
-        action="append",
-        default=[],
-        help="canceling pair POSITION:LETTER (repeatable)",
-    )
-    p = leaf(trivialize, "verify", _cmd_trivialize_verify)
-    p.add_argument("report", help="JSON report from 'trivialize build' (path or -)")
-
-    milnor = sub.add_parser("milnor", help="Milnor invariants of longitude systems").add_subparsers(
-        dest="subcommand", required=True
-    )
-    p = leaf(milnor, "invariant", _cmd_milnor_invariant)
-    p.add_argument("longitudes", help="longitude file (path or -)")
-    p.add_argument("--index", required=True)
-    p.add_argument("--mode", choices=("raw", "gcd"), default="raw")
-    p = leaf(milnor, "vanish", _cmd_milnor_vanish)
-    p.add_argument("longitudes")
-    p.add_argument("-n", type=int, required=True)
-
-    p = leaf(sub, "alexander", _cmd_alexander, help="Alexander polynomial of a Seifert matrix")
-    p.add_argument("matrix", help="matrix file (path or -)")
-
-    p = leaf(sub, "classify", _cmd_classify, help="form shape of a symmetric matrix")
-    p.add_argument("matrix")
-    p.add_argument(
-        "--symmetrize",
-        action="store_true",
-        help="treat the file as a Seifert matrix and classify V + V^T",
-    )
-
-    p = leaf(sub, "mmr", _cmd_mmr, help="canonical invariant series p(h)/Delta(e^h)")
-    p.add_argument("laurent", help="laurent polynomial file (path or -)")
-    p.add_argument("-N", "--order", type=int, required=True)
-
-    p = leaf(sub, "bounds", _cmd_bounds, help="arithmetic bound functions")
-    p.add_argument(
-        "fn",
-        choices=(
-            "q", "t", "q-param", "l-n-s", "conflict-max", "ratio-check",
-            "good-arc-bound", "product-bound-check", "check-inequalities",
-            "partition-k",
-        ),
-    )
-    p.add_argument("ints", type=int, nargs="*")
-    p.add_argument("--embedded", action="store_true")
-    p.add_argument("--factors", help="generator sets split by '|', e.g. '1 2|2 3|4'")
-
-    p = leaf(sub, "certify", _cmd_certify, help="verify a surface certificate")
-    p.add_argument("kind", choices=KINDS)
-    p.add_argument("certificate", help="certificate JSON (path or -)")
-    p.add_argument("--n", type=int)
-    p.add_argument("--simplicity", type=int)
-
-    p = leaf(sub, "translate", _cmd_translate,
-             help="apply a certificate index shift and re-verify")
-    p.add_argument("kind", choices=KINDS)
-    p.add_argument("certificate")
-    p.add_argument("--n", type=int, required=True, help="the level parameter of the shift")
-
-    pipeline = sub.add_parser("pipeline", help="derived-link pipelines").add_subparsers(
-        dest="subcommand", required=True
-    )
-    p = leaf(pipeline, "spine-link", _cmd_pipeline)
-    p.add_argument("certificate")
-    p.add_argument("--signs", required=True, help="one +/- per curve, e.g. '++-+'")
-    p.add_argument("--n", type=int)
-    p.add_argument("--slice-depth", type=int)
-
-    p = leaf(sub, "altsum", _cmd_altsum, help="alternating sum over a subset family")
-    p.add_argument("values", help="JSON list of {subset, value} records (path or -)")
-
+    add(parser, "command", COMMANDS, path)
     return parser
 
 
@@ -684,8 +677,8 @@ def _emit(args, code: int, payload: dict, lines: list[str]) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(_leaf_path(argv)).parse_args(argv)
     try:
         code, payload, lines = args.handler(args)
     except ValueError as exc:

@@ -103,11 +103,12 @@ def pencil_det(x: Sequence[Sequence[int]], y: Sequence[Sequence[int]]) -> tuple[
     """Coefficients of det(X - tY), low degree first, trailing zeros trimmed.
 
     The determinant has degree at most n, so it is evaluated by Bareiss
-    elimination at the n + 1 integers centred on 0 (small |t| keeps the
-    entries small) and recovered by Newton divided differences over the
-    rationals.  X and Y are validated once; row i of every X - tY is 0
-    from column max(end of X's row i, end of Y's row i) on.  A
-    non-integer coefficient is an internal defect.
+    elimination at the n + 1 consecutive integers centred on 0 (small |t|
+    keeps the entries small) and recovered by Newton divided differences.
+    At consecutive integers the level-k differences of a polynomial in Z[t]
+    are Delta^k f / k!, integers, so each level divides exactly by k; a
+    remainder is an internal defect.  X and Y are validated once; row i of
+    every X - tY is 0 from column max(end of X's row i, end of Y's row i) on.
     """
     x, y = _as_matrix(x), _as_matrix(y)
     n = len(x)
@@ -116,21 +117,20 @@ def pencil_det(x: Sequence[Sequence[int]], y: Sequence[Sequence[int]]) -> tuple[
     ends = [max(_row_end(rx), _row_end(ry)) for rx, ry in zip(x, y)]
     nodes = range(-(n // 2), n + 1 - n // 2)
     diffs = [
-        Fraction(_bareiss([[a - t * b for a, b in zip(rx, ry)] for rx, ry in zip(x, y)], ends[:]))
+        _bareiss([[a - t * b for a, b in zip(rx, ry)] for rx, ry in zip(x, y)], ends[:])
         for t in nodes
     ]
     for level in range(1, n + 1):
         for i in range(n, level - 1, -1):
-            diffs[i] = (diffs[i] - diffs[i - 1]) / (nodes[i] - nodes[i - level])
+            diffs[i], rem = divmod(diffs[i] - diffs[i - 1], level)
+            if rem:
+                raise RuntimeError("non-integer coefficient in pencil determinant")
     # Newton form to monomial coefficients, innermost factor first
-    poly = [diffs[n]]
+    out = [diffs[n]]
     for k in range(n - 1, -1, -1):
-        poly = [diffs[k] - nodes[k] * poly[0]] + [
-            a - nodes[k] * b for a, b in zip(poly, poly[1:])
-        ] + [poly[-1]]
-    if any(c.denominator != 1 for c in poly):  # pragma: no cover - invariant
-        raise RuntimeError("non-integer coefficient in pencil determinant")
-    out = [int(c) for c in poly]
+        out = [diffs[k] - nodes[k] * out[0]] + [
+            a - nodes[k] * b for a, b in zip(out, out[1:])
+        ] + [out[-1]]
     while out and out[-1] == 0:
         out.pop()
     return tuple(out)

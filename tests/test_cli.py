@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import resource
@@ -7,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from knotcert.cli import main
+from knotcert import cli
+from knotcert.cli import COMMANDS, build_parser, main
 
 DATA = Path(__file__).resolve().parent.parent / "src" / "knotcert" / "data"
 
@@ -348,6 +350,22 @@ class TestCertifyCommands:
         assert (code, out) == (2, "")
         assert err == f"error: bad curve entry: {message}\n"
 
+    @pytest.mark.parametrize("curve, value, message", [
+        (1, 3, "curves[1] must be a JSON object, got 3"),
+        (0, ["A1"], 'curves[0] must be a JSON object, got ["A1"]'),
+        (None, [1, "a"], 'certificate must be a JSON object, got [1, "a"]'),
+        (None, "unknotted", 'certificate must be a JSON object, got "unknotted"'),
+    ], ids=["curve-int", "curve-list", "document-list", "document-string"])
+    def test_non_object_exit_2(self, capsys, tmp_path, curve, value, message):
+        doc = json.loads((DATA / "unknotted_g1_n2.json").read_text())
+        if curve is None:
+            doc = value
+        else:
+            doc["curves"][curve] = value
+        path = tmp_path / "non_object.json"
+        path.write_text(json.dumps(doc))
+        assert run(capsys, "certify", "unknotted", str(path)) == (2, "", f"error: {message}\n")
+
     def test_huge_x_exponent_exit_1(self, tmp_path):
         # x^l chi mu cannot reduce to a pushoff far shorter than |l|, so the
         # power is never built; the address-space limit turns an attempt to
@@ -522,3 +540,83 @@ class TestDeterminism:
     def test_structured_roundtrips(self, capsys):
         code, doc, _ = run_json(capsys, "word", "reduce", "g1 g2 g2^-1")
         assert json.loads(json.dumps(doc)) == doc
+
+
+def _leaves(rows=COMMANDS, prefix=()):
+    for name, (_, target, specs) in rows.items():
+        if isinstance(target, dict):
+            yield from _leaves(target, prefix + (name,))
+        else:
+            yield prefix + (name,), specs
+
+
+LEAVES = dict(_leaves())
+
+
+def _command_line(specs, bad=None):
+    """Values for every required argument of ``specs`` (the first choice or
+    "1"), with "bogus" for the spec ``bad``, optional or not."""
+    out = []
+    for spec in specs:
+        flags, options = spec
+        value = "bogus" if spec is bad else (options.get("choices") or ("1",))[0]
+        if flags[0].startswith("-"):
+            if options.get("required") or spec is bad:
+                out += [flags[0], value]
+        elif options.get("nargs") != "*":
+            out.append(value)
+    return out
+
+
+def _surface_cases():
+    for leaf, specs in LEAVES.items():
+        name = " ".join(leaf)
+        yield f"{name} -h", [*leaf, "-h"]
+        yield f"{name} missing-required", [*leaf]
+        yield f"{name} unknown-option", [*leaf, *_command_line(specs), "--bogus"]
+        yield f"{name} bad-format", [*leaf, *_command_line(specs), "--format", "xml"]
+        for spec in specs:
+            if "choices" in spec[1]:
+                yield f"{name} bad-{spec[0][0]}", [*leaf, *_command_line(specs, bad=spec)]
+    for argv in ([], ["-h"], ["--help"], ["word", "--help"], ["pipeline", "-h"],
+                 ["nope"], ["alex", "x"], ["word"], ["word", "nope"], ["word", "red", "x"],
+                 ["--format", "structured", "alexander", "x"]):
+        yield " ".join(argv) or "no-arguments", argv
+
+
+SURFACE_CASES = dict(_surface_cases())
+
+
+def _outcome(capsys, parse, argv):
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+class TestParseSurface:
+    """``main`` builds only the named leaf's branch; every command line that
+    stops in argparse must read exactly as from the full parser."""
+
+    @pytest.mark.parametrize("argv", SURFACE_CASES.values(), ids=SURFACE_CASES.keys())
+    def test_same_as_full_parser(self, capsys, argv):
+        full = _outcome(capsys, build_parser().parse_args, argv)
+        assert _outcome(capsys, main, argv) == full
+        assert full[0] in (0, 2) and (full[1] or full[2])
+
+    def test_leaf_command_builds_one_choice_per_level(self, capsys, monkeypatch):
+        built = []
+
+        def recording_build_parser(*path):
+            built.append(build_parser(*path))
+            return built[-1]
+
+        monkeypatch.setattr(cli, "build_parser", recording_build_parser)
+        for leaf in LEAVES:
+            _outcome(capsys, main, [*leaf, "-h"])
+            parser = built.pop()
+            for name in leaf:
+                (sub,) = (a for a in parser._actions
+                          if isinstance(a, argparse._SubParsersAction))
+                assert list(sub.choices) == [name]
+                parser = sub.choices[name]

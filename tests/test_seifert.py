@@ -6,6 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from det_oracle import _poly_trim, fraction_det, poly_matrix_det
+from knotcert import seifert
+from knotcert.cli import main
 from knotcert.seifert import (
     LaurentPolynomial,
     SeifertMatrix,
@@ -352,6 +354,23 @@ class TestPencilDet:
     def test_size_mismatch(self):
         with pytest.raises(ValueError):
             pencil_det(((1,),), ((1, 0), (0, 1)))
+
+    def test_non_polynomial_values_are_a_defect(self, monkeypatch):
+        # 0, 0, 1 at t = -1, 0, 1 fit only t(t + 1)/2, not a polynomial in Z[t]
+        values = iter((0, 0, 1))
+        monkeypatch.setattr(seifert, "_bareiss", lambda m, ends: next(values))
+        with pytest.raises(RuntimeError, match="non-integer coefficient"):
+            pencil_det(TREFOIL, tuple(zip(*TREFOIL)))
+
+    def test_defect_exit_4(self, monkeypatch, capsys, tmp_path):
+        # the first value passes SeifertMatrix's det(V - V^T) = 1 check
+        values = iter((1, 0, 0, 1))
+        monkeypatch.setattr(seifert, "_bareiss", lambda m, ends: next(values))
+        path = tmp_path / "trefoil.mat"
+        path.write_text("1\n-1 1\n0 -1\n")
+        assert main(["alexander", str(path)]) == 4
+        assert capsys.readouterr() == (
+            "", "internal error: non-integer coefficient in pencil determinant\n")
 
 
 def torus_seifert(genus):
