@@ -403,7 +403,7 @@ _BOUND_ARITY = {
     "good-arc-bound": 3,
     "product-bound-check": 4,
     "check-inequalities": 1,
-    "partition-k": None,
+    "partition-k": 0,
 }
 
 
@@ -412,6 +412,10 @@ def _cmd_bounds(args):
     need = _BOUND_ARITY[fn]
     if need is not None and len(args.ints) != need:
         raise InputError(f"bounds {fn} takes {need} integer argument(s), got {len(args.ints)}")
+    for flag, given, owner in (("--embedded", args.embedded, "good-arc-bound"),
+                               ("--factors", args.factors is not None, "partition-k")):
+        if given and fn != owner:
+            raise InputError(f"bounds {fn} takes no {flag}; only {owner} does")
     if fn == "l-n-s" and not args.ints:
         raise InputError("bounds l-n-s needs at least one q-value")
     if fn == "q":
@@ -449,11 +453,10 @@ def _cmd_bounds(args):
     elif fn == "partition-k":
         if args.factors is None:
             raise InputError("partition-k needs --factors")
-        gensets = [
-            frozenset(int(tok) for tok in part.split())
-            for part in args.factors.split("|")
-            if part.strip()
-        ]
+        try:
+            gensets = [_subset_arg(part) for part in args.factors.split("|") if part.strip()]
+        except InputError as exc:
+            raise InputError(f"bounds partition-k: --factors: {exc}") from exc
         partition, k = bounds_mod.partition_k(gensets)
         payload = {
             "k": k,

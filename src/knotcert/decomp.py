@@ -11,6 +11,16 @@ homomorphism on F^(d)/F^(d+1) (Reutenauer, *Free Lie Algebras*, 1993),
 so that identity pushes the remainder one degree deeper; after degree D
 the residual lies in F^(D+1).
 
+The weighted sum is formed grouped by suffix, not factor by factor:
+[e_1, ..., e_d] = R_(e_d)([e_1, ..., e_(d-1)]) with R_y(P) = P y - y P
+linear, so the factors that end in the same y share one R_y applied to
+the sum of their prefixes, recursively.  A genuine solve cancels most
+of its terms, and the grouping cancels them at every level, so a stage
+never expands a factor into its own 2^(d-1) monomials.  The result is
+the same polynomial, compared in full with the slice, and it reads
+only the solver's combination, so the check stays exact and
+independent of the solver.
+
 ``decompose`` is a word's expansion, its ``stage_factors`` and the
 residual word G^-1 * w (``residual_word``).  Callers that already hold
 the expansion, such as a membership check that expanded the word to
@@ -137,6 +147,33 @@ def _try_single_factor(
     return None
 
 
+def _bracket_sum(combo: dict[tuple[int, ...], int]) -> dict[tuple[int, ...], int]:
+    """Associative polynomial of sum of coeff * [e_1, ..., e_d] over ``combo``.
+
+    Every key has the same weight d >= 1.  The bracket R_y(P) = P y - y P
+    is linear, so the sum is the sum over y of R_y applied to the inner
+    sum of coeff * [e_1, ..., e_(d-1)] over the keys with e_d = y; the
+    inner sums recurse the same way, so cancellation between factors
+    happens at every level instead of after every factor is expanded.
+    """
+    groups: dict[int, dict[tuple[int, ...], int]] = {}
+    for entries, coeff in combo.items():
+        groups.setdefault(entries[-1], {})[entries[:-1]] = coeff
+    total: dict[tuple[int, ...], int] = {}
+    get = total.get
+    for y, inner in groups.items():
+        yt = (y,)
+        if () in inner:  # weight 1
+            total[yt] = inner[()]
+            continue
+        for mon, c in _bracket_sum(inner).items():
+            key = mon + yt
+            total[key] = get(key, 0) + c
+            key = yt + mon
+            total[key] = get(key, 0) - c
+    return {mon: c for mon, c in total.items() if c}
+
+
 def _check_stage(
     combo: dict[tuple[int, ...], int], component: dict[tuple[int, ...], int], d: int
 ) -> None:
@@ -144,14 +181,14 @@ def _check_stage(
 
     The factor inverses and the remainder lie in F^(d), so the degree-d
     part of their product is the slice minus this sum: the check is exact.
+    ``_bracket_sum`` forms the sum grouped by suffix, so it builds no
+    factor's own 2^(d-1)-monomial polynomial; by linearity of the
+    bracket it is the same polynomial, compared in full with the slice.
     """
-    total: dict[tuple[int, ...], int] = {}
-    for entries, coeff in combo.items():
+    for entries in combo:
         if len(entries) != d:
             raise RuntimeError(f"degree-{d} slice got weight-{len(entries)} factor {entries}")
-        for mon, c in left_normed_lie_polynomial(entries).items():
-            total[mon] = total.get(mon, 0) + coeff * c
-    if {mon: c for mon, c in total.items() if c} != component:
+    if _bracket_sum(combo) != component:
         raise RuntimeError(f"stage {d}: the factors do not sum to the degree-{d} slice")
 
 

@@ -204,7 +204,7 @@ def _parse_token(tok: str, line: int, column: int) -> int:
         if body.endswith("^-1"):
             sign = -1
             body = body[:-3]
-        if not body.isdigit() or int(body) < 1:
+        if not body.isdecimal() or int(body) < 1:
             raise WordSyntaxError(f"bad generator token {tok!r}", line, column)
         return sign * int(body)
     try:
@@ -220,8 +220,23 @@ def parse_letters(text: str) -> tuple[int, ...]:
     """Parse word text into a raw (unreduced) letter sequence.
 
     Accepts ``g3 g1^-1`` tokens and signed integers (``3 -1``), mixed
-    freely.  The empty string is the empty sequence.
+    freely.  The empty string is the empty sequence.  Each distinct
+    token is parsed once; every line break is whitespace to
+    ``str.split``, so the tokens are those of the line-by-line scan,
+    which runs only to place the first bad token by line and column.
     """
+    tokens = text.split()
+    try:
+        table = {tok: _parse_token(tok, 1, 1) for tok in set(tokens)}
+    except WordSyntaxError:
+        table = None
+    if table is None:
+        return _scan_lines(text)  # raises at the first bad token
+    return tuple(map(table.__getitem__, tokens))
+
+
+def _scan_lines(text: str) -> tuple[int, ...]:
+    """``parse_letters`` token by token, placing a bad token by line and column."""
     letters: list[int] = []
     for lineno, linetext in enumerate(text.splitlines() or [""], start=1):
         col = 1

@@ -232,6 +232,28 @@ class TestBoundsCommands:
         code, _, err = run(capsys, "bounds", "l-n-s")
         assert code == 2 and "q-value" in err
 
+    @pytest.mark.parametrize("argv, message", [
+        (("partition-k", "5", "6", "--factors", "1 2|2"),
+         "bounds partition-k takes 0 integer argument(s), got 2"),
+        (("q", "5", "--embedded"), "bounds q takes no --embedded; only good-arc-bound does"),
+        (("partition-k", "--factors", "1 2", "--embedded"),
+         "bounds partition-k takes no --embedded; only good-arc-bound does"),
+        (("q-param", "6", "1", "--factors", "1 2"),
+         "bounds q-param takes no --factors; only partition-k does"),
+        (("partition-k", "--factors", "1 x"),
+         "bounds partition-k: --factors: bad generator subset '1 x'"),
+        (("partition-k", "--factors", "1 2|0"),
+         "bounds partition-k: --factors: generator subsets need positive indices"),
+    ], ids=["partition-k-ints", "embedded-q", "embedded-partition-k", "factors-q-param",
+            "factors-not-int", "factors-zero"])
+    def test_stray_arguments(self, capsys, argv, message):
+        assert run(capsys, "bounds", *argv) == (2, "", f"error: {message}\n")
+
+    def test_embedded_good_arc_bound(self, capsys):
+        # the one function that reads --embedded: t(4) = 1 against q(4) = 0
+        assert run(capsys, "bounds", "good-arc-bound", "3", "4", "5") == (0, "0\n", "")
+        assert run(capsys, "bounds", "good-arc-bound", "3", "4", "5", "--embedded") == (0, "1\n", "")
+
     def test_conflict_max_limit(self, capsys):
         code, out, _ = run(capsys, "bounds", "conflict-max", "61")
         assert code == 0 and out.strip() == str((1 << 61) - 2)

@@ -1,9 +1,14 @@
+import json
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import expand_commutator, letters_strategy, words_strategy
 from knotcert import decomp, words
+from knotcert.certify import certificate_from_dict, certify_elliptic
+from knotcert.cli import main
 from knotcert.decomp import decompose, lie_component
 from knotcert.lyndon import (
     bracketing,
@@ -17,6 +22,8 @@ from knotcert.lyndon import (
 )
 from knotcert.magnus import expand, lcs_degree
 from knotcert.words import commutator_word, concat, conjugate, invert, reduce_word
+
+DATA = Path(__file__).resolve().parent.parent / "src" / "knotcert" / "data"
 
 
 def lyndon_words(alphabet, length):
@@ -232,6 +239,137 @@ class TestStageCheck:
         word = concat(commutator_word((1, 2, 3)), commutator_word((2, 1, 1)))
         with pytest.raises(RuntimeError, match="stage 3"):
             decompose(word, m, degree)
+
+    def test_weight_mismatch_raises(self):
+        with pytest.raises(RuntimeError, match="degree-3 slice got weight-2 factor"):
+            decomp._check_stage({(1, 2): 1}, {(1, 2): 1, (2, 1): -1}, 3)
+
+
+def per_factor_sum(combo):
+    """Sum of coeff * [y1, ..., yd] with each factor expanded on its own.
+
+    The stage check's former method; its 2^(d-1) monomials per factor
+    make it the slow, independent oracle for ``decomp._bracket_sum``.
+    """
+    total = {}
+    for entries, coeff in combo.items():
+        for mon, c in left_normed_lie_polynomial(entries).items():
+            total[mon] = total.get(mon, 0) + coeff * c
+    return {mon: c for mon, c in total.items() if c}
+
+
+def combinations(weight):
+    """Random left-normed combinations of one weight.
+
+    Entries repeat letters, so [y, y, ...] (zero) and shared suffixes
+    occur; each term may be joined by its first-two-swapped twin with
+    the same coefficient, which cancels it exactly.
+    """
+    term = st.tuples(
+        st.lists(letters_strategy(3), min_size=weight, max_size=weight).map(tuple),
+        st.integers(-3, 3).filter(bool),
+        st.booleans(),
+    )
+
+    def build(terms):
+        combo = {}
+        for entries, coeff, cancel in terms:
+            combo[entries] = combo.get(entries, 0) + coeff
+            if cancel and weight >= 2:
+                twin = (entries[1], entries[0]) + entries[2:]
+                combo[twin] = combo.get(twin, 0) + coeff
+        return {e: c for e, c in combo.items() if c}
+
+    return st.lists(term, max_size=8).map(build)
+
+
+class TestBracketSum:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 9).flatmap(combinations))
+    def test_matches_per_factor_sum(self, combo):
+        assert decomp._bracket_sum(combo) == per_factor_sum(combo)
+
+    def test_empty_combination(self):
+        assert decomp._bracket_sum({}) == {}
+
+    def test_degenerate_and_cancelling(self):
+        assert decomp._bracket_sum({(2, 2, 1): 5}) == {}
+        assert decomp._bracket_sum({(1, 2, 3): 2, (2, 1, 3): 2}) == {}
+        # Jacobi: [a, b, c] + [b, c, a] + [c, a, b] = 0
+        assert decomp._bracket_sum({(1, 2, 3): 1, (2, 3, 1): 1, (3, 1, 2): 1}) == {}
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 5).flatmap(lambda m: st.tuples(st.just(m), conjugated_commutator_products(m))))
+    def test_solver_output_sums_to_slice(self, case):
+        m, word = case
+        component = lie_component(word, m + 1)
+        combo = left_normed_combination(component)
+        assert decomp._bracket_sum(combo) == per_factor_sum(combo) == component
+
+
+class TestStageDefects:
+    WORD = concat(commutator_word((1, 2, 3)), commutator_word((2, 1, 1)))
+
+    @staticmethod
+    def _perturbed(monkeypatch, change):
+        solve = decomp.left_normed_combination
+
+        def broken(component):
+            combo = dict(solve(component))
+            change(combo)
+            return combo
+
+        monkeypatch.setattr(decomp, "left_normed_combination", broken)
+
+    @staticmethod
+    def _swap_first_two(combo):
+        # [b, a, ...] = -[a, b, ...], so the sum moves by 2c [a, b, ...]
+        entries = next(e for e in sorted(combo) if e[0] != e[1])
+        coeff = combo.pop(entries)
+        twin = (entries[1], entries[0]) + entries[2:]
+        combo[twin] = combo.get(twin, 0) + coeff
+
+    @pytest.mark.parametrize("delta", [1, -1])
+    def test_coefficient_off_by_one(self, monkeypatch, delta):
+        def change(combo):
+            key = max(combo)
+            combo[key] += delta
+        self._perturbed(monkeypatch, change)
+        with pytest.raises(RuntimeError, match="stage 3: the factors do not sum"):
+            decomp.stage_factors(expand(self.WORD, 3), 2, 3)
+
+    def test_entry_permuted(self, monkeypatch):
+        self._perturbed(monkeypatch, self._swap_first_two)
+        with pytest.raises(RuntimeError, match="stage 3: the factors do not sum"):
+            decomp.stage_factors(expand(self.WORD, 4), 2, 4)
+
+    @pytest.mark.parametrize("change", ["off-by-one", "permuted"])
+    def test_cli_exits_4(self, monkeypatch, capsys, change):
+        def off_by_one(combo):
+            combo[min(combo)] -= 1
+        self._perturbed(monkeypatch, off_by_one if change == "off-by-one" else self._swap_first_two)
+        code = main(["certify", "elliptic", str(DATA / "elliptic_g1_n2.json")])
+        captured = capsys.readouterr()
+        assert code == 4 and captured.out == ""
+        assert captured.err.startswith("internal error: stage ")
+
+
+class TestStageCheckBuildsNoFactorPolynomial:
+    def test_elliptic_without_wide_factor_polynomials(self, monkeypatch):
+        # _try_single_factor expands factors of weight <= 7 only; the
+        # shipped elliptic certificate's weight-12 stage must be checked
+        # without expanding any of its factors on its own
+        real = decomp.left_normed_lie_polynomial
+
+        def bounded(entries):
+            if len(entries) > 7:
+                raise AssertionError(f"per-factor polynomial of weight {len(entries)}")
+            return real(entries)
+
+        monkeypatch.setattr(decomp, "left_normed_lie_polynomial", bounded)
+        decomp._expand_nest_pair.cache_clear()
+        cert = certificate_from_dict(json.loads((DATA / "elliptic_g1_n2.json").read_text()))
+        assert certify_elliptic(cert).verdict == "valid"
 
 
 def conjugated_commutator_products(m):

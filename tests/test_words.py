@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from knotcert import words
 from knotcert.words import (
     TaggedWord,
     WordSyntaxError,
@@ -231,3 +232,50 @@ class TestTextSyntax:
     def test_roundtrip(self, w):
         w = reduce_word(w)
         assert parse_word(format_word(w)) == w
+
+
+def parse_outcome(parse, text):
+    """Letters, or the error's message, line and column."""
+    try:
+        return parse(text)
+    except WordSyntaxError as exc:
+        return str(exc), exc.line, exc.column
+
+
+GOOD_TOKENS = ["g1", "g3^-1", "g12", "-3", "2", "+4", "g2"]
+BAD_TOKENS = ["gx", "g0", "0", "g", "x", "g1^-2", "g-1", "g\u00b2", "--1"]
+SEPARATORS = [" ", "  ", "\t", "\n", "\r\n", "\r", "\f", "\v", "\x1c", "\x85", "\u2028"]
+
+
+class TestParseFastPath:
+    """``parse_letters`` against the line-by-line scan it falls back to."""
+
+    @given(st.lists(st.tuples(st.sampled_from(SEPARATORS),
+                              st.sampled_from(GOOD_TOKENS + BAD_TOKENS)), max_size=30),
+           st.sampled_from(["", " ", "\n", "\r\n"]))
+    def test_matches_line_scan(self, parts, tail):
+        text = "".join(sep + tok for sep, tok in parts) + tail
+        assert parse_outcome(parse_letters, text) == parse_outcome(words._scan_lines, text)
+
+    @pytest.mark.parametrize("text, expected", [
+        ("", ()),
+        ("  \n\r\n\f ", ()),
+        ("g3^-1 -3 g2\r\n2 g1\f-1", (-3, -3, 2, 2, 1, -1)),
+        ("g1 g1 g1^-1\n+2 g1", (1, 1, -1, 2, 1)),
+    ])
+    def test_letters(self, text, expected):
+        assert parse_letters(text) == words._scan_lines(text) == expected
+
+    @pytest.mark.parametrize("text, message", [
+        ("g1 g2\ng3 g1 gx", "line 2, col 7: bad generator token 'gx'"),
+        ("g1\r\n g2\r\n\t-1 0 g1", "line 3, col 5: generator index 0 is not allowed"),
+        ("g1\fg2 g3 x2", "line 2, col 7: bad token 'x2'"),
+        # the same bad token twice: the first occurrence is reported
+        ("g1 q\nq", "line 1, col 4: bad token 'q'"),
+        # a good token repeated before the bad one
+        ("g2 g2 g2 g2^-1 g2^-2", "line 1, col 16: bad generator token 'g2^-2'"),
+        ("g\u00b2", "line 1, col 1: bad generator token 'g\u00b2'"),
+    ])
+    def test_error_position(self, text, message):
+        assert parse_outcome(parse_letters, text)[0] == message
+        assert parse_outcome(parse_letters, text) == parse_outcome(words._scan_lines, text)
