@@ -1,75 +1,95 @@
-"""Free-group commutator calculus and Seifert-surface certificate checks."""
+"""Free-group commutator calculus and Seifert-surface certificate checks.
 
-from .words import (
-    TaggedWord,
-    commutator_word,
-    concat,
-    conjugate,
-    delete_letters,
-    format_word,
-    generators_in,
-    insert_canceling_pair,
-    invert,
-    kill_generators,
-    parse_word,
-    reduce_word,
-    simple_commutator,
-    successive_entry_check,
-)
-from .magnus import (
-    LongitudeSystem,
-    NCPolynomial,
-    expand,
-    fox_coefficient,
-    lcs_at_least,
-    lcs_degree,
-    milnor_invariant,
-    milnor_vanish_upto,
-    nc_add,
-    nc_inverse,
-    nc_mul,
-)
-from .decomp import CommutatorCombination, decompose, lie_component
-from .schreier import (
-    NotInNormalClosure,
-    SchreierLetter,
-    normal_closure_lcs_degree,
-    schreier_rewrite,
-    schreier_substitute,
-)
-from .trivializer import (
-    FamilyCheck,
-    LetterSetFamily,
-    build_letter_sets,
-    extremal_entry_word,
-    verify_family,
-)
-from .seifert import (
-    LaurentPolynomial,
-    RationalSeries,
-    SeifertMatrix,
-    alexander,
-    alternating_sum,
-    anti_block_determinant_check,
-    apply_basis_change,
-    classify_form,
-    mmr_series,
-    symmetrize,
-)
-from .certify import (
-    CertificateError,
-    CertificateReport,
-    GuardViolation,
-    SurfaceCertificate,
-    TranslationError,
-    certificate_from_dict,
-    certificate_to_dict,
-    certify_elliptic,
-    certify_hyperbolic,
-    certify_parabolic,
-    certify_unknotted,
-    translate_certificate,
-    spine_link_pipeline,
-)
+The nine library layers (``words``, ``magnus``, ``lyndon``, ``decomp``,
+``schreier``, ``trivializer``, ``bounds``, ``seifert``, ``certify``) are
+lazy: importing the package registers each one in ``sys.modules`` as an
+``importlib.util.LazyLoader`` module and binds it here, and a layer is
+compiled and run on its first attribute access.  knotcert runs one job
+per process, so a CLI job pays only for the layers its command calls
+into: an ``alexander`` job loads ``seifert`` alone, and no ``word`` or
+``magnus`` job loads ``certify`` or its ``dataclasses``.  The public
+names below are served from ``_EXPORTS`` by ``__getattr__`` and load
+their layer when first read.
+
+Two rules keep this working:
+
+- ``cli`` stays an ordinary module.  ``python -m knotcert.cli`` runs it
+  as ``__main__``, and runpy warns ("found in sys.modules ... prior to
+  execution") when the module is already in ``sys.modules``, which a
+  lazy entry would be.
+- Only these nine layers are lazy, not ``_value`` or ``synth``.
+  ``bench/tracer.py`` reads ``vars()`` of every layer, which loads it,
+  and then walks ``sys.modules`` reading ``vars()`` of every knotcert
+  module.  Any other lazy module would load during that walk and change
+  the dict it iterates.  Traced jobs therefore still load and wrap all
+  nine layers.
+"""
+
+import sys
+from importlib.util import LazyLoader, find_spec, module_from_spec
 
 __version__ = "0.1.0"
+
+# layer -> the public names the package re-exports from it
+_EXPORTS = {
+    "words": (
+        "TaggedWord", "commutator_word", "concat", "conjugate", "delete_letters",
+        "format_word", "generators_in", "insert_canceling_pair", "invert",
+        "kill_generators", "parse_word", "reduce_word", "simple_commutator",
+        "successive_entry_check",
+    ),
+    "magnus": (
+        "LongitudeSystem", "NCPolynomial", "expand", "fox_coefficient", "lcs_at_least",
+        "lcs_degree", "milnor_invariant", "milnor_vanish_upto", "nc_add", "nc_inverse",
+        "nc_mul",
+    ),
+    "lyndon": (),
+    "decomp": ("CommutatorCombination", "decompose", "lie_component"),
+    "schreier": (
+        "NotInNormalClosure", "SchreierLetter", "normal_closure_lcs_degree",
+        "schreier_rewrite", "schreier_substitute",
+    ),
+    "trivializer": (
+        "FamilyCheck", "LetterSetFamily", "build_letter_sets", "extremal_entry_word",
+        "verify_family",
+    ),
+    "bounds": (),
+    "seifert": (
+        "LaurentPolynomial", "RationalSeries", "SeifertMatrix", "alexander",
+        "alternating_sum", "anti_block_determinant_check", "apply_basis_change",
+        "classify_form", "mmr_series", "symmetrize",
+    ),
+    "certify": (
+        "CertificateError", "CertificateReport", "GuardViolation", "SurfaceCertificate",
+        "TranslationError", "certificate_from_dict", "certificate_to_dict",
+        "certify_elliptic", "certify_hyperbolic", "certify_parabolic", "certify_unknotted",
+        "translate_certificate", "spine_link_pipeline",
+    ),
+}
+_LAYER_OF = {name: layer for layer, names in _EXPORTS.items() for name in names}
+__all__ = list(_LAYER_OF)
+
+
+def _lazy(layer: str):
+    spec = find_spec(f"{__name__}.{layer}")
+    spec.loader = LazyLoader(spec.loader)
+    module = module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+for _layer in _EXPORTS:
+    globals()[_layer] = _lazy(_layer)
+del _layer
+
+
+def __getattr__(name: str):
+    layer = _LAYER_OF.get(name)
+    if layer is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(globals()[layer], name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

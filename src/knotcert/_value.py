@@ -8,7 +8,12 @@ be assigned or deleted.  The methods are generic and read the field
 names that ``__init_subclass__`` records once per class, so creating a
 class compiles and executes nothing.  This module imports nothing, so
 any layer can use it.
+
+``KINDS`` lives here too, so that the CLI can offer the certificate
+kinds as argument choices without loading ``certify``.
 """
+
+KINDS = ("hyperbolic", "elliptic", "parabolic", "unknotted")
 
 
 class Record:

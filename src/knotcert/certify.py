@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
 from . import bounds
-from ._value import Record, as_dict
+from ._value import KINDS, Record, as_dict
 from .decomp import residual_word, stage_factors
 from .magnus import NCPolynomial, expand, lcs_degree, staged_expand
 from .schreier import NotInNormalClosure, rewrite_to_word
@@ -38,8 +38,6 @@ FLAG_REGULAR_SPINE = "regular-spine"
 FLAG_UNRELATED = "geometrically-unrelated"
 FLAG_ADMISSIBLE = "admissible-spine"
 _SIMPLICITY_RE = re.compile(r"^simplicity=(\d+)$")
-
-KINDS = ("hyperbolic", "elliptic", "parabolic", "unknotted")
 
 _TRIVIAL_BOUNDARY = "genus 0: boundary is the trivial knot"
 

@@ -19,49 +19,14 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 from pathlib import Path
 
-from . import bounds as bounds_mod
-from .certify import (
-    CERTIFIERS,
-    KINDS,
-    GuardViolation,
-    TranslationError,
-    certificate_from_dict,
-    certificate_to_dict,
-    translate_certificate,
-    spine_link_pipeline,
-)
-from .decomp import decompose
-from .magnus import (
-    LongitudeSystem,
-    expand,
-    fox_coefficient,
-    lcs_degree,
-    milnor_invariant,
-    milnor_vanish_upto,
-)
-from .schreier import NotInNormalClosure, normal_closure_lcs_degree
-from .seifert import (
-    LaurentPolynomial,
-    SeifertMatrix,
-    alexander,
-    alternating_sum,
-    classify_form,
-    mmr_series,
-    symmetrize,
-)
-from .trivializer import LetterSetFamily, build_letter_sets, verify_family
-from .words import (
-    TaggedWord,
-    WordSyntaxError,
-    format_word,
-    kill_generators,
-    parse_letters,
-    parse_word,
-    simple_commutator,
-)
+# The library layers are lazy modules (see knotcert/__init__.py) that load
+# on first use, so a job loads only the layers its handler calls into.
+# Every use is qualified: a ``from .layer import name`` here would load
+# that layer for every command.
+from . import bounds, certify, decomp, magnus, schreier, seifert, trivializer, words
+from ._value import KINDS
 
 SCHEMA = 1
 
@@ -89,12 +54,12 @@ def _raw_arg(value: str) -> str:
 
 def _word_arg(value: str) -> tuple[int, ...]:
     """A word given inline, or @path / - to read it from a file or stdin."""
-    return parse_word(_raw_arg(value))
+    return words.parse_word(_raw_arg(value))
 
 
 def _entries_arg(value: str) -> tuple[int, ...]:
     """An entry sequence: letters are kept as written, never reduced."""
-    return parse_letters(_raw_arg(value))
+    return words.parse_letters(_raw_arg(value))
 
 
 def _subset_arg(value: str) -> frozenset[int]:
@@ -158,7 +123,7 @@ def read_matrix_file(source: str) -> tuple[int, tuple[tuple[int, ...], ...]]:
     return genus, rows
 
 
-def read_laurent_file(source: str) -> LaurentPolynomial:
+def read_laurent_file(source: str) -> seifert.LaurentPolynomial:
     """Laurent format: min exponent on one line, coefficient run on the next."""
     lines = _tokenized_lines(_read_text(source))
     if len(lines) < 2:
@@ -168,10 +133,10 @@ def read_laurent_file(source: str) -> LaurentPolynomial:
         coeffs = [int(tok) for tok in lines[1][1]]
     except (ValueError, IndexError):
         raise InputError(f"line {lines[0][0]}: bad laurent polynomial data") from None
-    return LaurentPolynomial.from_coefficient_list(min_exp, coeffs)
+    return seifert.LaurentPolynomial.from_coefficient_list(min_exp, coeffs)
 
 
-def read_longitudes_file(source: str) -> LongitudeSystem:
+def read_longitudes_file(source: str) -> magnus.LongitudeSystem:
     """Longitude format: component count, then one word per line.
 
     Lines starting with ``#`` are comments; a blank line is the empty
@@ -190,14 +155,14 @@ def read_longitudes_file(source: str) -> LongitudeSystem:
         count = int(first.strip())
     except ValueError:
         raise InputError(f"line {first_no}, col 1: component count must be an integer") from None
-    words = []
+    longitudes = []
     for i in range(1, count + 1):
         lineno, body = lines[i] if i < len(lines) else (first_no, "")
         try:
-            words.append(parse_word(body))
-        except WordSyntaxError as exc:
+            longitudes.append(words.parse_word(body))
+        except words.WordSyntaxError as exc:
             raise InputError(f"line {lineno}: {exc}") from exc
-    return LongitudeSystem(count, tuple(words))
+    return magnus.LongitudeSystem(count, tuple(longitudes))
 
 
 def _read_json(source: str):
@@ -209,14 +174,14 @@ def _read_json(source: str):
 
 
 def read_certificate_file(source: str):
-    return certificate_from_dict(_read_json(source))
+    return certify.certificate_from_dict(_read_json(source))
 
 
 def _poly_payload(poly) -> list:
     return [[list(mon), coeff] for mon, coeff in poly.terms()]
 
 
-def _laurent_payload(poly: LaurentPolynomial) -> dict:
+def _laurent_payload(poly: seifert.LaurentPolynomial) -> dict:
     min_exp, coeffs = poly.coefficient_list()
     return {"min_exp": min_exp, "coeffs": list(coeffs), "pretty": poly.pretty()}
 
@@ -227,31 +192,32 @@ def _laurent_payload(poly: LaurentPolynomial) -> dict:
 
 def _cmd_word_reduce(args):
     word = _word_arg(args.word)
-    return 0, {"word": format_word(word), "length": len(word)}, [format_word(word) or "(empty)"]
+    payload = {"word": words.format_word(word), "length": len(word)}
+    return 0, payload, [words.format_word(word) or "(empty)"]
 
 
 def _cmd_word_commutator(args):
     entries = _entries_arg(args.entries)
     if len(entries) < 2:
         raise InputError("need at least two entries")
-    tagged = simple_commutator(entries)
+    tagged = words.simple_commutator(entries)
     payload = {
-        "entries": format_word(entries),
-        "expansion": format_word(tagged.letters),
+        "entries": words.format_word(entries),
+        "expansion": words.format_word(tagged.letters),
         "tags": list(tagged.tags),
-        "reduced": format_word(tagged.word()),
+        "reduced": words.format_word(tagged.word()),
     }
     return 0, payload, [payload["reduced"] or "(empty)"]
 
 
 def _cmd_word_kill(args):
     word = _word_arg(args.word)
-    out = kill_generators(word, _subset_arg(args.subset))
-    return 0, {"word": format_word(out)}, [format_word(out) or "(empty)"]
+    out = words.kill_generators(word, _subset_arg(args.subset))
+    return 0, {"word": words.format_word(out)}, [words.format_word(out) or "(empty)"]
 
 
 def _cmd_magnus_expand(args):
-    poly = expand(_word_arg(args.word), args.degree)
+    poly = magnus.expand(_word_arg(args.word), args.degree)
     payload = {"degree": args.degree, "terms": _poly_payload(poly)}
     lines = [f"{coeff} * {''.join(f'X{i}' for i in mon) or '1'}"
              for mon, coeff in poly.terms()]
@@ -259,32 +225,33 @@ def _cmd_magnus_expand(args):
 
 
 def _cmd_magnus_degree(args):
-    d = lcs_degree(_word_arg(args.word), args.degree)
+    d = magnus.lcs_degree(_word_arg(args.word), args.degree)
     payload = {"degree_bound": args.degree, "lcs_degree": d}
     return 0, payload, [f"exceeds {args.degree}" if d is None else str(d)]
 
 
 def _cmd_magnus_fox(args):
-    value = fox_coefficient(_word_arg(args.word), _indices_arg(args.index))
+    value = magnus.fox_coefficient(_word_arg(args.word), _indices_arg(args.index))
     return 0, {"index": list(_indices_arg(args.index)), "coefficient": value}, [str(value)]
 
 
 def _cmd_decompose(args):
-    comb = decompose(_word_arg(args.word), args.m, args.degree)
+    comb = decomp.decompose(_word_arg(args.word), args.m, args.degree)
     payload = {
         "valid_mod_degree": comb.valid_mod_degree,
-        "factors": [[format_word(e), x] for e, x in comb.factors],
-        "residual": format_word(comb.residual),
+        "factors": [[words.format_word(e), x] for e, x in comb.factors],
+        "residual": words.format_word(comb.residual),
     }
     lines = [f"{len(comb.factors)} factor(s), residual length {len(comb.residual)}"]
-    lines += [f"  [{format_word(e)}]^{x:+d}" for e, x in comb.factors]
+    lines += [f"  [{words.format_word(e)}]^{x:+d}" for e, x in comb.factors]
     return 0, payload, lines
 
 
 def _cmd_schreier_degree(args):
     try:
-        d = normal_closure_lcs_degree(_word_arg(args.word), _subset_arg(args.subset), args.degree)
-    except NotInNormalClosure as exc:
+        d = schreier.normal_closure_lcs_degree(
+            _word_arg(args.word), _subset_arg(args.subset), args.degree)
+    except schreier.NotInNormalClosure as exc:
         raise InputError(str(exc)) from exc
     payload = {"degree_bound": args.degree, "closure_lcs_degree": d}
     return 0, payload, [f"exceeds {args.degree}" if d is None else str(d)]
@@ -296,15 +263,15 @@ def _cmd_trivialize_build(args):
     for ins in args.insert:
         try:
             pos_str, letter_str = ins.split(":", 1)
-            letter_word = parse_word(letter_str)
+            letter_word = words.parse_word(letter_str)
             if len(letter_word) != 1:
                 raise ValueError
             insertions.append((int(pos_str), letter_word[0]))
-        except (ValueError, WordSyntaxError):
+        except (ValueError, words.WordSyntaxError):
             raise InputError(f"bad insertion {ins!r}; expected POSITION:LETTER") from None
-    tagged, family = build_letter_sets(factors, insertions)
+    tagged, family = trivializer.build_letter_sets(factors, insertions)
     payload = {
-        "word": format_word(tagged.letters),
+        "word": words.format_word(tagged.letters),
         "tags": [t if t is not None else 0 for t in tagged.tags],
         "sets": [sorted(s) for s in family.sets],
     }
@@ -317,7 +284,7 @@ def _cmd_trivialize_verify(args):
         word = data["word"]
         if not isinstance(word, str):
             raise InputError(f"bad trivializer report: word {json.dumps(word)} is not a string")
-        letters = parse_letters(word)
+        letters = words.parse_letters(word)
         for tag in data["tags"]:
             if tag is not None and (not isinstance(tag, int) or isinstance(tag, bool)):
                 raise InputError(
@@ -333,7 +300,8 @@ def _cmd_trivialize_verify(args):
         raise InputError(f"bad trivializer report: {exc}") from exc
     if len(letters) != len(tags):
         raise InputError("word/tags length mismatch")
-    result = verify_family(TaggedWord(letters, tags), LetterSetFamily(sets))
+    result = trivializer.verify_family(
+        words.TaggedWord(letters, tags), trivializer.LetterSetFamily(sets))
     payload = {
         "ok": result.ok,
         "checked_subfamilies": result.checked,
@@ -346,32 +314,32 @@ def _cmd_trivialize_verify(args):
 
 def _cmd_milnor_invariant(args):
     system = read_longitudes_file(args.longitudes)
-    value = milnor_invariant(system, _indices_arg(args.index), reduced=args.mode == "gcd")
+    value = magnus.milnor_invariant(system, _indices_arg(args.index), reduced=args.mode == "gcd")
     return 0, {"index": list(_indices_arg(args.index)), "mode": args.mode, "value": value}, [str(value)]
 
 
 def _cmd_milnor_vanish(args):
     system = read_longitudes_file(args.longitudes)
-    ok = milnor_vanish_upto(system, args.n)
+    ok = magnus.milnor_vanish_upto(system, args.n)
     return (0 if ok else 1), {"n": args.n, "vanish_up_to": args.n + 1, "vanish": ok}, [str(ok)]
 
 
 def _cmd_alexander(args):
     genus, rows = read_matrix_file(args.matrix)
-    delta = alexander(SeifertMatrix(genus, rows))
+    delta = seifert.alexander(seifert.SeifertMatrix(genus, rows))
     return 0, {"genus": genus, "alexander": _laurent_payload(delta)}, [delta.pretty()]
 
 
 def _cmd_classify(args):
     genus, rows = read_matrix_file(args.matrix)
-    matrix = symmetrize(rows) if args.symmetrize else rows
-    form = classify_form(matrix, genus)
+    matrix = seifert.symmetrize(rows) if args.symmetrize else rows
+    form = seifert.classify_form(matrix, genus)
     return 0, {"genus": genus, "form": form, "symmetrized": args.symmetrize}, [form]
 
 
 def _cmd_mmr(args):
     delta = read_laurent_file(args.laurent)
-    series = mmr_series(delta, args.order)
+    series = seifert.mmr_series(delta, args.order)
     payload = {
         "order": args.order,
         "coefficients": [str(c) for c in series.coefficients],
@@ -381,6 +349,8 @@ def _cmd_mmr(args):
 
 
 def _cmd_altsum(args):
+    from fractions import Fraction
+
     data = _read_json(args.values)
     try:
         values = {
@@ -389,7 +359,7 @@ def _cmd_altsum(args):
         }
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise InputError(f"bad alternating-sum data: {exc}") from exc
-    total = alternating_sum(values)
+    total = seifert.alternating_sum(values)
     return 0, {"sum": str(total)}, [str(total)]
 
 
@@ -419,27 +389,27 @@ def _cmd_bounds(args):
     if fn == "l-n-s" and not args.ints:
         raise InputError("bounds l-n-s needs at least one q-value")
     if fn == "q":
-        value = bounds_mod.q(args.ints[0])
+        value = bounds.q(args.ints[0])
     elif fn == "t":
-        value = bounds_mod.t(args.ints[0])
+        value = bounds.t(args.ints[0])
     elif fn == "q-param":
-        value = bounds_mod.q_param(args.ints[0], args.ints[1])
+        value = bounds.q_param(args.ints[0], args.ints[1])
     elif fn == "l-n-s":
-        value = bounds_mod.l_n_S(args.ints)
+        value = bounds.l_n_S(args.ints)
     elif fn == "conflict-max":
         try:
-            value = bounds_mod.conflict_max(args.ints[0])
+            value = bounds.conflict_max(args.ints[0])
         except OverflowError as exc:
             raise InputError(
                 f"bounds conflict-max: s = {args.ints[0]} is out of range: {exc}") from exc
     elif fn == "ratio-check":
-        value = bounds_mod.ratio_check(args.ints[0], args.ints[1])
+        value = bounds.ratio_check(args.ints[0], args.ints[1])
     elif fn == "good-arc-bound":
-        value = bounds_mod.good_arc_bound(args.ints[0], args.ints[1], args.ints[2], args.embedded)
+        value = bounds.good_arc_bound(args.ints[0], args.ints[1], args.ints[2], args.embedded)
     elif fn == "product-bound-check":
-        value = bounds_mod.product_bound_check(*args.ints[:4])
+        value = bounds.product_bound_check(*args.ints[:4])
     elif fn == "check-inequalities":
-        report = bounds_mod.check_inequalities(args.ints[0])
+        report = bounds.check_inequalities(args.ints[0])
         payload = {
             "n": report.n,
             "q_bound_holds": report.q_bound_holds,
@@ -457,7 +427,7 @@ def _cmd_bounds(args):
             gensets = [_subset_arg(part) for part in args.factors.split("|") if part.strip()]
         except InputError as exc:
             raise InputError(f"bounds partition-k: --factors: {exc}") from exc
-        partition, k = bounds_mod.partition_k(gensets)
+        partition, k = bounds.partition_k(gensets)
         payload = {
             "k": k,
             "blocks": [list(b) for b in partition.blocks],
@@ -481,7 +451,7 @@ def _cmd_certify(args):
         kwargs["n"] = args.n
     if args.kind == "parabolic" and args.simplicity is not None:
         kwargs["s"] = args.simplicity
-    report = CERTIFIERS[args.kind](cert, **kwargs)
+    report = certify.CERTIFIERS[args.kind](cert, **kwargs)
     payload = report.to_dict()
     lines = [f"verdict: {report.verdict}"]
     lines += [
@@ -495,14 +465,14 @@ def _cmd_certify(args):
 def _cmd_translate(args):
     cert = read_certificate_file(args.certificate)
     try:
-        result = translate_certificate(cert, args.kind, args.n)
-    except GuardViolation as exc:
+        result = certify.translate_certificate(cert, args.kind, args.n)
+    except certify.GuardViolation as exc:
         raise InputError(f"guard violated: {exc}") from exc
-    except TranslationError as exc:
+    except certify.TranslationError as exc:
         raise InputError(str(exc)) from exc
     payload = {
         "source_verdict": result.source_report.verdict,
-        "target": certificate_to_dict(result.certificate),
+        "target": certify.certificate_to_dict(result.certificate),
         "target_report": result.report.to_dict(),
     }
     lines = [
@@ -515,7 +485,7 @@ def _cmd_translate(args):
 
 def _cmd_pipeline(args):
     cert = read_certificate_file(args.certificate)
-    report = spine_link_pipeline(
+    report = certify.spine_link_pipeline(
         cert, list(args.signs), n=args.n, slice_depth=args.slice_depth
     )
     payload = report.to_dict()
@@ -685,8 +655,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         code, payload, lines = args.handler(args)
     except ValueError as exc:
-        # InputError, WordSyntaxError, CertificateError and
-        # NotInNormalClosure are all ValueErrors: malformed input
+        # InputError, words.WordSyntaxError, CertificateError and
+        # schreier.NotInNormalClosure are all ValueErrors: malformed input
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RuntimeError as exc:

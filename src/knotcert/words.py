@@ -204,9 +204,13 @@ def _parse_token(tok: str, line: int, column: int) -> int:
         if body.endswith("^-1"):
             sign = -1
             body = body[:-3]
-        if not body.isdecimal() or int(body) < 1:
+        try:
+            index = int(body) if body.isdecimal() else 0
+        except ValueError:  # more digits than int() converts
+            index = 0
+        if index < 1:
             raise WordSyntaxError(f"bad generator token {tok!r}", line, column)
-        return sign * int(body)
+        return sign * index
     try:
         value = int(tok)
     except ValueError:

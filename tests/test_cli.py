@@ -44,6 +44,13 @@ class TestWordCommands:
         code, _, err = run(capsys, "word", "reduce", "g1 gX")
         assert code == 2 and "col 4" in err
 
+    @pytest.mark.parametrize("digits", [4301, 5000])
+    def test_generator_past_int_digit_limit_exit_2(self, capsys, digits):
+        token = "g" + "1" * digits
+        code, out, err = run(capsys, "word", "reduce", f"g2 {token}")
+        assert code == 2 and out == ""
+        assert err == f"error: line 1, col 4: bad generator token {token!r}\n"
+
 
 class TestMagnusCommands:
     def test_degree(self, capsys):

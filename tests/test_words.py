@@ -279,3 +279,15 @@ class TestParseFastPath:
     def test_error_position(self, text, message):
         assert parse_outcome(parse_letters, text)[0] == message
         assert parse_outcome(parse_letters, text) == parse_outcome(words._scan_lines, text)
+
+    @pytest.mark.parametrize("digits", [4301, 5000])
+    @pytest.mark.parametrize("suffix", ["", "^-1"])
+    def test_generator_past_int_digit_limit(self, digits, suffix):
+        # int() refuses strings of more than 4300 digits with its own
+        # ValueError; the token is still a syntax error at its position
+        token = "g" + "1" * digits + suffix
+        assert parse_outcome(parse_letters, f"g1\n g2 {token}") == (
+            f"line 2, col 5: bad generator token {token!r}", 2, 5)
+        assert parse_outcome(words._scan_lines, f"g1\n g2 {token}")[1:] == (2, 5)
+        with pytest.raises(WordSyntaxError, match="^line 1, col 1: bad generator token"):
+            parse_letters(token)
