@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterator, Sequence
 
 from . import bounds
@@ -800,13 +800,12 @@ def certify_unknotted(cert: SurfaceCertificate, n: int | None = None) -> Certifi
                 raise CertificateError(f"curve {b.name}: m_zeta required for nontrivial zeta")
             zeta = _membership(fb.zeta, fb.m_zeta, subset=s_b)
             rb.add("zeta-membership", "pass" if zeta.passed else "fail", b.name, zeta.detail)
-            if zeta.passed:
-                if s is None:
-                    rb.missing.append("simplicity=<s>")
-                else:
-                    info = zeta.q()
-                    pair_data["q_zeta"] = info.q
-                    rb.equation("zeta-q-equation", b.name, (info.q, s))
+            if zeta.passed and s is not None:
+                info = zeta.q()
+                pair_data["q_zeta"] = info.q
+                rb.equation("zeta-q-equation", b.name, (info.q, s))
+            elif zeta.passed and "simplicity=<s>" not in rb.missing:
+                rb.missing.append("simplicity=<s>")
         else:
             rb.add("zeta-membership", "vacuous", b.name, "zeta = 1")
         per_pair[a.name] = pair_data
@@ -848,16 +847,8 @@ def _relabel_curve(curve: Curve, role: str, swapped: set[int]) -> Curve:
     def w(word):
         return None if word is None else _swap_pairs_in_word(word, swapped)
 
-    return Curve(
-        name=curve.name,
-        role=role,
-        index=curve.index,
-        pushoff_plus=w(curve.pushoff_plus),
-        pushoff_minus=w(curve.pushoff_minus),
-        m=curve.m,
-        pair=None,
-        factors=None,
-    )
+    return replace(curve, role=role, pushoff_plus=w(curve.pushoff_plus),
+                   pushoff_minus=w(curve.pushoff_minus), pair=None, factors=None)
 
 
 def _verify_source(cert: SurfaceCertificate, kind: str) -> CertificateReport:
@@ -867,6 +858,12 @@ def _verify_source(cert: SurfaceCertificate, kind: str) -> CertificateReport:
     if report.verdict != "valid":
         raise TranslationError(f"source certificate is {report.verdict}")
     return report
+
+
+# source kind -> (level factor f, whether the simplicity s guards the shift):
+# the source must sit at level f*n, and a guarded shift needs f*n > s+1
+_SHIFTS = {"hyperbolic": (1, False), "elliptic": (2, False),
+           "parabolic": (1, True), "unknotted": (2, True)}
 
 
 def _hyperbolic_target(
@@ -882,7 +879,7 @@ def _hyperbolic_target(
         [_relabel_curve(c, "A", swapped) for c in gammas]
         + [_relabel_curve(c, "B", swapped) for c in duals]
     )
-    target = SurfaceCertificate("hyperbolic", cert.genus, n, curves, cert.asserted_flags)
+    target = replace(cert, kind="hyperbolic", n=n, curves=curves)
     return TranslationResult(target, certify_hyperbolic(target), source_report)
 
 
@@ -897,18 +894,25 @@ def translate_certificate(cert: SurfaceCertificate, kind: str, n: int) -> Transl
     level 2n with 2n > s+1: the words survive at level 2n-s-1 with the
     membership depths re-solved so the q-equations hold there.
     """
-    if kind not in KINDS:
+    if kind not in _SHIFTS:
         raise TranslationError(f"unknown source kind {kind!r}")
+    factor, guarded = _SHIFTS[kind]
+    level = factor * n
+    if cert.n != level:
+        raise TranslationError(
+            f"certificate level {cert.n} != n = {n}" if factor == 1
+            else f"{kind} source must have level 2n = {level}, got {cert.n}")
+    s = cert.simplicity()
+    if guarded and s is None:
+        raise TranslationError(f"{kind} source lacks a simplicity assertion")
+    if guarded and not level > s + 1:
+        name = "n" if factor == 1 else "2n"
+        raise GuardViolation(f"need {name} > s+1, got {name} = {level}, s = {s}")
+    source_report = _verify_source(cert, kind)
     if kind == "hyperbolic":
-        if cert.n != n:
-            raise TranslationError(f"certificate level {cert.n} != n = {n}")
-        source_report = _verify_source(cert, kind)
         return TranslationResult(cert, source_report, source_report)
 
     if kind == "elliptic":
-        if cert.n != 2 * n:
-            raise TranslationError(f"elliptic source must have level 2n = {2 * n}, got {cert.n}")
-        source_report = _verify_source(cert, kind)
         per_pair = source_report.quantities["per_pair"]
         swapped: set[int] = set()
         chosen: list[Curve] = []
@@ -929,29 +933,13 @@ def translate_certificate(cert: SurfaceCertificate, kind: str, n: int) -> Transl
         return _hyperbolic_target(cert, n, chosen, others, swapped, source_report)
 
     if kind == "parabolic":
-        if cert.n != n:
-            raise TranslationError(f"certificate level {cert.n} != n = {n}")
-        s = cert.simplicity()
-        if s is None:
-            raise TranslationError("parabolic source lacks a simplicity assertion")
-        if not n > s + 1:
-            raise GuardViolation(f"need n > s+1, got n = {n}, s = {s}")
-        source_report = _verify_source(cert, kind)
         return _hyperbolic_target(
-            cert, n - s - 1, cert.curves_of_role("B"), cert.curves_of_role("A"),
+            cert, level - s - 1, cert.curves_of_role("B"), cert.curves_of_role("A"),
             set(range(1, cert.genus + 1)), source_report,
         )
 
     # unknotted
-    if cert.n != 2 * n:
-        raise TranslationError(f"unknotted source must have level 2n = {2 * n}, got {cert.n}")
-    s = cert.simplicity()
-    if s is None:
-        raise TranslationError("unknotted source lacks a simplicity assertion")
-    if not 2 * n > s + 1:
-        raise GuardViolation(f"need 2n > s+1, got 2n = {2 * n}, s = {s}")
-    source_report = _verify_source(cert, "unknotted")
-    target_n = 2 * n - s - 1
+    target_n = level - s - 1
     s_a = a_dual_set(cert.genus)
     s_b = b_dual_set(cert.genus)
     curves = []
@@ -964,36 +952,20 @@ def translate_certificate(cert: SurfaceCertificate, kind: str, n: int) -> Transl
         chi_a, chi_b = _membership(fa.chi, 0, subset=s_a), _membership(fb.chi, 0, subset=s_b)
         zeta = _membership(fb.zeta, 0, subset=s_b)
         new_fa = UnknottedFactors(
-            x_exponent=fa.x_exponent,
-            chi=fa.chi,
-            mu=fa.mu,
-            zeta=(),
-            m_mu=_resolve_depth(fa.mu, mu, fa.m_mu, target_n + 1),
-            m_chi=fa.m_chi,
-            m_zeta=None,
+            fa.x_exponent, fa.chi, fa.mu,
+            m_mu=_resolve_depth(fa.mu, mu, fa.m_mu, target_n + 1), m_chi=fa.m_chi,
         )
         chi_target = None
         if fa.chi and fb.chi:
             chi_target = target_n + 1 - chi_a.q(new_fa.m_chi).q
         new_fb = UnknottedFactors(
-            x_exponent=0,
             chi=fb.chi,
-            mu=(),
             zeta=fb.zeta,
             m_chi=_resolve_depth(fb.chi, chi_b, fb.m_chi, chi_target),
             m_zeta=_resolve_depth(fb.zeta, zeta, fb.m_zeta, target_n + 1 - s),
         )
-        curves.append(Curve(a.name, "A", a.index, a.pushoff_plus, a.pushoff_minus,
-                            m=a.m, pair=a.pair, factors=new_fa))
-        curves.append(Curve(b.name, "B", b.index, b.pushoff_plus, b.pushoff_minus,
-                            m=b.m, pair=b.pair, factors=new_fb))
-    target = SurfaceCertificate(
-        kind="unknotted",
-        genus=cert.genus,
-        n=target_n,
-        curves=tuple(curves),
-        asserted_flags=cert.asserted_flags,
-    )
+        curves += [replace(a, factors=new_fa), replace(b, factors=new_fb)]
+    target = replace(cert, n=target_n, curves=tuple(curves))
     return TranslationResult(target, certify_unknotted(target), source_report)
 
 
@@ -1039,15 +1011,6 @@ class PipelineReport(Record):
         return as_dict(self)
 
 
-def _spine_l_value(cert: SurfaceCertificate, signs: Sequence[str], depth: int) -> int | None:
-    """l(depth, S) from the A-curves at the chosen signs."""
-    q_values = [
-        _membership(a.pushoff(signs[2 * (a.index - 1)]), 0, index=a.index).q(depth).q
-        for a in cert.curves_of_role("A")
-    ]
-    return bounds.l_n_S(q_values) if q_values else None
-
-
 def spine_link_pipeline(
     cert: SurfaceCertificate,
     signs: Sequence[str],
@@ -1070,27 +1033,32 @@ def spine_link_pipeline(
     signs = list(signs)
     if len(signs) != 2 * cert.genus or any(s not in "+-" for s in signs):
         raise CertificateError(f"need {2 * cert.genus} signs drawn from +/-")
-    longitudes = []
-    for i in range(1, cert.genus + 1):
-        for role, offset in (("A", 0), ("B", 1)):
-            matches = [c for c in cert.curves_of_role(role) if c.index == i]
-            if not matches:
-                raise CertificateError(f"missing {role}-curve with index {i}")
-            word = matches[0].pushoff(signs[2 * (i - 1) + offset])
-            if word is None:
-                raise CertificateError(
-                    f"curve {matches[0].name} lacks the pushoff at sign {signs[2 * (i - 1) + offset]}"
-                )
-            longitudes.append(word)
+    by_slot = {(c.role, c.index): c for c in cert.curves}
+    longitudes = []  # (curve, word) for gamma_1, beta_1, ..., gamma_g, beta_g
+    for i, sign in enumerate(signs):
+        role, index = "AB"[i % 2], i // 2 + 1
+        curve = by_slot.get((role, index))
+        if curve is None:
+            raise CertificateError(f"missing {role}-curve with index {index}")
+        word = curve.pushoff(sign)
+        if word is None:
+            raise CertificateError(f"curve {curve.name} lacks the pushoff at sign {sign}")
+        longitudes.append((curve, word))
     # An invariant of length k reads a degree-(k-1) coefficient of a
     # longitude, so the lowest longitude lcs degree, taken once at the
     # higher level, settles vanishing at both levels.
     top = n if slice_depth is None else max(n, 2 * slice_depth - 1)
-    lowest = min(filter(None, (lcs_degree(w, top) for w in longitudes)), default=top + 1)
-    vanish = lowest > n
-    missing = () if cert.has_flag(FLAG_ADMISSIBLE) else (FLAG_ADMISSIBLE,)
+    lowest = min(filter(None, (lcs_degree(w, top) for _, w in longitudes)), default=top + 1)
 
-    l_value = _spine_l_value(cert, signs, n) if vanish else None
+    def level(depth: int) -> tuple[bool, int | None]:
+        """(whether Milnor invariants of length <= depth+1 vanish, l(depth, S) if they do)."""
+        if lowest <= depth:
+            return False, None
+        q_values = [_membership(w, 0, index=c.index).q(depth).q for c, w in longitudes[::2]]
+        return True, bounds.l_n_S(q_values) if q_values else None
+
+    vanish, l_value = level(n)
+    missing = () if cert.has_flag(FLAG_ADMISSIBLE) else (FLAG_ADMISSIBLE,)
     if not cert.genus:
         conclusion = _TRIVIAL_BOUNDARY
     elif vanish:
@@ -1101,12 +1069,9 @@ def spine_link_pipeline(
     else:
         conclusion = f"some Milnor invariant of length <= {n + 1} is nonzero"
 
-    slice_vanish = slice_l = None
-    slice_conclusion = None
+    slice_vanish = slice_l = slice_conclusion = None
     if slice_depth is not None:
-        bound_level = 2 * slice_depth - 1
-        slice_vanish = lowest > bound_level
-        slice_l = _spine_l_value(cert, signs, bound_level) if slice_vanish else None
+        slice_vanish, slice_l = level(2 * slice_depth - 1)
         if not cert.genus:
             slice_conclusion = _TRIVIAL_BOUNDARY
         elif slice_vanish:

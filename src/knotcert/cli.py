@@ -140,7 +140,8 @@ def read_longitudes_file(source: str) -> magnus.LongitudeSystem:
     """Longitude format: component count, then one word per line.
 
     Lines starting with ``#`` are comments; a blank line is the empty
-    longitude.  Missing trailing lines count as empty longitudes.
+    longitude.  Missing trailing lines count as empty longitudes.  The
+    count is checked against ``magnus.MAX_GENERATOR`` before any is built.
     """
     text = _read_text(source)
     lines = [
@@ -155,6 +156,9 @@ def read_longitudes_file(source: str) -> magnus.LongitudeSystem:
         count = int(first.strip())
     except ValueError:
         raise InputError(f"line {first_no}, col 1: component count must be an integer") from None
+    if count > magnus.MAX_GENERATOR:
+        raise InputError(f"line {first_no}, col 1: component count {count} "
+                         f"exceeds the limit {magnus.MAX_GENERATOR}")
     longitudes = []
     for i in range(1, count + 1):
         lineno, body = lines[i] if i < len(lines) else (first_no, "")
@@ -443,13 +447,15 @@ _KIND_EXITS = {"valid": 0, "invalid": 1, "not-checkable-from-words": 3}
 
 
 def _cmd_certify(args):
+    if args.simplicity is not None and args.kind != "parabolic":
+        raise InputError(f"certify {args.kind} takes no --simplicity; only parabolic does")
     cert = read_certificate_file(args.certificate)
     if cert.kind != args.kind:
         raise InputError(f"certificate is of kind {cert.kind!r}, not {args.kind!r}")
     kwargs = {}
     if args.n is not None:
         kwargs["n"] = args.n
-    if args.kind == "parabolic" and args.simplicity is not None:
+    if args.simplicity is not None:
         kwargs["s"] = args.simplicity
     report = certify.CERTIFIERS[args.kind](cert, **kwargs)
     payload = report.to_dict()

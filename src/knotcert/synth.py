@@ -12,8 +12,10 @@ the mutation-testing population.
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from typing import Sequence
 
+from ._value import as_dict
 from .certify import (
     Curve,
     FLAG_ADMISSIBLE,
@@ -218,45 +220,14 @@ def mutate_certificate(
     step, so the mutation tests the membership conditions rather than
     only the factorization product.
     """
-    targets = checked_words(cert)
-    name, field = rng.choice(targets)
-    curves = []
-    for curve in cert.curves:
-        if curve.name != name:
-            curves.append(curve)
-            continue
-        word = getattr(curve, field)
-        pos = rng.randrange(len(word))
-        alphabet = [g for g in range(1, 2 * cert.genus + 1)]
-        choices = [s * g for g in alphabet for s in (1, -1) if s * g != word[pos]]
-        letter = rng.choice(choices)
-        mutated = tuple(word[:pos] + (letter,) + word[pos + 1:])
-        fields = {
-            "name": curve.name,
-            "role": curve.role,
-            "index": curve.index,
-            "pushoff_plus": curve.pushoff_plus,
-            "pushoff_minus": curve.pushoff_minus,
-            "m": curve.m,
-            "pair": curve.pair,
-            "factors": curve.factors,
-        }
-        fields[field] = mutated
-        if curve.factors is not None and curve.factors.chi == word:
-            fields["factors"] = UnknottedFactors(
-                x_exponent=curve.factors.x_exponent,
-                chi=mutated,
-                mu=curve.factors.mu,
-                zeta=curve.factors.zeta,
-                m_mu=curve.factors.m_mu,
-                m_chi=curve.factors.m_chi,
-                m_zeta=curve.factors.m_zeta,
-            )
-        curves.append(Curve(**fields))
-    return SurfaceCertificate(
-        kind=cert.kind,
-        genus=cert.genus,
-        n=cert.n,
-        curves=tuple(curves),
-        asserted_flags=cert.asserted_flags,
-    )
+    name, field = rng.choice(checked_words(cert))
+    curve = next(c for c in cert.curves if c.name == name)
+    word = getattr(curve, field)
+    pos = rng.randrange(len(word))
+    choices = [s * g for g in range(1, 2 * cert.genus + 1) for s in (1, -1) if s * g != word[pos]]
+    mutated = word[:pos] + (rng.choice(choices),) + word[pos + 1:]
+    changes = {field: mutated}
+    if curve.factors is not None and curve.factors.chi == word:
+        changes["factors"] = UnknottedFactors(**{**as_dict(curve.factors), "chi": mutated})
+    curves = tuple(replace(c, **changes) if c is curve else c for c in cert.curves)
+    return replace(cert, curves=curves)

@@ -1,4 +1,5 @@
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -23,6 +24,7 @@ from knotcert.certify import (
     spine_link_pipeline,
 )
 from knotcert.synth import (
+    checked_words,
     elliptic_example,
     hyperbolic_example,
     mutate_certificate,
@@ -690,6 +692,74 @@ class TestFastQPath:
         assert a_word.count(12) == 1 and 11 not in a_word
         # one stage per q-value, each checked at the Lie level
         assert stages == [12, 6]
+
+
+def reference_mutant(cert, rng):
+    """mutate_certificate as it was first written, field by field: the
+    oracle that every seeded mutant must still match."""
+    targets = checked_words(cert)
+    name, field = rng.choice(targets)
+    curves = []
+    for curve in cert.curves:
+        if curve.name != name:
+            curves.append(curve)
+            continue
+        word = getattr(curve, field)
+        pos = rng.randrange(len(word))
+        alphabet = [g for g in range(1, 2 * cert.genus + 1)]
+        choices = [s * g for g in alphabet for s in (1, -1) if s * g != word[pos]]
+        letter = rng.choice(choices)
+        mutated = tuple(word[:pos] + (letter,) + word[pos + 1:])
+        fields = {
+            "name": curve.name,
+            "role": curve.role,
+            "index": curve.index,
+            "pushoff_plus": curve.pushoff_plus,
+            "pushoff_minus": curve.pushoff_minus,
+            "m": curve.m,
+            "pair": curve.pair,
+            "factors": curve.factors,
+        }
+        fields[field] = mutated
+        if curve.factors is not None and curve.factors.chi == word:
+            fields["factors"] = UnknottedFactors(
+                x_exponent=curve.factors.x_exponent,
+                chi=mutated,
+                mu=curve.factors.mu,
+                zeta=curve.factors.zeta,
+                m_mu=curve.factors.m_mu,
+                m_chi=curve.factors.m_chi,
+                m_zeta=curve.factors.m_zeta,
+            )
+        curves.append(Curve(**fields))
+    return SurfaceCertificate(
+        kind=cert.kind,
+        genus=cert.genus,
+        n=cert.n,
+        curves=tuple(curves),
+        asserted_flags=cert.asserted_flags,
+    )
+
+
+SHIPPED_CERTIFICATES = sorted(
+    path.stem for path in DATA.glob("*.json") if "kind" in json.loads(path.read_text())
+)
+
+
+class TestMutantBuilder:
+    def test_corpus(self):
+        assert len(SHIPPED_CERTIFICATES) == 6
+
+    @pytest.mark.parametrize("stem", SHIPPED_CERTIFICATES)
+    def test_matches_reference_over_seeds(self, stem):
+        cert = certificate_from_dict(json.loads((DATA / f"{stem}.json").read_text()))
+        for seed in range(100):
+            rng, reference_rng = random.Random(seed), random.Random(seed)
+            mutant = mutate_certificate(cert, rng)
+            assert mutant == reference_mutant(cert, reference_rng), seed
+            # the same draws, in the same order
+            assert rng.getstate() == reference_rng.getstate(), seed
+            assert certificate_to_dict(mutant) != certificate_to_dict(cert), seed
 
 
 class TestMutationSensitivity:

@@ -25,6 +25,23 @@ def run_json(capsys, *argv):
     return code, json.loads(out) if out else None, err
 
 
+def run_limited(*argv, timeout=120):
+    """The CLI in a subprocess with 1 GiB of address space and a timeout.
+
+    For inputs that would make a job build something huge: the limit turns
+    an attempt into a MemoryError instead of exhausting the host.
+    """
+    src = str(DATA.parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else []))}
+    limit = 1 << 30
+    return subprocess.run(
+        [sys.executable, "-m", "knotcert.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=timeout,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+
+
 class TestWordCommands:
     def test_reduce(self, capsys):
         code, out, _ = run(capsys, "word", "reduce", "g1 g2 g2^-1 g1^-1")
@@ -184,6 +201,23 @@ class TestMilnorCommands:
             capsys, "milnor", "vanish", str(DATA / "borromean.longitudes"), "-n", "2"
         )
         assert code == 1 and out.strip() == "False"
+
+    @pytest.mark.parametrize("count", ["1024", "1000000000", "10" + "0" * 40])
+    def test_component_count_past_generator_limit_exit_2(self, tmp_path, count):
+        # one longitude per declared component is built before any word is
+        # read, so the count is checked first; the subprocess runs under an
+        # address-space limit and a timeout in case it is not
+        path = tmp_path / "huge.longitudes"
+        path.write_text(f"{count}\n")
+        proc = run_limited("milnor", "vanish", str(path), "-n", "1", timeout=60)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == (
+            f"error: line 1, col 1: component count {count} exceeds the limit 1023\n")
+
+    def test_component_count_at_generator_limit(self, capsys, tmp_path):
+        path = tmp_path / "many.longitudes"
+        path.write_text("1023\n")
+        assert run(capsys, "milnor", "vanish", str(path), "-n", "1") == (0, "True\n", "")
 
 
 class TestMatrixCommands:
@@ -397,21 +431,12 @@ class TestCertifyCommands:
 
     def test_huge_x_exponent_exit_1(self, tmp_path):
         # x^l chi mu cannot reduce to a pushoff far shorter than |l|, so the
-        # power is never built; the address-space limit turns an attempt to
-        # build it into a MemoryError instead of exhausting the host
+        # power is never built
         doc = json.loads((DATA / "unknotted_g1_n2.json").read_text())
         doc["curves"][0]["factors"]["x_exponent"] = 10**9
         path = tmp_path / "huge_exponent.json"
         path.write_text(json.dumps(doc))
-        src = str(DATA.parent.parent)
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else []))}
-        limit = 1 << 30
-        proc = subprocess.run(
-            [sys.executable, "-m", "knotcert.cli", "certify", "unknotted", str(path)],
-            capture_output=True, text=True, env=env, timeout=120,
-            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
-        )
+        proc = run_limited("certify", "unknotted", str(path))
         assert proc.returncode == 1
         assert "supplied factors do not multiply to the pushoff words" in proc.stdout
         assert proc.stderr == ""
@@ -490,6 +515,127 @@ class TestCertifyCommands:
         assert out_doc["slice_conclusion"] == trivial
         code, hyperbolic, _ = run_json(capsys, "certify", "hyperbolic", str(path))
         assert hyperbolic["quantities"]["conclusion"] == trivial
+
+    @pytest.mark.parametrize("kind, stem", [
+        ("hyperbolic", "hyperbolic_g2_n3"),
+        ("elliptic", "elliptic_g1_n2"),
+        ("unknotted", "unknotted_g1_n2"),
+    ])
+    def test_simplicity_only_for_parabolic(self, capsys, kind, stem):
+        assert run(capsys, "certify", kind, str(DATA / f"{stem}.json"), "--simplicity", "5") == (
+            2, "", f"error: certify {kind} takes no --simplicity; only parabolic does\n")
+
+    def test_parabolic_simplicity_accepted(self, capsys):
+        code, doc, err = run_json(
+            capsys, "certify", "parabolic", str(DATA / "parabolic_g1_n2.json"), "--simplicity", "3")
+        assert (code, err) == (0, "")
+        assert doc["verdict"] == "valid" and doc["quantities"]["simplicity"] == 3
+
+
+def _shipped_variant(tmp_path, stem, **fields):
+    """A shipped certificate with top-level ``fields`` replaced, written under tmp_path."""
+    doc = {**json.loads((DATA / f"{stem}.json").read_text()), **fields}
+    path = tmp_path / f"{stem}_variant.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+class TestTranslationErrors:
+    """Every translation error the CLI can reach: exit 2 with the exact message."""
+
+    @pytest.mark.parametrize("kind, stem, n, message", [
+        ("hyperbolic", "hyperbolic_g2_n3", "2", "certificate level 3 != n = 2"),
+        ("elliptic", "elliptic_g1_n2", "2", "elliptic source must have level 2n = 4, got 2"),
+        ("parabolic", "parabolic_g1_n2", "3", "certificate level 2 != n = 3"),
+        ("unknotted", "unknotted_twist_n4", "3", "unknotted source must have level 2n = 6, got 4"),
+    ], ids=["hyperbolic", "elliptic", "parabolic", "unknotted"])
+    def test_level_mismatch(self, capsys, kind, stem, n, message):
+        argv = ("translate", kind, str(DATA / f"{stem}.json"), "--n", n)
+        assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("kind, stem, flags, n", [
+        ("parabolic", "parabolic_g1_n2", ["regular-spine", "geometrically-unrelated"], "2"),
+        ("unknotted", "unknotted_twist_n4", ["regular-spine"], "2"),
+    ], ids=["parabolic", "unknotted"])
+    def test_missing_simplicity(self, capsys, tmp_path, kind, stem, flags, n):
+        path = _shipped_variant(tmp_path, stem, asserted_flags=flags)
+        assert run(capsys, "translate", kind, path, "--n", n) == (
+            2, "", f"error: {kind} source lacks a simplicity assertion\n")
+
+    def test_level_checked_before_simplicity(self, capsys, tmp_path):
+        path = _shipped_variant(tmp_path, "unknotted_twist_n4", asserted_flags=["regular-spine"])
+        assert run(capsys, "translate", "unknotted", path, "--n", "3") == (
+            2, "", "error: unknotted source must have level 2n = 6, got 4\n")
+
+    @pytest.mark.parametrize("kind, path, n, message", [
+        ("parabolic", "parabolic_g1_n2.json", "2", "need n > s+1, got n = 2, s = 1"),
+        ("unknotted", "unknotted_g1_n2.json", "1", "need 2n > s+1, got 2n = 2, s = 1"),
+        ("unknotted", None, "2", "need 2n > s+1, got 2n = 4, s = 3"),
+    ], ids=["parabolic", "unknotted", "unknotted-s3"])
+    def test_guard_violated(self, capsys, tmp_path, kind, path, n, message):
+        if path is None:
+            path = _shipped_variant(tmp_path, "unknotted_twist_n4",
+                                    asserted_flags=["regular-spine", "simplicity=3"])
+        else:
+            path = str(DATA / path)
+        assert run(capsys, "translate", kind, path, "--n", n) == (
+            2, "", f"error: guard violated: {message}\n")
+
+    def test_kind_mismatch(self, capsys):
+        argv = ("translate", "hyperbolic", str(DATA / "elliptic_g1_n2.json"), "--n", "2")
+        assert run(capsys, *argv) == (
+            2, "", "error: certificate kind 'elliptic' does not match 'hyperbolic'\n")
+
+    @pytest.mark.parametrize("kind, stem, fields, n, verdict", [
+        ("hyperbolic", "hyperbolic_g2_n3", {"asserted_flags": []}, "3",
+         "not-checkable-from-words"),
+        ("parabolic", "parabolic_g1_n2", {"n": 3}, "3", "invalid"),
+    ], ids=["not-checkable", "invalid"])
+    def test_source_not_valid(self, capsys, tmp_path, kind, stem, fields, n, verdict):
+        path = _shipped_variant(tmp_path, stem, **fields)
+        assert run(capsys, "translate", kind, path, "--n", n) == (
+            2, "", f"error: source certificate is {verdict}\n")
+
+    def test_target_level_too_low(self, capsys, tmp_path):
+        # 2n = 4 > s+1 = 3 holds, but the target level 2n-s-1 = 1 is no
+        # unknotted level
+        path = _shipped_variant(tmp_path, "unknotted_twist_n4",
+                                asserted_flags=["regular-spine", "simplicity=2"])
+        assert run(capsys, "translate", "unknotted", path, "--n", "2") == (
+            2, "", "error: unknotted certificates need n > 1\n")
+
+
+class TestPipelineErrors:
+    """Every spine-link pipeline error: exit 2 with the exact message."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--signs", "++++", "--n", "0"], "pipeline needs n >= 1"),
+        (["--signs", "++++", "--n", "0", "--slice-depth", "0"], "pipeline needs n >= 1"),
+        (["--signs", "++++", "--slice-depth", "0"], "slice depth must be >= 1"),
+        (["--signs", "+++"], "need 4 signs drawn from +/-"),
+        (["--signs", "++x+"], "need 4 signs drawn from +/-"),
+        (["--signs=-+++"], "curve a1 lacks the pushoff at sign -"),
+        (["--signs", "+-++"], "curve b1 lacks the pushoff at sign -"),
+        (["--signs", "++-+"], "curve a2 lacks the pushoff at sign -"),
+        (["--signs", "+---"], "curve b1 lacks the pushoff at sign -"),
+    ], ids=["n-zero", "n-before-slice", "slice-zero", "sign-count", "sign-letter",
+            "pushoff-a1", "pushoff-b1", "pushoff-a2", "first-missing-pushoff"])
+    def test_shipped_certificate(self, capsys, argv, message):
+        argv = ("pipeline", "spine-link", str(DATA / "hyperbolic_g2_n3.json"), *argv)
+        assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("drop, signs, message", [
+        ({"a1"}, "++++", "missing A-curve with index 1"),
+        ({"b2"}, "++++", "missing B-curve with index 2"),
+        ({"b1", "a2"}, "++++", "missing B-curve with index 1"),
+        ({"a2"}, "+-++", "curve b1 lacks the pushoff at sign -"),
+    ], ids=["a1", "b2", "b1-before-a2", "pushoff-before-missing"])
+    def test_missing_curve(self, capsys, tmp_path, drop, signs, message):
+        doc = json.loads((DATA / "hyperbolic_g2_n3.json").read_text())
+        curves = [c for c in doc["curves"] if c["name"] not in drop]
+        path = _shipped_variant(tmp_path, "hyperbolic_g2_n3", curves=curves)
+        assert run(capsys, "pipeline", "spine-link", path, "--signs", signs) == (
+            2, "", f"error: {message}\n")
 
 
 class TestBrokenPipe:

@@ -7,7 +7,8 @@ and one one-letter mutant per certificate kind, so the failure details
 are pinned as well.  A few hand-made certificates (``DOCUMENTS``) pin
 failure details that neither the corpus nor the mutants reach.  The
 mutants come from ``mutate_certificate`` at a fixed seed; they and the
-hand-made documents are stored in the file, so the reports do not depend on later changes to ``synth``.
+hand-made documents are stored in the file, so the reports do not depend on later changes to ``synth``,
+and ``test_mutant_builder_unchanged`` checks that the builder still makes the stored mutants.
 A change to any verdict, detail string, factor count or q-value shows
 up here as a diff against the recorded text.
 
@@ -155,6 +156,23 @@ DOCUMENTS = {
              "factors": {"zeta": "g8", "m_zeta": 1}},
         ],
     }),
+    # zeta = [y_i, x_i] passes at m_zeta = 0 in both pairs, and with no
+    # simplicity flag neither q + s equation can be checked: the missing
+    # flag is listed once
+    "unknotted-zeta-without-simplicity": ("unknotted", {
+        "schema": 1, "kind": "unknotted", "genus": 2, "n": 2,
+        "asserted_flags": ["regular-spine"],
+        "curves": [
+            {"name": "a1", "role": "A", "index": 1, "pushoff_plus": "", "pushoff_minus": None},
+            {"name": "b1", "role": "B", "index": 1,
+             "pushoff_plus": None, "pushoff_minus": "g2 g1 g2^-1 g1^-1",
+             "factors": {"zeta": "g2 g1 g2^-1 g1^-1", "m_zeta": 0}},
+            {"name": "a2", "role": "A", "index": 2, "pushoff_plus": "", "pushoff_minus": None},
+            {"name": "b2", "role": "B", "index": 2,
+             "pushoff_plus": None, "pushoff_minus": "g4 g3 g4^-1 g3^-1",
+             "factors": {"zeta": "g4 g3 g4^-1 g3^-1", "m_zeta": 0}},
+        ],
+    }),
 }
 
 
@@ -199,6 +217,13 @@ def test_mutant_report(tmp_path, kind):
     code, out = _certify_document(kind, expected["certificate"], tmp_path)
     assert code == expected["exit"]
     assert out == expected["stdout"]
+
+
+@pytest.mark.parametrize("kind", sorted(MUTANT_SOURCES))
+def test_mutant_builder_unchanged(kind):
+    # the reports above are made from the stored mutants, so a change to
+    # mutate_certificate would not show in them
+    assert _mutant_document(kind) == _golden()["mutants"][kind]["certificate"]
 
 
 @pytest.mark.parametrize("name", sorted(DOCUMENTS))
