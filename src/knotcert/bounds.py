@@ -1,17 +1,20 @@
 """Arithmetic bound functions for the certificate machinery.
 
-All logarithmic comparisons are exact: floor(log2) of a rational is
-computed by integer shifts, and inequalities against log2 of a rational
-are decided by comparing 2^v with the argument as fractions.  Negative
-values are legitimate (the bounds go vacuous for small parameters).
+All logarithmic comparisons are exact and in integers: floor(log2(p/q))
+comes from bit lengths and one comparison, and an integer v exceeds
+log2(p/q) exactly when v > floor(log2(p/q)).  Negative values are
+legitimate (the bounds go vacuous for small parameters).  The only
+``Fraction`` is the argument that ``check_inequalities`` reports.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from ._value import Record
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 def q(m: int) -> int:
@@ -28,22 +31,13 @@ def t(n: int) -> int:
     return n // 4
 
 
-def floor_log2(value: Fraction) -> int:
-    """Exact floor(log2(value)) for a positive rational."""
-    if value <= 0:
-        raise ValueError("argument must be positive")
-    num, den = value.numerator, value.denominator
+def floor_log2(num: int, den: int = 1) -> int:
+    """Exact floor(log2(num/den)) for positive integers num and den."""
+    if num <= 0 or den <= 0:
+        raise ValueError("arguments must be positive")
     e = num.bit_length() - den.bit_length()
-    # 2^e <= num/den iff den * 2^e <= num
-    while (den << e if e >= 0 else den) <= (num if e >= 0 else num << -e):
-        e += 1
-    return e - 1
-
-
-def _exceeds_log2(v: int, value: Fraction) -> bool:
-    """Exact test v > log2(value), i.e. 2^v > value."""
-    power = Fraction(1 << v) if v >= 0 else Fraction(1, 1 << -v)
-    return power > value
+    # 2^(e-1) < num/den < 2^(e+1), so num/den >= 2^e decides between e and e-1
+    return e if num << max(-e, 0) >= den << max(e, 0) else e - 1
 
 
 def q_param(n: int, k: int) -> int:
@@ -58,7 +52,7 @@ def q_param(n: int, k: int) -> int:
         raise ValueError("k must be >= 1")
     if n < 6 * k:
         return q(n + 1)
-    return k + floor_log2(Fraction(n + 1 - 6 * k, 6))
+    return k + floor_log2(n + 1 - 6 * k, 6)
 
 
 class FactorPartition(Record):
@@ -141,16 +135,18 @@ def check_inequalities(n: int) -> InequalityReport:
     carries (n-5)/144, the argument whose log2 lower-bounds the final
     triviality estimate and drives it to infinity with n.
     """
+    from fractions import Fraction
+
     if n < 6:
         raise ValueError("n must be >= 6")
     violations: list[str] = []
-    q_ok = Fraction(q(n + 1)) > Fraction(n - 5, 6)
+    q_ok = 6 * q(n + 1) > n - 5
     if not q_ok:
         violations.append(f"q({n + 1}) <= ({n} - 5)/6")
     param_ok = True
-    target = Fraction(n - 5, 72)
+    log_target = floor_log2(n - 5, 72)
     for k in range(1, n // 6 + 1):
-        if not _exceeds_log2(q_param(n, k), target):
+        if q_param(n, k) <= log_target:
             param_ok = False
             violations.append(f"q_param({n}, {k}) <= log2(({n} - 5)/72)")
     return InequalityReport(
@@ -216,4 +212,4 @@ def product_bound_check(m: int, k: int, r: int, s: int) -> bool:
     if m + 1 != expected:
         raise ValueError(f"length relation fails: m+1 = {m + 1} != {expected}")
     count = k + r // 2 + k * (s - 2)
-    return _exceeds_log2(count, Fraction(m + 1 - 6 * k, 6))
+    return count > floor_log2(m + 1 - 6 * k, 6)

@@ -891,8 +891,8 @@ def translate_certificate(cert: SurfaceCertificate, kind: str, n: int) -> Transl
     certificate (relabeling duals where the B-curve is chosen).
     parabolic at level n with simplicity s and n > s+1: the B-half
     basis becomes an (n-s-1)-hyperbolic certificate.  unknotted at
-    level 2n with 2n > s+1: the words survive at level 2n-s-1 with the
-    membership depths re-solved so the q-equations hold there.
+    level 2n with 2n-s-1 > 1: the words survive at level 2n-s-1 with
+    the membership depths re-solved so the q-equations hold there.
     """
     if kind not in _SHIFTS:
         raise TranslationError(f"unknown source kind {kind!r}")
@@ -908,6 +908,9 @@ def translate_certificate(cert: SurfaceCertificate, kind: str, n: int) -> Transl
     if guarded and not level > s + 1:
         name = "n" if factor == 1 else "2n"
         raise GuardViolation(f"need {name} > s+1, got {name} = {level}, s = {s}")
+    if kind == "unknotted" and level - s - 1 < 2:
+        # unknotted certificates need n > 1, so the target level must exceed 1
+        raise GuardViolation(f"need 2n-s-1 > 1, got 2n-s-1 = {level - s - 1}")
     source_report = _verify_source(cert, kind)
     if kind == "hyperbolic":
         return TranslationResult(cert, source_report, source_report)
@@ -918,18 +921,14 @@ def translate_certificate(cert: SurfaceCertificate, kind: str, n: int) -> Transl
         chosen: list[Curve] = []
         others: list[Curve] = []
         for a, b in _paired_curves(cert):
-            data = per_pair[a.name]
-            if data["q_A"] >= n + 1:
+            # valid at level 2n means q_A + q_B = 2n+1, so q_A < n+1 gives q_B >= n+1
+            if per_pair[a.name]["q_A"] >= n + 1:
                 chosen.append(a)
                 others.append(b)
-            elif data["q_B"] >= n + 1:
+            else:
                 swapped.add(a.index)
                 chosen.append(b)
                 others.append(a)
-            else:
-                raise TranslationError(
-                    f"pair ({a.name}, {b.name}): no member has q >= {n + 1}"
-                )
         return _hyperbolic_target(cert, n, chosen, others, swapped, source_report)
 
     if kind == "parabolic":

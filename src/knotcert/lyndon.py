@@ -164,14 +164,6 @@ def left_normed_combination(component: dict[tuple[int, ...], int]) -> dict[tuple
     """
     out: dict[tuple[int, ...], int] = {}
     for word, coeff in lie_coordinates(component):
-        if len(word) == 1:
-            entries = (word[0],)
-            v = out.get(entries, 0) + coeff
-            if v:
-                out[entries] = v
-            else:
-                del out[entries]
-            continue
         for entries, c in left_normed_form(word).items():
             v = out.get(entries, 0) + coeff * c
             if v:

@@ -39,20 +39,46 @@ class TestQuotients:
 
 class TestFloorLog2:
     def test_examples(self):
-        assert floor_log2(Fraction(1, 6)) == -3
-        assert floor_log2(Fraction(7, 6)) == 0
-        assert floor_log2(Fraction(8)) == 3
-        assert floor_log2(Fraction(1, 8)) == -3
+        assert floor_log2(1, 6) == -3
+        assert floor_log2(7, 6) == 0
+        assert floor_log2(8) == 3
+        assert floor_log2(1, 8) == -3
 
     @given(st.integers(1, 10**6), st.integers(1, 10**6))
     def test_against_float_log(self, num, den):
-        exact = floor_log2(Fraction(num, den))
+        exact = floor_log2(num, den)
         # verify by the defining inequalities, not by floats
         assert Fraction(2) ** exact <= Fraction(num, den) < Fraction(2) ** (exact + 1)
 
+    # up to 200 bits, and exact powers of two (c·2^a)/(c·2^b) and their
+    # neighbours, where the single comparison decides between e and e-1
+    @given(st.one_of(
+        st.tuples(st.integers(1, 1 << 200), st.integers(1, 1 << 200)),
+        st.builds(lambda c, a, b, d: ((c << a) + d, (c << b)),
+                  st.integers(1, 1 << 60), st.integers(0, 140), st.integers(0, 140),
+                  st.sampled_from((0, 0, -1, 1))).filter(lambda pair: pair[0] > 0),
+    ))
+    def test_defining_inequalities_at_200_bits(self, pair):
+        num, den = pair
+        e = floor_log2(num, den)
+        assert Fraction(2) ** e <= Fraction(num, den) < Fraction(2) ** (e + 1)
+
+    def test_exact_powers_of_two(self):
+        for k in range(200):
+            assert floor_log2(1 << k) == k
+            assert floor_log2(1, 1 << k) == -k
+            assert floor_log2(3 << k, 3) == k
+            assert floor_log2(5, 5 << k) == -k
+
     def test_positive_required(self):
         with pytest.raises(ValueError):
-            floor_log2(Fraction(0))
+            floor_log2(0)
+
+    def test_denominator_positive_required(self):
+        with pytest.raises(ValueError):
+            floor_log2(1, 0)
+        with pytest.raises(ValueError):
+            floor_log2(-3, -2)
 
 
 class TestQParam:
@@ -214,3 +240,62 @@ class TestProductBound:
                 for r in (3, 4, 5, 6):
                     m = 6 * k + r + 2 * k * ((1 << s) - 2) - 1
                     assert product_bound_check(m, k, r, s), (k, s, r)
+
+
+# The rational routines that decided every log2 bound before the integer
+# floor_log2; the differential tests below hold the bounds to them.
+def _ref_floor_log2(value: Fraction) -> int:
+    num, den = value.numerator, value.denominator
+    e = num.bit_length() - den.bit_length()
+    while (den << e if e >= 0 else den) <= (num if e >= 0 else num << -e):
+        e += 1
+    return e - 1
+
+
+def _ref_exceeds_log2(v: int, value: Fraction) -> bool:
+    power = Fraction(1 << v) if v >= 0 else Fraction(1, 1 << -v)
+    return power > value
+
+
+def _ref_q_param(n: int, k: int) -> int:
+    if n < 6 * k:
+        return q(n + 1)
+    return k + _ref_floor_log2(Fraction(n + 1 - 6 * k, 6))
+
+
+def _ref_inequalities(n: int) -> tuple:
+    violations = []
+    q_ok = Fraction(q(n + 1)) > Fraction(n - 5, 6)
+    if not q_ok:
+        violations.append(f"q({n + 1}) <= ({n} - 5)/6")
+    param_ok = True
+    target = Fraction(n - 5, 72)
+    for k in range(1, n // 6 + 1):
+        if not _ref_exceeds_log2(_ref_q_param(n, k), target):
+            param_ok = False
+            violations.append(f"q_param({n}, {k}) <= log2(({n} - 5)/72)")
+    return n, q_ok, param_ok, tuple(violations), Fraction(n - 5, 144)
+
+
+class TestAgainstRationalReference:
+    def test_q_param(self):
+        for n in range(400):
+            for k in range(1, 12):
+                assert q_param(n, k) == _ref_q_param(n, k), (n, k)
+
+    def test_check_inequalities(self):
+        for n in [*range(6, 1500), *range(1500, 3000, 7)]:
+            report = check_inequalities(n)
+            got = (report.n, report.q_bound_holds, report.q_param_bounds_hold,
+                   report.violations, report.l_bound_argument)
+            assert got == _ref_inequalities(n), n
+            assert type(report.l_bound_argument) is Fraction
+
+    def test_product_bound_check(self):
+        for k in range(1, 5):
+            for s in range(2, 7):
+                for r in range(3, 60):
+                    m = 6 * k + r + 2 * k * ((1 << s) - 2) - 1
+                    count = k + r // 2 + k * (s - 2)
+                    expected = _ref_exceeds_log2(count, Fraction(m + 1 - 6 * k, 6))
+                    assert product_bound_check(m, k, r, s) is expected, (k, s, r)

@@ -602,7 +602,7 @@ class TestTranslationErrors:
         path = _shipped_variant(tmp_path, "unknotted_twist_n4",
                                 asserted_flags=["regular-spine", "simplicity=2"])
         assert run(capsys, "translate", "unknotted", path, "--n", "2") == (
-            2, "", "error: unknotted certificates need n > 1\n")
+            2, "", "error: guard violated: need 2n-s-1 > 1, got 2n-s-1 = 1\n")
 
 
 class TestPipelineErrors:

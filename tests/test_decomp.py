@@ -114,6 +114,10 @@ class TestTriangularity:
         out = left_normed_combination({(1, 2): 1, (2, 1): -1})
         assert out == {(1, 2): 1}
 
+    def test_left_normed_combination_degree_one(self):
+        # a one-letter Lyndon word is its own left-normed bracket
+        assert left_normed_combination({(3,): 2, (1,): -1}) == {(3,): 2, (1,): -1}
+
     def test_returned_dicts_are_fresh(self):
         # a caller that edits a result must not change the next call's result
         poly = lyndon_lie_polynomial((1, 2))

@@ -78,6 +78,7 @@ LOAD_SETS = [
     (["altsum", DATA / "altsum_example.json"], SEIFERT),
     (["bounds", "q", "5"], {"cli", "_value", "bounds"}),
     (["bounds", "partition-k", "--factors", "1 2|2 3|4"], {"cli", "_value", "bounds"}),
+    (["bounds", "check-inequalities", "11"], {"cli", "_value", "bounds"}),
     (["certify", "elliptic", DATA / "elliptic_g1_n2.json"], CERTIFY),
     (["certify", "hyperbolic", DATA / "hyperbolic_g2_n3.json"], CERTIFY),
     # the unknotted conditions call no bound function
@@ -101,6 +102,10 @@ class TestLoadSets:
         if "certify" not in modules:
             # dataclasses and inspect come in with certify alone
             assert not {"dataclasses", "inspect"} & set(probe["added"])
+        if "seifert" not in modules and argv[:2] != ["bounds", "check-inequalities"]:
+            # fractions comes in with seifert and with the one bounds report
+            # that prints a Fraction; every other bound is decided in integers
+            assert not {"fractions", "decimal", "numbers"} & set(probe["added"])
 
     def test_import_loads_no_library_layer(self):
         code = ("import json, sys, types, knotcert.cli; print(json.dumps(sorted(name for name, "

@@ -27,6 +27,11 @@ def poly(degree, *terms):
     return NCPolynomial.from_terms(degree, terms)
 
 
+# up to twelve (monomial, coefficient) terms of degree <= 3 over three generators
+TERMS = st.lists(st.tuples(st.lists(st.integers(1, 3), max_size=3).map(tuple),
+                           st.integers(-3, 3)), max_size=12)
+
+
 class TestRingOps:
     def test_truncated_geometric_inverse(self):
         # (1+X)(1-X+X^2) = 1 at D=2
@@ -53,6 +58,18 @@ class TestRingOps:
             nc_mul(NCPolynomial.one(2), NCPolynomial.one(3))
         with pytest.raises(ValueError):
             nc_add(NCPolynomial.one(2), NCPolynomial.one(3))
+
+    @given(TERMS, TERMS)
+    def test_add_against_coefficient_sums(self, a_terms, b_terms):
+        # b also carries the negation of every other term of a, so sums
+        # that cancel to zero must drop out
+        b_terms += [(mon, -c) for mon, c in a_terms[::2]]
+        sums = {}
+        for mon, c in a_terms + b_terms:
+            sums[mon] = sums.get(mon, 0) + c
+        total = nc_add(poly(3, *a_terms), poly(3, *b_terms))
+        assert dict(total.terms()) == {mon: c for mon, c in sums.items() if c}
+        assert total == poly(3, *sums.items())
 
     def test_inverse_needs_unit(self):
         with pytest.raises(ValueError):

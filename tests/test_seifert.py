@@ -76,6 +76,19 @@ class TestAlexander:
                 assert delta.is_symmetric()
 
 
+class TestLaurentEvaluation:
+    @given(st.dictionaries(st.integers(0, 6), st.integers(-5, 5)),
+           st.integers(-4, 4).filter(lambda t: t not in (1, -1)))
+    def test_integer_point_against_sum(self, data, t):
+        assert LaurentPolynomial.from_dict(data)(t) == sum(c * t**e for e, c in data.items())
+
+    def test_negative_exponent_needs_unit_point(self):
+        delta = alexander(SeifertMatrix(1, TREFOIL))  # t^-1 - 1 + t
+        assert (delta(1), delta(-1)) == (1, -3)
+        with pytest.raises(ValueError, match=r"t = \+-1"):
+            delta(2)
+
+
 class TestForms:
     def test_symmetrize(self):
         assert symmetrize(((0, 1), (0, 0))) == ((0, 1), (1, 0))
@@ -184,6 +197,10 @@ class TestMmr:
         assert series.coefficients == (
             Fraction(1), Fraction(0), Fraction(1, 24), Fraction(0), Fraction(1, 1920)
         )
+
+    def test_order(self):
+        for order in (0, 1, 4):
+            assert mmr_series(LaurentPolynomial.one(), order).order == order
 
     def test_trefoil_v2(self):
         delta = alexander(SeifertMatrix(1, TREFOIL))
