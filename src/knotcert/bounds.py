@@ -134,6 +134,11 @@ def check_inequalities(n: int) -> InequalityReport:
     two-branch bound at depth n exceeds log2((n-5)/72).  The report also
     carries (n-5)/144, the argument whose log2 lower-bounds the final
     triviality estimate and drives it to infinity with n.
+
+    No n >= 6 reports a violation: 6 q(n+1) >= n-4, and with
+    m = n+1-6k >= 1 the bound k + floor(log2(m/6)) exceeds
+    floor(log2((n-5)/72)) because m (6 * 2^k - 1) >= 6(k-1).  The
+    checks stay as a guard on q and q_param.
     """
     from fractions import Fraction
 

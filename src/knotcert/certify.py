@@ -22,7 +22,7 @@ from typing import Callable, Iterator, Sequence
 from . import bounds
 from ._value import KINDS, Record, as_dict
 from .decomp import residual_word, stage_factors
-from .magnus import NCPolynomial, expand, lcs_degree, staged_expand
+from .magnus import MAX_GENERATOR, NCPolynomial, expand, lcs_degree, staged_expand
 from .schreier import NotInNormalClosure, rewrite_to_word
 from .words import (
     WordSyntaxError,
@@ -101,6 +101,9 @@ class SurfaceCertificate:
             raise CertificateError(f"unknown certificate kind {self.kind!r}")
         if self.genus < 0:
             raise CertificateError("genus must be >= 0")
+        if 2 * self.genus > MAX_GENERATOR:
+            # the dual generators are 1..2g; checked before any per-handle set is built
+            raise CertificateError(f"genus {self.genus} exceeds the limit {MAX_GENERATOR // 2}")
         if self.n < 0:
             raise CertificateError("n must be >= 0")
         names = [c.name for c in self.curves]

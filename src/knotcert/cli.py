@@ -175,6 +175,9 @@ def _read_json(source: str):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"line {exc.lineno}, col {exc.colno}: {exc.msg}") from exc
+    except RecursionError:
+        # a RuntimeError, which main would report as a defect in knotcert
+        raise InputError("JSON nested too deeply") from None
 
 
 def read_certificate_file(source: str):
@@ -357,107 +360,76 @@ def _cmd_altsum(args):
 
     data = _read_json(args.values)
     try:
-        values = {
-            tuple(entry["subset"]): Fraction(str(entry["value"]))
-            for entry in data
-        }
+        values = {}
+        for entry in data:
+            subset = entry["subset"]
+            # bool is an int, and a string would iterate as its characters
+            if not isinstance(subset, list) or any(
+                    not isinstance(i, int) or isinstance(i, bool) for i in subset):
+                raise ValueError(f"subset {json.dumps(subset)} is not a list of integers")
+            values[tuple(subset)] = Fraction(str(entry["value"]))
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise InputError(f"bad alternating-sum data: {exc}") from exc
     total = seifert.alternating_sum(values)
     return 0, {"sum": str(total)}, [str(total)]
 
 
-_BOUND_ARITY = {
-    "q": 1,
-    "t": 1,
-    "q-param": 2,
-    "l-n-s": None,
-    "conflict-max": 1,
-    "ratio-check": 2,
-    "good-arc-bound": 3,
-    "product-bound-check": 4,
-    "check-inequalities": 1,
-    "partition-k": 0,
-}
+def _bound_value(fn):
+    """The handler of a bounds leaf that reports ``fn(args)`` as its value."""
+
+    def handler(args):
+        value = fn(args)
+        return 0, {"fn": args.subcommand, "value": value}, [str(value)]
+
+    return handler
 
 
-def _cmd_bounds(args):
-    fn = args.fn
-    need = _BOUND_ARITY[fn]
-    if need is not None and len(args.ints) != need:
-        raise InputError(f"bounds {fn} takes {need} integer argument(s), got {len(args.ints)}")
-    for flag, given, owner in (("--embedded", args.embedded, "good-arc-bound"),
-                               ("--factors", args.factors is not None, "partition-k")):
-        if given and fn != owner:
-            raise InputError(f"bounds {fn} takes no {flag}; only {owner} does")
-    if fn == "l-n-s" and not args.ints:
-        raise InputError("bounds l-n-s needs at least one q-value")
-    if fn == "q":
-        value = bounds.q(args.ints[0])
-    elif fn == "t":
-        value = bounds.t(args.ints[0])
-    elif fn == "q-param":
-        value = bounds.q_param(args.ints[0], args.ints[1])
-    elif fn == "l-n-s":
-        value = bounds.l_n_S(args.ints)
-    elif fn == "conflict-max":
-        try:
-            value = bounds.conflict_max(args.ints[0])
-        except OverflowError as exc:
-            raise InputError(
-                f"bounds conflict-max: s = {args.ints[0]} is out of range: {exc}") from exc
-    elif fn == "ratio-check":
-        value = bounds.ratio_check(args.ints[0], args.ints[1])
-    elif fn == "good-arc-bound":
-        value = bounds.good_arc_bound(args.ints[0], args.ints[1], args.ints[2], args.embedded)
-    elif fn == "product-bound-check":
-        value = bounds.product_bound_check(*args.ints[:4])
-    elif fn == "check-inequalities":
-        report = bounds.check_inequalities(args.ints[0])
-        payload = {
-            "n": report.n,
-            "q_bound_holds": report.q_bound_holds,
-            "q_param_bounds_hold": report.q_param_bounds_hold,
-            "violations": list(report.violations),
-            "l_bound_argument": str(report.l_bound_argument),
-            "all_hold": report.all_hold,
-        }
-        line = "all inequalities hold" if report.all_hold else "; ".join(report.violations)
-        return (0 if report.all_hold else 1), payload, [line]
-    elif fn == "partition-k":
-        if args.factors is None:
-            raise InputError("partition-k needs --factors")
-        try:
-            gensets = [_subset_arg(part) for part in args.factors.split("|") if part.strip()]
-        except InputError as exc:
-            raise InputError(f"bounds partition-k: --factors: {exc}") from exc
-        partition, k = bounds.partition_k(gensets)
-        payload = {
-            "k": k,
-            "blocks": [list(b) for b in partition.blocks],
-            "block_generator_counts": list(partition.block_generator_counts()),
-        }
-        return 0, payload, [f"k = {k}; blocks {payload['blocks']}"]
-    else:  # pragma: no cover - argparse restricts choices
-        raise InputError(f"unknown bounds function {fn}")
-    return 0, {"fn": fn, "value": value}, [str(value)]
+def _conflict_max(args):
+    try:
+        return bounds.conflict_max(args.s)
+    except OverflowError as exc:
+        raise InputError(f"bounds conflict-max: s = {args.s} is out of range: {exc}") from exc
+
+
+def _cmd_check_inequalities(args):
+    report = bounds.check_inequalities(args.n)
+    payload = {
+        "n": report.n,
+        "q_bound_holds": report.q_bound_holds,
+        "q_param_bounds_hold": report.q_param_bounds_hold,
+        "violations": list(report.violations),
+        "l_bound_argument": str(report.l_bound_argument),
+        "all_hold": report.all_hold,
+    }
+    line = "all inequalities hold" if report.all_hold else "; ".join(report.violations)
+    return (0 if report.all_hold else 1), payload, [line]
+
+
+def _cmd_partition_k(args):
+    try:
+        gensets = [_subset_arg(part) for part in args.factors.split("|") if part.strip()]
+    except InputError as exc:
+        raise InputError(f"bounds partition-k: --factors: {exc}") from exc
+    partition, k = bounds.partition_k(gensets)
+    payload = {
+        "k": k,
+        "blocks": [list(b) for b in partition.blocks],
+        "block_generator_counts": list(partition.block_generator_counts()),
+    }
+    return 0, payload, [f"k = {k}; blocks {payload['blocks']}"]
 
 
 _KIND_EXITS = {"valid": 0, "invalid": 1, "not-checkable-from-words": 3}
 
 
 def _cmd_certify(args):
-    if args.simplicity is not None and args.kind != "parabolic":
-        raise InputError(f"certify {args.kind} takes no --simplicity; only parabolic does")
+    kind = args.subcommand
     cert = read_certificate_file(args.certificate)
-    if cert.kind != args.kind:
-        raise InputError(f"certificate is of kind {cert.kind!r}, not {args.kind!r}")
-    kwargs = {}
-    if args.n is not None:
-        kwargs["n"] = args.n
-    if args.simplicity is not None:
-        kwargs["s"] = args.simplicity
-    report = certify.CERTIFIERS[args.kind](cert, **kwargs)
+    if cert.kind != kind:
+        raise InputError(f"certificate is of kind {cert.kind!r}, not {kind!r}")
+    # only the parabolic leaf has --simplicity
+    kwargs = {"s": args.simplicity} if "simplicity" in args else {}
+    report = certify.CERTIFIERS[kind](cert, n=args.n, **kwargs)
     payload = report.to_dict()
     lines = [f"verdict: {report.verdict}"]
     lines += [
@@ -513,9 +485,15 @@ _FORMAT = _arg("--format", choices=("human", "structured"), default="human",
                help="output format (structured = JSON with schema field)")
 _DEGREE = _arg("-D", "--degree", type=int, required=True)
 
+
+def _ints(*names):
+    return tuple(_arg(name, type=int) for name in names)
+
+
 # The command table: name -> (help, handler, argument specs) for a leaf or
 # (help, {name -> leaf row}, ()) for a group; a help of None lists no entry.
-# Every leaf takes --format before its own arguments.
+# Every leaf takes --format before its own arguments, and only those: argparse
+# rejects any other.  A group's leaf finds its own name in args.subcommand.
 COMMANDS = {
     "word": ("free-group word operations", {
         "reduce": (None, _cmd_word_reduce, (_arg("word"),)),
@@ -566,14 +544,30 @@ COMMANDS = {
     "mmr": ("canonical invariant series p(h)/Delta(e^h)", _cmd_mmr, (
         _arg("laurent", help="laurent polynomial file (path or -)"),
         _arg("-N", "--order", type=int, required=True))),
-    "bounds": ("arithmetic bound functions", _cmd_bounds, (
-        _arg("fn", choices=tuple(_BOUND_ARITY)),
-        _arg("ints", type=int, nargs="*"), _arg("--embedded", action="store_true"),
-        _arg("--factors", help="generator sets split by '|', e.g. '1 2|2 3|4'"))),
-    "certify": ("verify a surface certificate", _cmd_certify, (
-        _arg("kind", choices=KINDS),
-        _arg("certificate", help="certificate JSON (path or -)"),
-        _arg("--n", type=int), _arg("--simplicity", type=int))),
+    "bounds": ("arithmetic bound functions", {
+        "q": (None, _bound_value(lambda a: bounds.q(a.m)), _ints("m")),
+        "t": (None, _bound_value(lambda a: bounds.t(a.n)), _ints("n")),
+        "q-param": (None, _bound_value(lambda a: bounds.q_param(a.n, a.k)), _ints("n", "k")),
+        "l-n-s": (None, _bound_value(lambda a: bounds.l_n_S(a.q)), (
+            _arg("q", type=int, nargs="+"),)),
+        "conflict-max": (None, _bound_value(_conflict_max), _ints("s")),
+        "ratio-check": (None, _bound_value(lambda a: bounds.ratio_check(a.w_y, a.s_y)),
+                        _ints("w_y", "s_y")),
+        "good-arc-bound": (None, _bound_value(
+            lambda a: bounds.good_arc_bound(a.m, a.k, a.s, a.embedded)), (
+            *_ints("m", "k", "s"), _arg("--embedded", action="store_true"))),
+        "product-bound-check": (None, _bound_value(
+            lambda a: bounds.product_bound_check(a.m, a.k, a.r, a.s)), _ints("m", "k", "r", "s")),
+        "check-inequalities": (None, _cmd_check_inequalities, _ints("n")),
+        "partition-k": (None, _cmd_partition_k, (_arg(
+            "--factors", required=True, help="generator sets split by '|', e.g. '1 2|2 3|4'"),)),
+    }, ()),
+    "certify": ("verify a surface certificate", {
+        kind: (None, _cmd_certify, (
+            _arg("certificate", help="certificate JSON (path or -)"), _arg("--n", type=int),
+            *((_arg("--simplicity", type=int),) if kind == "parabolic" else ())))
+        for kind in KINDS
+    }, ()),
     "translate": ("apply a certificate index shift and re-verify", _cmd_translate, (
         _arg("kind", choices=KINDS),
         _arg("certificate"),

@@ -15,10 +15,6 @@ from typing import Iterable, Sequence
 
 from ._value import Record
 
-Word = tuple[int, ...]
-
-EMPTY: tuple[int, ...] = ()
-
 
 def reduce_word(letters: Iterable[int]) -> tuple[int, ...]:
     """Freely reduce a letter sequence (cancel adjacent g, g^-1 pairs)."""

@@ -1,4 +1,5 @@
 import argparse
+import io
 import json
 import os
 import resource
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from knotcert import cli
+from knotcert.certify import certificate_from_dict, certificate_to_dict
 from knotcert.cli import COMMANDS, build_parser, main
 
 DATA = Path(__file__).resolve().parent.parent / "src" / "knotcert" / "data"
@@ -23,6 +25,12 @@ def run(capsys, *argv):
 def run_json(capsys, *argv):
     code, out, err = run(capsys, *argv, "--format", "structured")
     return code, json.loads(out) if out else None, err
+
+
+def rejected(capsys, *argv):
+    """Exit code, stdout and last stderr line of a command line argparse rejects."""
+    code, out, err = _outcome(capsys, main, list(argv))
+    return code, out, err.splitlines()[-1]
 
 
 def run_limited(*argv, timeout=120):
@@ -68,6 +76,30 @@ class TestWordCommands:
         assert code == 2 and out == ""
         assert err == f"error: line 1, col 4: bad generator token {token!r}\n"
 
+    def test_commutator_needs_two_entries(self, capsys):
+        assert run(capsys, "word", "commutator", "g1") == (
+            2, "", "error: need at least two entries\n")
+
+
+class TestWordSources:
+    """Word arguments given as @path or - (stdin) instead of inline."""
+
+    def test_at_path(self, capsys, tmp_path):
+        path = tmp_path / "word.txt"
+        path.write_text("g1 g2 g2^-1\n")
+        assert run(capsys, "word", "reduce", f"@{path}") == (0, "g1\n", "")
+        path.write_text("g1 g1")
+        assert run(capsys, "word", "commutator", f"@{path}") == (0, "(empty)\n", "")
+
+    def test_stdin(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdin", io.StringIO("g1 g2 g2^-1"))
+        assert run(capsys, "word", "reduce", "-") == (0, "g1\n", "")
+
+    def test_missing_path_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "missing.txt"
+        assert run(capsys, "word", "reduce", f"@{path}") == (
+            2, "", f"error: cannot read {path}: [Errno 2] No such file or directory: '{path}'\n")
+
 
 class TestMagnusCommands:
     def test_degree(self, capsys):
@@ -88,6 +120,17 @@ class TestMagnusCommands:
         # letters whose generator is not in the index are still range-checked
         code, out, err = run(capsys, "magnus", "fox", word, "--index", index)
         assert code == 2 and out == "" and f"generator index {bad} out of range" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["magnus", "fox", "g1 g2"],
+        ["milnor", "invariant", str(DATA / "hopf.longitudes")],
+    ], ids=["fox", "milnor-invariant"])
+    @pytest.mark.parametrize("index, message", [
+        ("1 x", "bad index sequence '1 x'"),
+        ("0 1", "indices must be positive"),
+    ], ids=["not-int", "zero"])
+    def test_bad_index_exit_2(self, capsys, argv, index, message):
+        assert run(capsys, *argv, "--index", index) == (2, "", f"error: {message}\n")
 
 
 class TestDecomposeAndSchreier:
@@ -178,6 +221,11 @@ class TestTrivializeCommands:
         code, doc, err = run_json(capsys, "trivialize", "verify", str(report))
         assert (code, doc, err) == (2, None, f"error: bad trivializer report: {message}\n")
 
+    @pytest.mark.parametrize("insertion", ["x", "a:g1", "1:g1 g2", "1:gX", "1:"])
+    def test_bad_insertion_exit_2(self, capsys, insertion):
+        assert run(capsys, "trivialize", "build", "--factor", "g1 g2", "--insert", insertion) == (
+            2, "", f"error: bad insertion {insertion!r}; expected POSITION:LETTER\n")
+
     def test_null_and_zero_tags_accepted(self, capsys, tmp_path):
         report = tmp_path / "report.json"
         report.write_text(json.dumps({"word": "g1 g1^-1", "tags": [None, 0], "sets": [[0], [1]]}))
@@ -251,6 +299,46 @@ class TestMatrixCommands:
         assert "line 1, col 1: genus must be >= 0" in err
 
 
+class TestReaderErrors:
+    """Every diagnostic of the matrix, Laurent and longitude file readers."""
+
+    @pytest.mark.parametrize("argv, text, message", [
+        (["alexander"], "", "line 1, col 1: empty matrix file"),
+        (["alexander"], "# comment only\n", "line 1, col 1: empty matrix file"),
+        (["alexander"], "x\n", "line 1, col 1: genus must be an integer"),
+        (["alexander"], "1\n0 1\n", "expected 4 entries for genus 1, got 2"),
+        (["alexander"], "1 0 1\n0 x\n", "line 2, col 2: bad matrix entry 'x'"),
+        (["mmr", "-N", "1"], "", "laurent file needs a min-exponent line and a coefficient line"),
+        (["mmr", "-N", "1"], "0\n", "laurent file needs a min-exponent line and a coefficient line"),
+        (["mmr", "-N", "1"], "x\n1\n", "line 1: bad laurent polynomial data"),
+        (["mmr", "-N", "1"], "0\n1 x\n", "line 1: bad laurent polynomial data"),
+        (["milnor", "vanish", "-n", "1"], "", "line 1, col 1: empty longitude file"),
+        (["milnor", "vanish", "-n", "1"], "# comment only\n", "line 1, col 1: empty longitude file"),
+        (["milnor", "vanish", "-n", "1"], "two\n", "line 1, col 1: component count must be an integer"),
+        (["milnor", "vanish", "-n", "1"], "2\ng1\ng1 gX\n",
+         "line 3: line 1, col 4: bad generator token 'gX'"),
+    ], ids=["matrix-empty", "matrix-comment-only", "matrix-genus", "matrix-count", "matrix-entry",
+            "laurent-empty", "laurent-one-line", "laurent-min-exp", "laurent-coefficient",
+            "longitudes-empty", "longitudes-comment-only", "longitudes-count", "longitudes-word"])
+    def test_exit_2(self, capsys, tmp_path, argv, text, message):
+        path = tmp_path / "input.txt"
+        path.write_text(text)
+        # the file is the leaf's one positional argument, so it may go last
+        assert run(capsys, *argv, str(path)) == (2, "", f"error: {message}\n")
+
+
+class TestJsonNesting:
+    """json raises RecursionError, a RuntimeError, on deep nesting; it is
+    malformed input (exit 2), not a defect in knotcert (exit 4)."""
+
+    @pytest.mark.parametrize("argv", [["certify", "elliptic"], ["trivialize", "verify"], ["altsum"]],
+                             ids=["certificate", "trivializer-report", "altsum-data"])
+    def test_deep_nesting_exit_2(self, capsys, tmp_path, argv):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        assert run(capsys, *argv, str(path)) == (2, "", "error: JSON nested too deeply\n")
+
+
 class TestBoundsCommands:
     def test_q(self, capsys):
         assert run(capsys, "bounds", "q", "13")[1].strip() == "2"
@@ -268,27 +356,32 @@ class TestBoundsCommands:
         assert code == 0 and doc["k"] == 2
 
     def test_arity_checked(self, capsys):
-        code, _, err = run(capsys, "bounds", "q")
-        assert code == 2 and "integer argument" in err
-        code, _, err = run(capsys, "bounds", "l-n-s")
-        assert code == 2 and "q-value" in err
+        assert rejected(capsys, "bounds", "q") == (
+            2, "", "knotcert bounds q: error: the following arguments are required: m")
+        assert rejected(capsys, "bounds", "l-n-s") == (
+            2, "", "knotcert bounds l-n-s: error: the following arguments are required: q")
 
     @pytest.mark.parametrize("argv, message", [
         (("partition-k", "5", "6", "--factors", "1 2|2"),
-         "bounds partition-k takes 0 integer argument(s), got 2"),
-        (("q", "5", "--embedded"), "bounds q takes no --embedded; only good-arc-bound does"),
+         "knotcert: error: unrecognized arguments: 5 6"),
+        (("q", "5", "--embedded"), "knotcert: error: unrecognized arguments: --embedded"),
         (("partition-k", "--factors", "1 2", "--embedded"),
-         "bounds partition-k takes no --embedded; only good-arc-bound does"),
+         "knotcert: error: unrecognized arguments: --embedded"),
         (("q-param", "6", "1", "--factors", "1 2"),
-         "bounds q-param takes no --factors; only partition-k does"),
+         "knotcert: error: unrecognized arguments: --factors 1 2"),
         (("partition-k", "--factors", "1 x"),
-         "bounds partition-k: --factors: bad generator subset '1 x'"),
+         "error: bounds partition-k: --factors: bad generator subset '1 x'"),
         (("partition-k", "--factors", "1 2|0"),
-         "bounds partition-k: --factors: generator subsets need positive indices"),
+         "error: bounds partition-k: --factors: generator subsets need positive indices"),
     ], ids=["partition-k-ints", "embedded-q", "embedded-partition-k", "factors-q-param",
             "factors-not-int", "factors-zero"])
     def test_stray_arguments(self, capsys, argv, message):
-        assert run(capsys, "bounds", *argv) == (2, "", f"error: {message}\n")
+        # an argument the function does not take stops in argparse; a
+        # malformed --factors value stops in the handler
+        if message.startswith("knotcert: "):
+            assert rejected(capsys, "bounds", *argv) == (2, "", message)
+        else:
+            assert run(capsys, "bounds", *argv) == (2, "", f"{message}\n")
 
     def test_embedded_good_arc_bound(self, capsys):
         # the one function that reads --embedded: t(4) = 1 against q(4) = 0
@@ -522,8 +615,37 @@ class TestCertifyCommands:
         ("unknotted", "unknotted_g1_n2"),
     ])
     def test_simplicity_only_for_parabolic(self, capsys, kind, stem):
-        assert run(capsys, "certify", kind, str(DATA / f"{stem}.json"), "--simplicity", "5") == (
-            2, "", f"error: certify {kind} takes no --simplicity; only parabolic does\n")
+        assert rejected(capsys, "certify", kind, str(DATA / f"{stem}.json"), "--simplicity", "5") == (
+            2, "", "knotcert: error: unrecognized arguments: --simplicity 5")
+
+    @pytest.mark.parametrize("stem", ["hyperbolic_g2_n3", "elliptic_g1_n2"])
+    def test_huge_genus_exit_2(self, tmp_path, stem):
+        # a set of one generator per handle would be built before any curve
+        # is read, so the genus is checked first; the subprocess runs under
+        # an address-space limit and a timeout in case it is not
+        path = _shipped_variant(tmp_path, stem, genus=10**9)
+        proc = run_limited("certify", stem.split("_")[0], path, timeout=60)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            2, "", "error: genus 1000000000 exceeds the limit 511\n")
+
+    def test_genus_limit(self, capsys, tmp_path):
+        # 2g generators, and magnus numbers at most 1023
+        path = _shipped_variant(tmp_path, "elliptic_g1_n2", genus=512)
+        assert run(capsys, "certify", "elliptic", path) == (
+            2, "", "error: genus 512 exceeds the limit 511\n")
+        path = _shipped_variant(tmp_path, "elliptic_g1_n2", genus=511)
+        code, out, err = run(capsys, "certify", "elliptic", path)
+        assert (code, out.splitlines()[0], err) == (0, "verdict: valid", "")
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["--simplicity", "0"], "simplicity=1"),
+        ([], "simplicity=0"),
+    ], ids=["option", "flag"])
+    def test_simplicity_zero_exit_2(self, capsys, tmp_path, argv, flag):
+        path = _shipped_variant(tmp_path, "parabolic_g1_n2", asserted_flags=[
+            "regular-spine", "geometrically-unrelated", flag])
+        assert run(capsys, "certify", "parabolic", path, *argv) == (
+            2, "", "error: simplicity must be >= 1\n")
 
     def test_parabolic_simplicity_accepted(self, capsys):
         code, doc, err = run_json(
@@ -538,6 +660,48 @@ def _shipped_variant(tmp_path, stem, **fields):
     path = tmp_path / f"{stem}_variant.json"
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+class TestPairing:
+    """Elliptic A-curves pair with the B-curve their ``pair`` names, or
+    else with the B-curve of the same index."""
+
+    def test_pair_by_name_same_report(self, capsys, tmp_path):
+        doc = json.loads((DATA / "elliptic_g1_n2.json").read_text())
+        doc["curves"][0]["pair"] = "b1"
+        path = tmp_path / "paired.json"
+        path.write_text(json.dumps(doc))
+        for fmt in ("human", "structured"):
+            assert (run(capsys, "certify", "elliptic", str(path), "--format", fmt)
+                    == run(capsys, "certify", "elliptic", str(DATA / "elliptic_g1_n2.json"),
+                           "--format", fmt))
+        cert = certificate_from_dict(doc)
+        assert cert.curves[0].pair == "b1"
+        assert certificate_to_dict(cert)["curves"][0]["pair"] == "b1"
+        assert certificate_from_dict(certificate_to_dict(cert)) == cert
+
+    def _run(self, capsys, tmp_path, doc):
+        path = tmp_path / "paired.json"
+        path.write_text(json.dumps(doc))
+        return run(capsys, "certify", "elliptic", str(path))
+
+    def test_unknown_name_exit_2(self, capsys, tmp_path):
+        doc = json.loads((DATA / "elliptic_g1_n2.json").read_text())
+        doc["curves"][0]["pair"] = "b9"
+        assert self._run(capsys, tmp_path, doc) == (
+            2, "", "error: curve a1: no B-curve named 'b9'\n")
+
+    def test_paired_twice_exit_2(self, capsys, tmp_path):
+        doc = json.loads((DATA / "elliptic_g1_n2.json").read_text())
+        doc["genus"] = 2
+        doc["curves"].append({**doc["curves"][0], "name": "a2", "index": 2, "pair": "b1"})
+        assert self._run(capsys, tmp_path, doc) == (2, "", "error: B-curve b1 paired twice\n")
+
+    def test_no_dual_exit_2(self, capsys, tmp_path):
+        doc = json.loads((DATA / "elliptic_g1_n2.json").read_text())
+        del doc["curves"][1]
+        assert self._run(capsys, tmp_path, doc) == (
+            2, "", "error: curve a1: no dual B-curve with index 1\n")
 
 
 class TestTranslationErrors:
@@ -683,6 +847,18 @@ class TestAltsum:
         code, _, err = run(capsys, "altsum", str(path))
         assert code == 2 and "missing" in err
 
+    @pytest.mark.parametrize("subset, shown", [
+        ([1, "a"], '[1, "a"]'),
+        ("ab", '"ab"'),
+        ([True], "[true]"),
+    ], ids=["string-element", "string", "bool-element"])
+    def test_bad_subset_exit_2(self, capsys, tmp_path, subset, shown):
+        # a string would iterate as its characters, and true would count as 1
+        path = tmp_path / "values.json"
+        path.write_text(json.dumps([{"subset": subset, "value": 1}, {"subset": [], "value": 2}]))
+        assert run(capsys, "altsum", str(path)) == (
+            2, "", f"error: bad alternating-sum data: subset {shown} is not a list of integers\n")
+
     def test_zero_denominator_exit_2(self, capsys, tmp_path):
         path = tmp_path / "values.json"
         path.write_text(json.dumps([{"subset": [1], "value": "1/0"}]))
@@ -753,6 +929,14 @@ def _surface_cases():
         for spec in specs:
             if "choices" in spec[1]:
                 yield f"{name} bad-{spec[0][0]}", [*leaf, *_command_line(specs, bad=spec)]
+    # the group parsers of bounds and certify: a missing or unknown function
+    # or kind, and an option put before the name, which only a leaf takes
+    for group, noun, leaf in (("bounds", "fn", ["q", "1"]), ("certify", "kind", ["hyperbolic", "x"])):
+        yield f"{group} -h", [group, "-h"]
+        yield f"{group} missing-required", [group]
+        yield f"{group} bad-{noun}", [group, "bogus", *leaf[1:]]
+        yield f"{group} unknown-option", [group, "--bogus", *leaf]
+        yield f"{group} bad-format", [group, "--format", "xml", *leaf]
     for argv in ([], ["-h"], ["--help"], ["word", "--help"], ["pipeline", "-h"],
                  ["nope"], ["alex", "x"], ["word"], ["word", "nope"], ["word", "red", "x"],
                  ["--format", "structured", "alexander", "x"]):

@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 
 import knotcert
+from knotcert import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 DATA = ROOT / "src" / "knotcert" / "data"
@@ -56,6 +57,7 @@ WORDS = {"cli", "_value", "words"}
 MAGNUS = WORDS | {"magnus"}
 SEIFERT = {"cli", "_value", "seifert"}
 CERTIFY = MAGNUS | {"lyndon", "decomp", "schreier", "bounds", "certify"}
+BOUNDS = {"cli", "_value", "bounds"}
 
 # (argv, the knotcert modules it loads); one row per leaf command
 LOAD_SETS = [
@@ -76,12 +78,22 @@ LOAD_SETS = [
     (["classify", DATA / "trefoil.mat", "--symmetrize"], SEIFERT),
     (["mmr", DATA / "trefoil.lp", "-N", "2"], SEIFERT),
     (["altsum", DATA / "altsum_example.json"], SEIFERT),
-    (["bounds", "q", "5"], {"cli", "_value", "bounds"}),
-    (["bounds", "partition-k", "--factors", "1 2|2 3|4"], {"cli", "_value", "bounds"}),
-    (["bounds", "check-inequalities", "11"], {"cli", "_value", "bounds"}),
+    (["bounds", "q", "5"], BOUNDS),
+    (["bounds", "t", "9"], BOUNDS),
+    (["bounds", "q-param", "18", "2"], BOUNDS),
+    (["bounds", "l-n-s", "3", "4"], BOUNDS),
+    (["bounds", "conflict-max", "5"], BOUNDS),
+    (["bounds", "ratio-check", "4", "3"], BOUNDS),
+    (["bounds", "good-arc-bound", "3", "4", "5", "--embedded"], BOUNDS),
+    (["bounds", "product-bound-check", "12", "1", "3", "2"], BOUNDS),
+    (["bounds", "partition-k", "--factors", "1 2|2 3|4"], BOUNDS),
+    (["bounds", "check-inequalities", "11"], BOUNDS),
     (["certify", "elliptic", DATA / "elliptic_g1_n2.json"], CERTIFY),
     (["certify", "hyperbolic", DATA / "hyperbolic_g2_n3.json"], CERTIFY),
-    # the unknotted conditions call no bound function
+    (["certify", "parabolic", DATA / "parabolic_g1_n2.json"], CERTIFY),
+    (["certify", "unknotted", DATA / "unknotted_g1_n2.json"], CERTIFY),
+    # the band-twist certificate's conditions compute no q-value, so no bound
+    # function runs; the unknotted_g1_n2 row above does compute them
     (["translate", "unknotted", DATA / "unknotted_twist_n4.json", "--n", "2"],
      CERTIFY - {"bounds"}),
     (["pipeline", "spine-link", DATA / "hyperbolic_g2_n3.json", "--signs", "++++"], CERTIFY),
@@ -106,6 +118,13 @@ class TestLoadSets:
             # fractions comes in with seifert and with the one bounds report
             # that prints a Fraction; every other bound is decided in integers
             assert not {"fractions", "decimal", "numbers"} & set(probe["added"])
+
+    def test_one_row_per_leaf_command(self):
+        leaves = [(name,) if not isinstance(target, dict) else (name, sub)
+                  for name, (_, target, _) in cli.COMMANDS.items()
+                  for sub in (target if isinstance(target, dict) else [None])]
+        rows = [cli._leaf_path([str(a) for a in argv]) for argv, _ in LOAD_SETS]
+        assert sorted(rows) == sorted(leaves)
 
     def test_import_loads_no_library_layer(self):
         code = ("import json, sys, types, knotcert.cli; print(json.dumps(sorted(name for name, "
