@@ -1,5 +1,12 @@
 #!/usr/bin/env python3
-"""Regenerate the reference corpus under src/knotcert/data/."""
+"""Regenerate the synthetic certificates under src/knotcert/data/.
+
+    PYTHONPATH=src python3 scripts/make_data.py
+
+Each certificate is ``knotcert.synth`` output; the other files in that
+directory (matrices, Laurent polynomials, longitude systems and the
+alternating-sum example) are written by hand and committed as they are.
+"""
 
 import json
 from pathlib import Path
@@ -22,12 +29,6 @@ def write_json(name: str, payload: dict) -> None:
     print(f"wrote {path} ({path.stat().st_size} bytes)")
 
 
-def write_text(name: str, text: str) -> None:
-    path = DATA / name
-    path.write_text(text)
-    print(f"wrote {path}")
-
-
 def main() -> None:
     DATA.mkdir(exist_ok=True)
     write_json("hyperbolic_g2_n3.json", certificate_to_dict(hyperbolic_example(2, 3)))
@@ -36,38 +37,6 @@ def main() -> None:
     write_json("parabolic_g1_n2.json", certificate_to_dict(parabolic_example()))
     write_json("unknotted_g1_n2.json", certificate_to_dict(unknotted_example()))
     write_json("unknotted_twist_n4.json", certificate_to_dict(twist_unknotted_example()))
-
-    write_text(
-        "trefoil.mat",
-        "# Seifert matrix of the trefoil\n1\n-1 1\n0 -1\n",
-    )
-    write_text(
-        "figure8.mat",
-        "# Seifert matrix of the figure-eight knot\n1\n1 1\n0 -1\n",
-    )
-    write_text(
-        "whitehead_k3.mat",
-        "# twisted Whitehead-double style surface, 3 twists\n1\n0 1\n0 3\n",
-    )
-    write_text(
-        "trefoil.lp",
-        "# Alexander polynomial of the trefoil: t^-1 - 1 + t\n-1\n1 -1 1\n",
-    )
-    write_text(
-        "borromean.longitudes",
-        "# Borromean-style longitude system\n3\ng2 g3 g2^-1 g3^-1\ng3 g1 g3^-1 g1^-1\ng1 g2 g1^-1 g2^-1\n",
-    )
-    write_text(
-        "hopf.longitudes",
-        "2\ng2\ng1\n",
-    )
-    altsum = [
-        {"subset": [], "value": 0},
-        {"subset": [1], "value": 1},
-        {"subset": [2], "value": 1},
-        {"subset": [1, 2], "value": 2},
-    ]
-    write_text("altsum_example.json", json.dumps(altsum, indent=1) + "\n")
 
 
 if __name__ == "__main__":

@@ -10,10 +10,49 @@ class compiles and executes nothing.  This module imports nothing, so
 any layer can use it.
 
 ``KINDS`` lives here too, so that the CLI can offer the certificate
-kinds as argument choices without loading ``certify``.
+kinds as argument choices without loading ``certify``, and so do the
+line primitives of the text readers: ``located_tokens`` places every
+token of a word, matrix, Laurent or longitude input by its column.
 """
 
 KINDS = ("hyperbolic", "elliptic", "parabolic", "unknotted")
+
+
+def located_tokens(line: str) -> list[tuple[int, str]]:
+    """(1-based character column, token) of each whitespace-separated token of ``line``."""
+    out = []
+    col = 0
+    for tok in line.split():
+        col = line.index(tok, col)
+        out.append((col + 1, tok))
+        col += len(tok)
+    return out
+
+
+def data_lines(text: str) -> list[tuple[int, str]]:
+    """(line number, text before any ``#``) of each line that is not a ``#`` comment line."""
+    return [(lineno, line.split("#", 1)[0])
+            for lineno, line in enumerate(text.splitlines(), start=1)
+            if not line.lstrip().startswith("#")]
+
+
+def token_error(lineno: int, body: str, index: int, message: str) -> ValueError:
+    """Malformed input at the ``index``-th token of line ``lineno`` (one past the
+    last: just after the text), by column; ``message`` may name it as ``{tok!r}``."""
+    col, tok = (located_tokens(body) + [(len(body.rstrip()) + 1, "")])[index]
+    return ValueError(f"line {lineno}, col {col}: {message.format(tok=tok)}")
+
+
+def int_tokens(lineno: int, body: str, message: str) -> list[int]:
+    """The integers that the tokens of line ``lineno`` spell; columns are looked
+    up only once ``int`` refuses a token, which ``token_error`` names with ``message``."""
+    values: list[int] = []
+    try:
+        for tok in body.split():
+            values.append(int(tok))
+    except ValueError:
+        raise token_error(lineno, body, len(values), message) from None
+    return values
 
 
 class Record:

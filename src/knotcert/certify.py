@@ -910,10 +910,10 @@ def translate_certificate(cert: SurfaceCertificate, kind: str, n: int) -> Transl
         raise TranslationError(f"{kind} source lacks a simplicity assertion")
     if guarded and not level > s + 1:
         name = "n" if factor == 1 else "2n"
-        raise GuardViolation(f"need {name} > s+1, got {name} = {level}, s = {s}")
+        raise GuardViolation(f"guard violated: need {name} > s+1, got {name} = {level}, s = {s}")
     if kind == "unknotted" and level - s - 1 < 2:
         # unknotted certificates need n > 1, so the target level must exceed 1
-        raise GuardViolation(f"need 2n-s-1 > 1, got 2n-s-1 = {level - s - 1}")
+        raise GuardViolation(f"guard violated: need 2n-s-1 > 1, got 2n-s-1 = {level - s - 1}")
     source_report = _verify_source(cert, kind)
     if kind == "hyperbolic":
         return TranslationResult(cert, source_report, source_report)

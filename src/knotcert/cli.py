@@ -26,7 +26,7 @@ from pathlib import Path
 # Every use is qualified: a ``from .layer import name`` here would load
 # that layer for every command.
 from . import bounds, certify, decomp, magnus, schreier, seifert, trivializer, words
-from ._value import KINDS
+from ._value import KINDS, data_lines, int_tokens, token_error
 
 SCHEMA = 1
 
@@ -82,57 +82,38 @@ def _indices_arg(value: str) -> tuple[int, ...]:
     return out
 
 
-def _tokenized_lines(text: str) -> list[tuple[int, list[str]]]:
-    out = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        body = line.split("#", 1)[0].strip()
-        if body:
-            out.append((lineno, body.split()))
-    return out
-
-
 def read_matrix_file(source: str) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """Matrix format: first value g, then 2g rows of 2g integers."""
-    lines = _tokenized_lines(_read_text(source))
+    lines = [(lineno, body) for lineno, body in data_lines(_read_text(source)) if body.strip()]
     if not lines:
         raise InputError("line 1, col 1: empty matrix file")
-    lineno, toks = lines[0]
     try:
-        genus = int(toks[0])
+        genus = int(lines[0][1].split()[0])
     except ValueError:
-        raise InputError(f"line {lineno}, col 1: genus must be an integer") from None
+        raise token_error(*lines[0], 0, "genus must be an integer") from None
     if genus < 0:
-        raise InputError(f"line {lineno}, col 1: genus must be >= 0")
-    rest = [(lineno, toks[1:])] if toks[1:] else []
-    rest.extend(lines[1:])
-    values: list[tuple[int, int]] = []
-    for lineno, toks in rest:
-        for col, tok in enumerate(toks, start=1):
-            try:
-                values.append((lineno, int(tok)))
-            except ValueError:
-                raise InputError(
-                    f"line {lineno}, col {col}: bad matrix entry {tok!r}"
-                ) from None
-    need = (2 * genus) ** 2
-    if len(values) != need:
-        raise InputError(f"expected {need} entries for genus {genus}, got {len(values)}")
-    flat = [v for _, v in values]
+        raise token_error(*lines[0], 0, "genus must be >= 0")
+    entries = []
+    for lineno, body in lines:
+        entries += int_tokens(lineno, body, "bad matrix entry {tok!r}")
+    del entries[0]  # the genus
     size = 2 * genus
-    rows = tuple(tuple(flat[i * size: (i + 1) * size]) for i in range(size))
-    return genus, rows
+    if len(entries) != size * size:
+        raise InputError(f"expected {size * size} entries for genus {genus}, got {len(entries)}")
+    return genus, tuple(tuple(entries[i * size: (i + 1) * size]) for i in range(size))
 
 
 def read_laurent_file(source: str) -> seifert.LaurentPolynomial:
-    """Laurent format: min exponent on one line, coefficient run on the next."""
-    lines = _tokenized_lines(_read_text(source))
+    """Laurent format: min exponent alone on one line, coefficient run on the next."""
+    lines = [(lineno, body) for lineno, body in data_lines(_read_text(source)) if body.strip()]
     if len(lines) < 2:
         raise InputError("laurent file needs a min-exponent line and a coefficient line")
-    try:
-        min_exp = int(lines[0][1][0])
-        coeffs = [int(tok) for tok in lines[1][1]]
-    except (ValueError, IndexError):
-        raise InputError(f"line {lines[0][0]}: bad laurent polynomial data") from None
+    if len(lines[0][1].split()) > 1:
+        raise token_error(*lines[0], 1, "stray token {tok!r}")
+    if len(lines) > 2:
+        raise token_error(*lines[2], 0, "stray token {tok!r}")
+    (min_exp,) = int_tokens(*lines[0], "bad laurent polynomial data")
+    coeffs = int_tokens(*lines[1], "bad laurent polynomial data")
     return seifert.LaurentPolynomial.from_coefficient_list(min_exp, coeffs)
 
 
@@ -140,33 +121,34 @@ def read_longitudes_file(source: str) -> magnus.LongitudeSystem:
     """Longitude format: component count, then one word per line.
 
     Lines starting with ``#`` are comments; a blank line is the empty
-    longitude.  Missing trailing lines count as empty longitudes.  The
-    count is checked against ``magnus.MAX_GENERATOR`` before any is built.
+    longitude.  Missing trailing lines count as empty longitudes, and
+    no word may follow the last one.  The count is checked against
+    ``magnus.MAX_GENERATOR`` before any longitude is built.
     """
-    text = _read_text(source)
-    lines = [
-        (i + 1, line.split("#", 1)[0])
-        for i, line in enumerate(text.splitlines())
-        if not line.lstrip().startswith("#")
-    ]
+    lines = data_lines(_read_text(source))
     if not lines:
         raise InputError("line 1, col 1: empty longitude file")
-    first_no, first = lines[0]
+    (count_line, body), *rest = lines
     try:
-        count = int(first.strip())
-    except ValueError:
-        raise InputError(f"line {first_no}, col 1: component count must be an integer") from None
+        count = int(body.split()[0])
+    except (IndexError, ValueError):  # a blank count line is a bad count too
+        raise token_error(count_line, body, 0, "component count must be an integer") from None
     if count > magnus.MAX_GENERATOR:
-        raise InputError(f"line {first_no}, col 1: component count {count} "
-                         f"exceeds the limit {magnus.MAX_GENERATOR}")
+        raise token_error(count_line, body, 0,
+                          f"component count {count} exceeds the limit {magnus.MAX_GENERATOR}")
+    if len(body.split()) > 1:
+        raise token_error(count_line, body, 1, "stray token {tok!r}")
     longitudes = []
-    for i in range(1, count + 1):
-        lineno, body = lines[i] if i < len(lines) else (first_no, "")
+    for lineno, body in rest[:max(count, 0)]:
         try:
             longitudes.append(words.parse_word(body))
         except words.WordSyntaxError as exc:
-            raise InputError(f"line {lineno}: {exc}") from exc
-    return magnus.LongitudeSystem(count, tuple(longitudes))
+            raise InputError(f"line {lineno}, col {exc.column}: {exc.message}") from None
+    system = magnus.LongitudeSystem(count, tuple(longitudes) + ((),) * (count - len(longitudes)))
+    for lineno, body in rest[count:]:
+        if body.strip():
+            raise token_error(lineno, body, 0, "stray token {tok!r}")
+    return system
 
 
 def _read_json(source: str):
@@ -255,11 +237,8 @@ def _cmd_decompose(args):
 
 
 def _cmd_schreier_degree(args):
-    try:
-        d = schreier.normal_closure_lcs_degree(
-            _word_arg(args.word), _subset_arg(args.subset), args.degree)
-    except schreier.NotInNormalClosure as exc:
-        raise InputError(str(exc)) from exc
+    d = schreier.normal_closure_lcs_degree(
+        _word_arg(args.word), _subset_arg(args.subset), args.degree)
     payload = {"degree_bound": args.degree, "closure_lcs_degree": d}
     return 0, payload, [f"exceeds {args.degree}" if d is None else str(d)]
 
@@ -305,8 +284,6 @@ def _cmd_trivialize_verify(args):
         sets = tuple(frozenset(s) for s in data["sets"])
     except (KeyError, TypeError) as exc:
         raise InputError(f"bad trivializer report: {exc}") from exc
-    if len(letters) != len(tags):
-        raise InputError("word/tags length mismatch")
     result = trivializer.verify_family(
         words.TaggedWord(letters, tags), trivializer.LetterSetFamily(sets))
     payload = {
@@ -442,12 +419,7 @@ def _cmd_certify(args):
 
 def _cmd_translate(args):
     cert = read_certificate_file(args.certificate)
-    try:
-        result = certify.translate_certificate(cert, args.kind, args.n)
-    except certify.GuardViolation as exc:
-        raise InputError(f"guard violated: {exc}") from exc
-    except certify.TranslationError as exc:
-        raise InputError(str(exc)) from exc
+    result = certify.translate_certificate(cert, args.kind, args.n)
     payload = {
         "source_verdict": result.source_report.verdict,
         "target": certify.certificate_to_dict(result.certificate),
@@ -655,8 +627,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         code, payload, lines = args.handler(args)
     except ValueError as exc:
-        # InputError, words.WordSyntaxError, CertificateError and
-        # schreier.NotInNormalClosure are all ValueErrors: malformed input
+        # InputError, words.WordSyntaxError, CertificateError,
+        # certify.TranslationError and schreier.NotInNormalClosure are all
+        # ValueErrors: malformed input
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RuntimeError as exc:

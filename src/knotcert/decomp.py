@@ -100,13 +100,11 @@ def lie_component(word: Sequence[int], m: int) -> dict[tuple[int, ...], int]:
 
     Requires lcs degree >= m; the slice is then a Lie element.
     """
-    if m < 1:
-        raise ValueError("degree must be >= 1")
     poly = expand(word, m)
     low = poly.min_positive_degree()
     if low is not None and low < m:
         raise ValueError(f"word has lcs degree {low} < {m}")
-    return {unpack_monomial(mon): c for mon, c in poly.buckets[m].items()}
+    return _bucket_tuples(poly, m)
 
 
 def _bucket_tuples(poly: NCPolynomial, d: int) -> dict[tuple[int, ...], int]:

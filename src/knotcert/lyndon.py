@@ -24,8 +24,6 @@ def is_lyndon(word: Sequence[int]) -> bool:
 
 def standard_factorization(word: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Chen-Fox-Lyndon factorization u = v.w, w the least proper suffix."""
-    if len(word) < 2:
-        raise ValueError("need length >= 2")
     w = min(word[i:] for i in range(1, len(word)))
     return word[: len(word) - len(w)], w
 
@@ -113,20 +111,17 @@ def left_normed_form(word: tuple[int, ...]) -> dict[tuple[int, ...], int]:
     Returns entry-sequence -> integer coefficient with the same Lie
     element as ``lyndon_lie_polynomial(word)``.
     """
-    tree = bracketing(word)
+    return _left_normed(bracketing(word))
+
+
+def _left_normed(tree) -> dict[tuple[int, ...], int]:
+    """A bracketing tree as a left-normed combination: its left subtree's
+    combination, bracketed key by key against the right subtree."""
     if isinstance(tree, int):
         return {(tree,): 1}
-    base = left_normed_form(tuple(_letters(tree[0])))
-    # base is keyed by entry tuples; brack each key against the right subtree
     out: dict[tuple[int, ...], int] = {}
-    _ln_append(dict(base), tree[1], 1, out)
+    _ln_append(_left_normed(tree[0]), tree[1], 1, out)
     return out
-
-
-def _letters(tree) -> list[int]:
-    if isinstance(tree, int):
-        return [tree]
-    return _letters(tree[0]) + _letters(tree[1])
 
 
 def lie_coordinates(component: dict[tuple[int, ...], int]) -> list[tuple[tuple[int, ...], int]]:

@@ -113,9 +113,6 @@ class NCPolynomial:
             return NotImplemented
         return self.degree == other.degree and self.buckets == other.buckets
 
-    def __hash__(self):  # pragma: no cover - not used as dict key
-        raise TypeError("NCPolynomial is unhashable")
-
     def __repr__(self) -> str:
         parts = []
         for mon, c in self.terms()[:8]:
@@ -397,8 +394,6 @@ def staged_expand(word: Sequence[int], degree: int) -> NCPolynomial:
     returned truncation is exact, so its lowest positive degree with a
     nonzero coefficient is the word's lcs degree when that is <= ``degree``.
     """
-    if degree < 1:
-        raise ValueError("truncation degree must be >= 1")
     cap = 1
     while True:
         cap = min(cap, degree)

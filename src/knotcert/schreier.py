@@ -57,8 +57,6 @@ def schreier_rewrite(word: Sequence[int], subset: Sequence[int]) -> tuple[Schrei
             coset.pop()
         else:
             coset.append(letter)
-    if coset:  # unreachable once the kill image is trivial
-        raise NotInNormalClosure(f"nontrivial coset tail {tuple(coset)}")
     return tuple(out)
 
 

@@ -396,8 +396,7 @@ def mmr_series(delta: LaurentPolynomial, order: int) -> RationalSeries:
     for e, c in delta.coeffs:
         for j, val in enumerate(_exp_series(Fraction(e), order)):
             den[j] += c * val
-    if den[0] != 1:  # pragma: no cover - Delta(1) == 1 forces this
-        raise RuntimeError("series division needs unit constant term")
+    # den[0] = Delta(1) = 1, so the division needs no inverse
     out = [Fraction(0)] * (order + 1)
     for j in range(order + 1):
         acc = p[j]
@@ -432,8 +431,5 @@ def alternating_sum(values: Mapping[Iterable[int], Fraction | int]) -> Fraction:
 def _first_missing_subset(table: Mapping[frozenset[int], Fraction], universe: list[int]) -> list[int]:
     from itertools import combinations
 
-    for size in range(len(universe) + 1):
-        for subset in combinations(universe, size):
-            if frozenset(subset) not in table:
-                return list(subset)
-    return []  # pragma: no cover
+    return next(list(subset) for size in range(len(universe) + 1)
+                for subset in combinations(universe, size) if frozenset(subset) not in table)

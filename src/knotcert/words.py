@@ -13,7 +13,7 @@ from __future__ import annotations
 import operator
 from typing import Iterable, Sequence
 
-from ._value import Record
+from ._value import Record, located_tokens
 
 
 def reduce_word(letters: Iterable[int]) -> tuple[int, ...]:
@@ -187,8 +187,11 @@ def successive_entry_check(entries: Sequence[int]) -> bool:
 
 
 class WordSyntaxError(ValueError):
+    """A bad token; ``message`` names it without its position."""
+
     def __init__(self, message: str, line: int = 1, column: int = 1):
         super().__init__(f"line {line}, col {column}: {message}")
+        self.message = message
         self.line = line
         self.column = column
 
@@ -237,14 +240,11 @@ def parse_letters(text: str) -> tuple[int, ...]:
 
 def _scan_lines(text: str) -> tuple[int, ...]:
     """``parse_letters`` token by token, placing a bad token by line and column."""
-    letters: list[int] = []
-    for lineno, linetext in enumerate(text.splitlines() or [""], start=1):
-        col = 1
-        for tok in linetext.split():
-            col = linetext.index(tok, col - 1) + 1
-            letters.append(_parse_token(tok, lineno, col))
-            col += len(tok)
-    return tuple(letters)
+    return tuple(
+        _parse_token(tok, lineno, col)
+        for lineno, linetext in enumerate(text.splitlines(), start=1)
+        for col, tok in located_tokens(linetext)
+    )
 
 
 def parse_word(text: str) -> tuple[int, ...]:

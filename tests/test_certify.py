@@ -371,6 +371,25 @@ class TestTranslations:
         with pytest.raises(GuardViolation):
             translate_certificate(parabolic_example(), "parabolic", 2)
 
+    @pytest.mark.parametrize("n, s", [(3, 1), (4, 1), (5, 2)])
+    def test_parabolic_to_hyperbolic(self, n, s):
+        # an empty B-pushoff lies in every closure term, with q-value
+        # q(m+1) at depth m; m = 6(n+1-s)-1 makes q + s = n+1
+        cert = SurfaceCertificate(
+            kind="parabolic", genus=1, n=n,
+            curves=(Curve(name="a1", role="A", index=1, pushoff_plus=(1, 1)),
+                    Curve(name="b1", role="B", index=1, pushoff_plus=(), m=6 * (n + 1 - s) - 1)),
+            asserted_flags=("regular-spine", "geometrically-unrelated", f"simplicity={s}"),
+        )
+        result = translate_certificate(cert, "parabolic", n)
+        assert result.source_report.verdict == "valid"
+        assert result.source_report.quantities["per_curve"]["b1"]["q"] == n + 1 - s
+        target = result.certificate
+        assert (target.kind, target.n, result.report.verdict) == ("hyperbolic", n - s - 1, "valid")
+        # the B-half basis becomes the A-curves, with x_1 and y_1 exchanged
+        assert [(c.name, c.role, c.pushoff_plus) for c in target.curves] == [
+            ("b1", "A", ()), ("a1", "B", (2, 2))]
+
     def test_unknotted_translation(self):
         result = translate_certificate(twist_unknotted_example(n=4, s=1), "unknotted", 2)
         assert result.certificate.kind == "unknotted"

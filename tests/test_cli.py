@@ -221,6 +221,17 @@ class TestTrivializeCommands:
         code, doc, err = run_json(capsys, "trivialize", "verify", str(report))
         assert (code, doc, err) == (2, None, f"error: bad trivializer report: {message}\n")
 
+    @pytest.mark.parametrize("report, message", [
+        ({"word": "g1", "tags": [1]}, "bad trivializer report: 'sets'"),
+        ({"word": "g1", "tags": 5, "sets": []},
+         "bad trivializer report: 'int' object is not iterable"),
+        ({"word": "g1 g2", "tags": [1], "sets": [[0]]}, "letters and tags must have equal length"),
+    ], ids=["missing-field", "tags-int", "length-mismatch"])
+    def test_bad_report_exit_2(self, capsys, tmp_path, report, message):
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(report))
+        assert run(capsys, "trivialize", "verify", str(path)) == (2, "", f"error: {message}\n")
+
     @pytest.mark.parametrize("insertion", ["x", "a:g1", "1:g1 g2", "1:gX", "1:"])
     def test_bad_insertion_exit_2(self, capsys, insertion):
         assert run(capsys, "trivialize", "build", "--factor", "g1 g2", "--insert", insertion) == (
@@ -289,7 +300,7 @@ class TestMatrixCommands:
         bad = tmp_path / "bad.mat"
         bad.write_text("1\n0 1\n0 x\n")
         code, _, err = run(capsys, "alexander", str(bad))
-        assert code == 2 and "line 3, col 2" in err
+        assert code == 2 and "line 3, col 3" in err
 
     def test_negative_genus(self, capsys, tmp_path):
         bad = tmp_path / "neg.mat"
@@ -300,31 +311,55 @@ class TestMatrixCommands:
 
 
 class TestReaderErrors:
-    """Every diagnostic of the matrix, Laurent and longitude file readers."""
+    """Every diagnostic of the matrix, Laurent and longitude file readers.
+
+    A diagnostic about a token names its own line and its character column."""
 
     @pytest.mark.parametrize("argv, text, message", [
         (["alexander"], "", "line 1, col 1: empty matrix file"),
         (["alexander"], "# comment only\n", "line 1, col 1: empty matrix file"),
         (["alexander"], "x\n", "line 1, col 1: genus must be an integer"),
         (["alexander"], "1\n0 1\n", "expected 4 entries for genus 1, got 2"),
-        (["alexander"], "1 0 1\n0 x\n", "line 2, col 2: bad matrix entry 'x'"),
+        (["alexander"], "1 0 1\n0 x\n", "line 2, col 3: bad matrix entry 'x'"),
+        (["alexander"], "# g\n  x 1\n", "line 2, col 3: genus must be an integer"),
+        (["alexander"], "1\n0  1 # row 1\n\t0   -x\n", "line 3, col 6: bad matrix entry '-x'"),
         (["mmr", "-N", "1"], "", "laurent file needs a min-exponent line and a coefficient line"),
         (["mmr", "-N", "1"], "0\n", "laurent file needs a min-exponent line and a coefficient line"),
-        (["mmr", "-N", "1"], "x\n1\n", "line 1: bad laurent polynomial data"),
-        (["mmr", "-N", "1"], "0\n1 x\n", "line 1: bad laurent polynomial data"),
+        (["mmr", "-N", "1"], "x\n1\n", "line 1, col 1: bad laurent polynomial data"),
+        (["mmr", "-N", "1"], "0\n1 x\n", "line 2, col 3: bad laurent polynomial data"),
+        (["mmr", "-N", "1"], "0 5\n1 -1 1\n7 7\n", "line 1, col 3: stray token '5'"),
+        (["mmr", "-N", "1"], "0\n1 -1 1\n\n# more\n  7 7\n", "line 5, col 3: stray token '7'"),
         (["milnor", "vanish", "-n", "1"], "", "line 1, col 1: empty longitude file"),
         (["milnor", "vanish", "-n", "1"], "# comment only\n", "line 1, col 1: empty longitude file"),
         (["milnor", "vanish", "-n", "1"], "two\n", "line 1, col 1: component count must be an integer"),
-        (["milnor", "vanish", "-n", "1"], "2\ng1\ng1 gX\n",
-         "line 3: line 1, col 4: bad generator token 'gX'"),
+        (["milnor", "vanish", "-n", "1"], "  \n2\n", "line 1, col 1: component count must be an integer"),
+        (["milnor", "vanish", "-n", "1"], "2\ng1\ng1 gX\n", "line 3, col 4: bad generator token 'gX'"),
+        (["milnor", "vanish", "-n", "1"], "# c\n2\n\tg1 gX # x\n",
+         "line 3, col 5: bad generator token 'gX'"),
+        (["milnor", "vanish", "-n", "1"], "2 g1\ng2\ng1\n", "line 1, col 3: stray token 'g1'"),
+        (["milnor", "vanish", "-n", "1"], "2\ng2\ng1\ng1 g1\n", "line 4, col 1: stray token 'g1'"),
     ], ids=["matrix-empty", "matrix-comment-only", "matrix-genus", "matrix-count", "matrix-entry",
+            "matrix-genus-indented", "matrix-entry-tab",
             "laurent-empty", "laurent-one-line", "laurent-min-exp", "laurent-coefficient",
-            "longitudes-empty", "longitudes-comment-only", "longitudes-count", "longitudes-word"])
+            "laurent-stray-exponent", "laurent-stray-line",
+            "longitudes-empty", "longitudes-comment-only", "longitudes-count",
+            "longitudes-blank-count", "longitudes-word",
+            "longitudes-word-tab", "longitudes-stray-count", "longitudes-stray-line"])
     def test_exit_2(self, capsys, tmp_path, argv, text, message):
         path = tmp_path / "input.txt"
         path.write_text(text)
         # the file is the leaf's one positional argument, so it may go last
         assert run(capsys, *argv, str(path)) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("argv, text, out", [
+        (["mmr", "-N", "1"], "# d\n\n-1 # min\n1 -1 1\n\n  # end\n\t\n", "h^0: 1\nh^1: 0\n"),
+        (["milnor", "invariant", "--index", "2 1"], "2\n# first\ng2 # a\ng1\n\n# end\n \n", "1\n"),
+        (["milnor", "invariant", "--index", "2 1"], "3\ng2\n", "1\n"),
+    ], ids=["laurent", "longitudes", "longitudes-missing-lines"])
+    def test_blank_and_comment_lines_accepted(self, capsys, tmp_path, argv, text, out):
+        path = tmp_path / "input.txt"
+        path.write_text(text)
+        assert run(capsys, *argv, str(path)) == (0, out, "")
 
 
 class TestJsonNesting:
@@ -582,6 +617,22 @@ class TestCertifyCommands:
         assert doc["target"]["n"] == 2
         assert doc["target_report"]["verdict"] == "valid"
 
+    @pytest.mark.parametrize("n, s", [(3, 1), (4, 1), (5, 2)])
+    def test_translate_parabolic(self, capsys, tmp_path, n, s):
+        # an empty B-pushoff at depth m = 6(n+1-s)-1 has q = q(m+1) = n+1-s
+        doc = {"kind": "parabolic", "genus": 1, "n": n,
+               "asserted_flags": ["regular-spine", "geometrically-unrelated", f"simplicity={s}"],
+               "curves": [{"name": "a1", "role": "A", "index": 1, "pushoff_plus": "g1 g1"},
+                          {"name": "b1", "role": "B", "index": 1, "pushoff_plus": "",
+                           "m": 6 * (n + 1 - s) - 1}]}
+        path = tmp_path / "parabolic.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_json(capsys, "translate", "parabolic", str(path), "--n", str(n))
+        assert (code, err) == (0, "")
+        assert out["source_verdict"] == "valid"
+        assert (out["target"]["kind"], out["target"]["n"]) == ("hyperbolic", n - s - 1)
+        assert out["target_report"]["verdict"] == "valid"
+
     def test_pipeline(self, capsys):
         code, doc, _ = run_json(
             capsys, "pipeline", "spine-link", str(DATA / "hyperbolic_g2_n3.json"),
@@ -652,6 +703,97 @@ class TestCertifyCommands:
             capsys, "certify", "parabolic", str(DATA / "parabolic_g1_n2.json"), "--simplicity", "3")
         assert (code, err) == (0, "")
         assert doc["verdict"] == "valid" and doc["quantities"]["simplicity"] == 3
+
+
+_DROP = object()
+
+
+def _edited(tmp_path, stem, edits):
+    """A shipped certificate with each (key path, value) of ``edits`` set,
+    or deleted for ``_DROP``, written under tmp_path."""
+    doc = json.loads((DATA / f"{stem}.json").read_text())
+    for keys, value in edits:
+        target = doc
+        for key in keys[:-1]:
+            target = target[key]
+        if value is _DROP:
+            del target[keys[-1]]
+        else:
+            target[keys[-1]] = value
+    path = tmp_path / f"{stem}_edited.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+class TestCertificateStructure:
+    """Every structural certificate diagnostic: exit 2 with the exact message."""
+
+    @pytest.mark.parametrize("stem, edits, message", [
+        ("elliptic_g1_n2", [(("genus",), -1)], "genus must be >= 0"),
+        ("elliptic_g1_n2", [(("n",), -1)], "n must be >= 0"),
+        ("elliptic_g1_n2", [(("curves", 1, "name"), "a1")], "curve names must be distinct"),
+        ("elliptic_g1_n2", [(("curves", 1, "role"), "C")], "curve b1: role must be A or B"),
+        ("elliptic_g1_n2", [(("curves", 1, "index"), 2)], "curve b1: index 2 out of range 1..1"),
+        ("elliptic_g1_n2", [(("curves", 1, "role"), "A")], "duplicate A-curve indices"),
+        ("elliptic_g1_n2", [(("curves", 0, "index"), _DROP)],
+         "curve entry missing field 'index'"),
+        ("hyperbolic_g2_n3", [(("genus",), 3)],
+         "hyperbolic certificate needs A-curves indexed 1..g"),
+        ("elliptic_g1_n2", [(("curves", 1, "m"), _DROP)],
+         "pair (a1, b1): membership depths m required"),
+        ("elliptic_g1_n2", [(("curves", 1, "pushoff_minus"), None),
+                            (("curves", 1, "pushoff_plus"), "g2")],
+         "pair (a1, b1): no orientation has both pushoffs"),
+        ("parabolic_g1_n2", [(("curves", 1, "m"), _DROP)], "curve b1: membership depth m required"),
+        ("parabolic_g1_n2", [(("curves", 1, "pushoff_plus"), None)], "curve b1 has no pushoff word"),
+    ], ids=["genus", "n", "names", "role", "index", "duplicate-index", "missing-field",
+            "hyperbolic-indices", "elliptic-m", "elliptic-orientation", "parabolic-m",
+            "parabolic-pushoff"])
+    def test_exit_2(self, capsys, tmp_path, stem, edits, message):
+        path = _edited(tmp_path, stem, edits)
+        kind = stem.split("_")[0]
+        assert run(capsys, "certify", kind, path) == (2, "", f"error: {message}\n")
+
+    # each case's factors multiply to its pushoffs, so the factorization
+    # check passes and the missing depth is what stops the job
+    @pytest.mark.parametrize("edits, message", [
+        ([(("curves", 0, "pushoff_plus"), "g1 g2"), (("curves", 0, "factors"), {"mu": "g1 g2"}),
+          (("curves", 1, "pushoff_minus"), ""), (("curves", 1, "factors"), None)],
+         "curve a1: m_mu required for nontrivial mu"),
+        ([(("curves", 0, "factors", "m_chi"), None)],
+         "pair (a1, b1): m_chi required for nontrivial chi"),
+        ([(("curves", 0, "pushoff_plus"), ""), (("curves", 0, "factors"), None),
+          (("curves", 1, "pushoff_minus"), "g2"), (("curves", 1, "factors"), {"zeta": "g2"})],
+         "curve b1: m_zeta required for nontrivial zeta"),
+    ], ids=["m_mu", "m_chi", "m_zeta"])
+    def test_unknotted_depth_required(self, capsys, tmp_path, edits, message):
+        path = _edited(tmp_path, "unknotted_g1_n2", edits)
+        assert run(capsys, "certify", "unknotted", path) == (2, "", f"error: {message}\n")
+
+
+class TestArgumentRanges:
+    """Out-of-range numeric arguments that argparse accepts: exit 2 with the
+    library's message."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["bounds", "good-arc-bound", "0", "1", "1"], "m must be >= 1"),
+        (["bounds", "good-arc-bound", "1", "0", "1"], "k must be >= 1"),
+        (["bounds", "good-arc-bound", "1", "1", "-1"], "s must be >= 0"),
+        (["bounds", "ratio-check", "1", "-1"], "s_y must be >= 0"),
+        (["bounds", "product-bound-check", "12", "0", "3", "2"], "k must be >= 1"),
+        (["mmr", str(DATA / "trefoil.lp"), "-N", "-1"], "order must be >= 0"),
+        (["milnor", "vanish", str(DATA / "hopf.longitudes"), "-n", "0"], "n must be >= 1"),
+        (["magnus", "expand", "g1", "-D", "0"], "truncation degree must be >= 1"),
+        (["magnus", "degree", "g1", "-D", "0"], "truncation degree must be >= 1"),
+        (["decompose", "g1", "-m", "0", "-D", "2"], "m must be >= 1"),
+        (["trivialize", "build", "--factor", "g1"], "factor weight must be >= 2"),
+        (["trivialize", "build", "--factor", "g1 g2", "--insert", "99:g1"],
+         "position 99 out of range 0..4"),
+    ], ids=["good-arc-m", "good-arc-k", "good-arc-s", "ratio-s_y", "product-k", "mmr-order",
+            "milnor-n", "expand-degree", "degree-degree", "decompose-m", "build-weight",
+            "build-insert"])
+    def test_exit_2(self, capsys, argv, message):
+        assert run(capsys, *argv) == (2, "", f"error: {message}\n")
 
 
 def _shipped_variant(tmp_path, stem, **fields):

@@ -53,6 +53,11 @@ class TestRingOps:
             ((1, 1), 1), ((1, 2), 1), ((2, 1), 1), ((2, 2), 1),
         )
 
+    def test_unhashable(self):
+        # a class that defines __eq__ alone gets __hash__ = None
+        with pytest.raises(TypeError, match="unhashable type: 'NCPolynomial'"):
+            hash(NCPolynomial.one(2))
+
     def test_degree_mismatch(self):
         with pytest.raises(ValueError):
             nc_mul(NCPolynomial.one(2), NCPolynomial.one(3))

@@ -1,4 +1,5 @@
-"""The frozen value records of knotcert._value and the classes built on it."""
+"""The frozen value records of knotcert._value, the classes built on it, and
+the line primitives of the text readers."""
 
 import importlib
 import inspect
@@ -8,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 import knotcert
-from knotcert._value import Record, as_dict
+from knotcert._value import Record, as_dict, data_lines, int_tokens, located_tokens, token_error
 from knotcert.bounds import InequalityReport
 from knotcert.certify import ConditionResult, CertificateReport, PipelineReport, QInfo
 from knotcert.magnus import LongitudeSystem
@@ -143,3 +144,33 @@ def test_only_bench_copied_classes_are_dataclasses():
                 if hasattr(obj, "__dataclass_fields__"):
                     found.add(name)
     assert found == {"Curve", "SurfaceCertificate"}
+
+
+class TestLinePrimitives:
+    @pytest.mark.parametrize("line, expected", [
+        ("", []),
+        (" \t ", []),
+        ("g1 g1  g1", [(1, "g1"), (4, "g1"), (8, "g1")]),
+        ("\t1 \u3000 22", [(2, "1"), (6, "22")]),
+    ], ids=["empty", "blank", "repeated-token", "tab-and-wide-space"])
+    def test_located_tokens(self, line, expected):
+        # a tab or any other whitespace character is one column
+        assert located_tokens(line) == expected
+
+    def test_data_lines(self):
+        text = "# head\n1 2 # tail\n\n  # indented comment\n3"
+        assert data_lines(text) == [(2, "1 2 "), (3, ""), (5, "3")]
+
+    @pytest.mark.parametrize("body, index, message", [
+        ("a  bb", 1, "line 7, col 4: stray token 'bb'"),
+        ("a  bb ", 2, "line 7, col 6: stray token ''"),
+        ("   ", 0, "line 7, col 1: stray token ''"),
+    ], ids=["token", "past-last", "blank"])
+    def test_token_error(self, body, index, message):
+        error = token_error(7, body, index, "stray token {tok!r}")
+        assert isinstance(error, ValueError) and str(error) == message
+
+    def test_int_tokens(self):
+        assert int_tokens(1, " 3 -1\t+2 ", "bad {tok!r}") == [3, -1, 2]
+        with pytest.raises(ValueError, match="^line 4, col 6: bad 'x1'$"):
+            int_tokens(4, "1 -2 x1 x2", "bad {tok!r}")
