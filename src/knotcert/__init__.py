@@ -9,7 +9,7 @@ per process, so a CLI job pays only for the layers its command calls
 into: an ``alexander`` job loads ``seifert`` alone, and no ``word`` or
 ``magnus`` job loads ``certify`` or its ``dataclasses``.  The public
 names below are served from ``_EXPORTS`` by ``__getattr__`` and load
-their layer when first read.
+their module when first read.
 
 Two rules keep this working:
 
@@ -23,14 +23,29 @@ Two rules keep this working:
   module.  Any other lazy module would load during that walk and change
   the dict it iterates.  Traced jobs therefore still load and wrap all
   nine layers.
+
+The modules that only one command runs are plain modules for the same
+reason, and need no laziness: nothing imports them before that command
+does.  ``translate`` (the index shifts) and ``pipeline`` (the spine-link
+pipeline) are imported by their own CLI handler, or by ``__getattr__``
+below when their public name is first read, so a ``certify`` job never
+compiles them.  The CLI handlers sit in one module per command family
+(``cmd_words``, ``cmd_seifert``, ``cmd_bounds``, ``cmd_certify``), which
+``cli.main`` imports for the leaf it runs.
 """
 
 import sys
+from importlib import import_module
 from importlib.util import LazyLoader, find_spec, module_from_spec
 
 __version__ = "0.1.0"
 
-# layer -> the public names the package re-exports from it
+# the lazy library layers
+_LAYERS = (
+    "words", "magnus", "lyndon", "decomp", "schreier", "trivializer", "bounds", "seifert",
+    "certify",
+)
+# module -> the public names the package re-exports from it
 _EXPORTS = {
     "words": (
         "TaggedWord", "commutator_word", "concat", "conjugate", "delete_letters",
@@ -43,7 +58,6 @@ _EXPORTS = {
         "lcs_degree", "milnor_invariant", "milnor_vanish_upto", "nc_add", "nc_inverse",
         "nc_mul",
     ),
-    "lyndon": (),
     "decomp": ("CommutatorCombination", "decompose", "lie_component"),
     "schreier": (
         "NotInNormalClosure", "SchreierLetter", "normal_closure_lcs_degree",
@@ -53,7 +67,6 @@ _EXPORTS = {
         "FamilyCheck", "LetterSetFamily", "build_letter_sets", "extremal_entry_word",
         "verify_family",
     ),
-    "bounds": (),
     "seifert": (
         "LaurentPolynomial", "RationalSeries", "SeifertMatrix", "alexander",
         "alternating_sum", "anti_block_determinant_check", "apply_basis_change",
@@ -63,11 +76,12 @@ _EXPORTS = {
         "CertificateError", "CertificateReport", "GuardViolation", "SurfaceCertificate",
         "TranslationError", "certificate_from_dict", "certificate_to_dict",
         "certify_elliptic", "certify_hyperbolic", "certify_parabolic", "certify_unknotted",
-        "translate_certificate", "spine_link_pipeline",
     ),
+    "translate": ("translate_certificate",),
+    "pipeline": ("spine_link_pipeline",),
 }
-_LAYER_OF = {name: layer for layer, names in _EXPORTS.items() for name in names}
-__all__ = list(_LAYER_OF)
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+__all__ = list(_MODULE_OF)
 
 
 def _lazy(layer: str):
@@ -79,16 +93,16 @@ def _lazy(layer: str):
     return module
 
 
-for _layer in _EXPORTS:
+for _layer in _LAYERS:
     globals()[_layer] = _lazy(_layer)
 del _layer
 
 
 def __getattr__(name: str):
-    layer = _LAYER_OF.get(name)
-    if layer is None:
+    module = _MODULE_OF.get(name)
+    if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(globals()[layer], name)
+    return getattr(import_module(f"{__name__}.{module}"), name)
 
 
 def __dir__() -> list[str]:

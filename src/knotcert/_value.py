@@ -6,16 +6,62 @@ them: an ``__init__`` over the annotated fields that ends in
 ``Name(field=value, ...)`` repr, and instances whose attributes cannot
 be assigned or deleted.  The methods are generic and read the field
 names that ``__init_subclass__`` records once per class, so creating a
-class compiles and executes nothing.  This module imports nothing, so
-any layer can use it.
+class compiles and executes nothing.  This module imports no other
+knotcert module, so any layer can use it.
 
 ``KINDS`` lives here too, so that the CLI can offer the certificate
 kinds as argument choices without loading ``certify``, and so do the
-line primitives of the text readers: ``located_tokens`` places every
-token of a word, matrix, Laurent or longitude input by its column.
+line primitives of the text readers (``located_tokens`` places every
+token of a word, matrix, Laurent or longitude input by its column) and
+the input helpers that ``cli`` and its command modules share
+(``InputError``, ``read_text``, ``read_json``, ``generator_subset``).
+The command modules import these from here, never from ``cli``: under
+``python -m knotcert.cli`` the running ``cli`` is ``__main__``, and an
+import of ``knotcert.cli`` would execute it a second time.
 """
 
+import json
+import sys
+from pathlib import Path
+
 KINDS = ("hyperbolic", "elliptic", "parabolic", "unknotted")
+
+
+class InputError(ValueError):
+    """Malformed command input (CLI exit code 2)."""
+
+
+def read_text(source: str) -> str:
+    """The text of file ``source``, or of stdin for ``-``."""
+    if source == "-":
+        return sys.stdin.read()
+    try:
+        return Path(source).read_text()
+    except OSError as exc:
+        raise InputError(f"cannot read {source}: {exc}") from exc
+
+
+def read_json(source: str):
+    """The JSON document of file ``source``, or of stdin for ``-``."""
+    text = read_text(source)
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InputError(f"line {exc.lineno}, col {exc.colno}: {exc.msg}") from exc
+    except RecursionError:
+        # a RuntimeError, which the CLI would report as a defect in knotcert
+        raise InputError("JSON nested too deeply") from None
+
+
+def generator_subset(value: str) -> frozenset[int]:
+    """The generator indices that ``value`` lists, such as ``'1 2'``."""
+    try:
+        out = frozenset(int(tok) for tok in value.split())
+    except ValueError as exc:
+        raise InputError(f"bad generator subset {value!r}") from exc
+    if any(g < 1 for g in out):
+        raise InputError("generator subsets need positive indices")
+    return out
 
 
 def located_tokens(line: str) -> list[tuple[int, str]]:

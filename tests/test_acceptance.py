@@ -30,8 +30,6 @@ from knotcert.certify import (
     CertificateError,
     GuardViolation,
     certificate_from_dict,
-    translate_certificate,
-    spine_link_pipeline,
 )
 from knotcert.decomp import decompose
 from knotcert.magnus import (
@@ -41,6 +39,7 @@ from knotcert.magnus import (
     milnor_invariant,
     nc_mul,
 )
+from knotcert.pipeline import spine_link_pipeline
 from knotcert.schreier import normal_closure_lcs_degree, schreier_rewrite, schreier_substitute
 from knotcert.seifert import (
     LaurentPolynomial,
@@ -53,6 +52,7 @@ from knotcert.synth import (
     mutate_certificate,
     twist_unknotted_example,
 )
+from knotcert.translate import translate_certificate
 from knotcert.trivializer import build_letter_sets, verify_family
 from knotcert.words import (
     commutator_word,

@@ -19,10 +19,9 @@ from knotcert.certify import (
     certify_hyperbolic,
     certify_parabolic,
     certify_unknotted,
-    translate_certificate,
     q_of_word,
-    spine_link_pipeline,
 )
+from knotcert.pipeline import spine_link_pipeline
 from knotcert.synth import (
     checked_words,
     elliptic_example,
@@ -32,6 +31,7 @@ from knotcert.synth import (
     twist_unknotted_example,
     unknotted_example,
 )
+from knotcert.translate import _resolve_depth, translate_certificate
 from knotcert import certify, decomp, magnus
 from knotcert.bounds import partition_k, q, q_param
 from knotcert.decomp import decompose
@@ -182,7 +182,7 @@ class TestHyperbolic:
     def test_generator_renaming_invariance(self):
         # swapping x and y within each pair preserves the verdict
         base = hyperbolic_example(2, 3)
-        from knotcert.certify import _swap_pairs_in_word
+        from knotcert.translate import _swap_pairs_in_word
 
         swapped_curves = []
         for c in base.curves:
@@ -414,6 +414,36 @@ class TestTranslations:
     def test_level_mismatch(self):
         with pytest.raises(TranslationError):
             translate_certificate(elliptic_example(), "elliptic", 2)
+
+
+class TestResolveDepth:
+    """The unknotted shift's depth re-solve, on the shipped elliptic b1
+    pushoff: its q-values at depths 5, 4, ..., 1 are 1, 0, 0, 0, 0."""
+
+    @pytest.fixture(scope="class")
+    def word_and_membership(self):
+        cert = certificate_from_dict(json.loads((DATA / "elliptic_g1_n2.json").read_text()))
+        (b,) = cert.curves_of_role("B")
+        word = b.pushoff_minus
+        at = certify._membership(word, 0, subset=certify.b_dual_set(cert.genus))
+        assert [at.q(m).q for m in range(5, 0, -1)] == [1, 0, 0, 0, 0]
+        return word, at
+
+    @pytest.mark.parametrize("target, depth", [(1, 5), (0, 4)])
+    def test_largest_depth_hitting_the_target(self, word_and_membership, target, depth):
+        word, at = word_and_membership
+        assert _resolve_depth(word, at, 5, target) == depth
+
+    def test_source_depth_kept(self, word_and_membership):
+        word, at = word_and_membership
+        assert _resolve_depth(word, at, 5, None) == 5
+        assert _resolve_depth((), at, 5, 0) == 5
+        assert _resolve_depth(word, at, None, 0) is None
+
+    def test_unrealizable_target(self, word_and_membership):
+        word, at = word_and_membership
+        with pytest.raises(TranslationError, match="target q-value 2$"):
+            _resolve_depth(word, at, 5, 2)
 
 
 class TestSpinePipeline:
@@ -649,12 +679,13 @@ class TestFastQPath:
 
     def spy_residual(self, monkeypatch):
         calls = []
+        residual_word = decomp.residual_word
 
         def residual(word, factors):
             calls.append(word)
-            return decomp.residual_word(word, factors)
+            return residual_word(word, factors)
 
-        monkeypatch.setattr(certify, "residual_word", residual)
+        monkeypatch.setattr(decomp, "residual_word", residual)
         return calls
 
     def test_two_blocks_build_the_residual(self, monkeypatch):
@@ -686,7 +717,6 @@ class TestFastQPath:
 
         monkeypatch.setattr(decomp, "commutator_group_word", forbidden)
         monkeypatch.setattr(decomp, "residual_word", forbidden)
-        monkeypatch.setattr(certify, "residual_word", forbidden)
         stages = []
         check_stage = decomp._check_stage
 

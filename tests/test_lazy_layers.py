@@ -1,14 +1,18 @@
 """Lazy library layers: what each command loads, the tracer, the public names.
 
 ``knotcert/__init__.py`` registers the nine library layers as lazy
-modules, and ``cli`` reaches them only through module attributes, so a
-job loads the layers its command calls into and no others.  These tests
-run each job in a fresh interpreter, because the test process itself has
-long since loaded every layer.
+modules, ``cli`` imports only the command module of the leaf it runs,
+and the command modules reach the layers only through module
+attributes, so a job loads its own family's handlers and the layers its
+command calls into, and no others.  These tests run each job in a fresh
+interpreter, because the test process itself has long since loaded
+every layer.
 """
 
+import importlib
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -17,6 +21,8 @@ import pytest
 
 import knotcert
 from knotcert import cli
+from knotcert.certify import CERTIFIERS, certificate_from_dict, certificate_to_dict
+from knotcert.synth import mutate_certificate
 
 ROOT = Path(__file__).resolve().parent.parent
 DATA = ROOT / "src" / "knotcert" / "data"
@@ -53,11 +59,14 @@ TRIVIALIZER_REPORT = {
     "sets": [[0, 2], [1, 3]],
 }
 
-WORDS = {"cli", "_value", "words"}
+WORDS = {"cli", "_value", "cmd_words", "words"}
 MAGNUS = WORDS | {"magnus"}
-SEIFERT = {"cli", "_value", "seifert"}
-CERTIFY = MAGNUS | {"lyndon", "decomp", "schreier", "bounds", "certify"}
-BOUNDS = {"cli", "_value", "bounds"}
+SEIFERT = {"cli", "_value", "cmd_seifert", "seifert"}
+# a certificate whose memberships fail computes no q-value, and loads
+# neither bounds nor decomp and lyndon (see TestRejectedMutants)
+CERTIFY = {"cli", "_value", "cmd_certify", "words", "magnus", "schreier", "certify"}
+Q_VALUES = {"bounds", "decomp", "lyndon"}
+BOUNDS = {"cli", "_value", "cmd_bounds", "bounds"}
 
 # (argv, the knotcert modules it loads); one row per leaf command
 LOAD_SETS = [
@@ -88,16 +97,36 @@ LOAD_SETS = [
     (["bounds", "product-bound-check", "12", "1", "3", "2"], BOUNDS),
     (["bounds", "partition-k", "--factors", "1 2|2 3|4"], BOUNDS),
     (["bounds", "check-inequalities", "11"], BOUNDS),
-    (["certify", "elliptic", DATA / "elliptic_g1_n2.json"], CERTIFY),
-    (["certify", "hyperbolic", DATA / "hyperbolic_g2_n3.json"], CERTIFY),
-    (["certify", "parabolic", DATA / "parabolic_g1_n2.json"], CERTIFY),
-    (["certify", "unknotted", DATA / "unknotted_g1_n2.json"], CERTIFY),
-    # the band-twist certificate's conditions compute no q-value, so no bound
-    # function runs; the unknotted_g1_n2 row above does compute them
+    (["certify", "elliptic", DATA / "elliptic_g1_n2.json"], CERTIFY | Q_VALUES),
+    (["certify", "hyperbolic", DATA / "hyperbolic_g2_n3.json"], CERTIFY | Q_VALUES),
+    (["certify", "parabolic", DATA / "parabolic_g1_n2.json"], CERTIFY | Q_VALUES),
+    (["certify", "unknotted", DATA / "unknotted_g1_n2.json"], CERTIFY | Q_VALUES),
+    # the band-twist certificate's conditions compute no q-value; the
+    # unknotted_g1_n2 row above does compute them
     (["translate", "unknotted", DATA / "unknotted_twist_n4.json", "--n", "2"],
-     CERTIFY - {"bounds"}),
-    (["pipeline", "spine-link", DATA / "hyperbolic_g2_n3.json", "--signs", "++++"], CERTIFY),
+     CERTIFY | {"translate"}),
+    (["pipeline", "spine-link", DATA / "hyperbolic_g2_n3.json", "--signs", "++++"],
+     CERTIFY | Q_VALUES | {"pipeline"}),
 ]
+
+
+def _leaves():
+    """Leaf path -> the "module:function" that its COMMANDS row names."""
+    leaves = {}
+    for name, (_, target, _) in cli.COMMANDS.items():
+        if isinstance(target, str):
+            leaves[(name,)] = target
+        else:
+            leaves.update({(name, sub): row[1] for sub, row in target.items()})
+    return leaves
+
+
+LEAVES = _leaves()
+
+
+def probe_job(*argv):
+    proc = run_python("-c", PROBE, *argv)
+    return json.loads(proc.stderr.splitlines()[-1])
 
 
 class TestLoadSets:
@@ -107,10 +136,15 @@ class TestLoadSets:
         report = tmp_path / "report.json"
         report.write_text(json.dumps(TRIVIALIZER_REPORT))
         argv = [str(report) if a == "{report}" else a for a in argv]
-        proc = run_python("-c", PROBE, *argv)
-        probe = json.loads(proc.stderr.splitlines()[-1])
+        probe = probe_job(*argv)
         assert probe["code"] == 0
-        assert set(probe["loaded"]) == modules
+        loaded = set(probe["loaded"])
+        assert loaded == modules
+        # the leaf's own command module, and no other family's
+        family = LEAVES[cli._leaf_path(argv)].split(":")[0]
+        assert {m for m in loaded if m.startswith("cmd_")} == {family}
+        if argv[0] == "certify":
+            assert not {"translate", "pipeline"} & loaded
         if "certify" not in modules:
             # dataclasses and inspect come in with certify alone
             assert not {"dataclasses", "inspect"} & set(probe["added"])
@@ -120,11 +154,13 @@ class TestLoadSets:
             assert not {"fractions", "decimal", "numbers"} & set(probe["added"])
 
     def test_one_row_per_leaf_command(self):
-        leaves = [(name,) if not isinstance(target, dict) else (name, sub)
-                  for name, (_, target, _) in cli.COMMANDS.items()
-                  for sub in (target if isinstance(target, dict) else [None])]
         rows = [cli._leaf_path([str(a) for a in argv]) for argv, _ in LOAD_SETS]
-        assert sorted(rows) == sorted(leaves)
+        assert sorted(rows) == sorted(LEAVES)
+
+    @pytest.mark.parametrize("path", sorted(LEAVES), ids=" ".join)
+    def test_leaf_handler_resolves(self, path):
+        # a misspelt reference would otherwise fail only when its command runs
+        assert callable(cli._handler(LEAVES[path]))
 
     def test_import_loads_no_library_layer(self):
         code = ("import json, sys, types, knotcert.cli; print(json.dumps(sorted(name for name, "
@@ -132,6 +168,48 @@ class TestLoadSets:
                 "and type(module) is types.ModuleType)))")
         proc = run_python("-c", code)
         assert json.loads(proc.stdout) == ["knotcert._value", "knotcert.cli"]
+
+
+class TestRejectedMutants:
+    """A mutant rejected at its memberships computes no q-value, so it
+    compiles neither decomp nor lyndon."""
+
+    @pytest.mark.parametrize("stem", ["elliptic_g1_n2", "parabolic_g1_n2", "unknotted_g1_n2"])
+    def test_loads_no_decomposition(self, tmp_path, stem):
+        cert = certificate_from_dict(json.loads((DATA / f"{stem}.json").read_text()))
+        mutant = mutate_certificate(cert, random.Random(0))
+        report = CERTIFIERS[cert.kind](mutant)
+        assert [c.name for c in report.conditions if c.status == "fail"][0].endswith("membership")
+        assert not [c.name for c in report.conditions if "q-" in c.name]
+        path = tmp_path / "mutant.json"
+        path.write_text(json.dumps(certificate_to_dict(mutant)))
+        probe = probe_job("certify", cert.kind, path)
+        assert probe["code"] == 1
+        assert not {"decomp", "lyndon"} & set(probe["loaded"])
+
+
+# Runs knotcert.cli as __main__, as ``python -m knotcert.cli`` does, then
+# writes to stderr, as JSON, the exit code and whether the run also
+# imported knotcert.cli, which would execute cli.py a second time.
+RUN_AS_MAIN = """
+import json, runpy, sys
+try:
+    runpy.run_module("knotcert.cli", run_name="__main__")
+except SystemExit as exc:
+    code = exc.code
+print(json.dumps({"code": code, "cli": "knotcert.cli" in sys.modules}), file=sys.stderr)
+"""
+
+
+class TestRunAsMain:
+    @pytest.mark.parametrize("argv", [
+        ["alexander", DATA / "trefoil.mat"],
+        ["certify", "hyperbolic", DATA / "hyperbolic_g2_n3.json"],
+    ], ids=["alexander", "certify-hyperbolic"])
+    def test_cli_runs_once(self, argv):
+        proc = run_python("-W", "error", "-c", RUN_AS_MAIN, *argv)
+        assert json.loads(proc.stderr.splitlines()[-1]) == {"code": 0, "cli": False}
+        assert proc.stdout == run_python("-c", ENTRY, *argv).stdout
 
 
 class TestTracerContract:
@@ -150,7 +228,14 @@ class TestTracerContract:
         (["alexander", DATA / "trefoil.mat", "--format", "structured"], {"cli", "seifert"}),
         (["certify", "elliptic", DATA / "elliptic_g1_n2.json", "--format", "structured"],
          {"cli", "words", "magnus", "lyndon", "decomp", "schreier", "bounds", "certify"}),
-    ], ids=["alexander", "certify-elliptic"])
+        # translate and pipeline import their layers' functions after the
+        # tracer has wrapped them, so they call the wrappers
+        (["translate", "unknotted", DATA / "unknotted_twist_n4.json", "--n", "2",
+          "--format", "structured"], {"cli", "words", "schreier", "certify"}),
+        (["pipeline", "spine-link", DATA / "hyperbolic_g2_n3.json", "--signs", "++++",
+          "--format", "structured"],
+         {"cli", "words", "magnus", "lyndon", "decomp", "bounds", "certify"}),
+    ], ids=["alexander", "certify-elliptic", "translate-unknotted", "pipeline-spine-link"])
     def test_traced_job_matches_untraced(self, tmp_path, argv, layers):
         spans_path = tmp_path / "spans.json"
         traced = run_python(TRACER, spans_path, "--", *argv)
@@ -162,7 +247,8 @@ class TestTracerContract:
         assert "cli.main" in {name for name, *_ in spans}
 
 
-# The names `knotcert` re-exported when it imported every layer eagerly.
+# The names `knotcert` re-exported when it imported every layer eagerly,
+# by the module that now defines them.
 PUBLIC_NAMES = {
     "words": [
         "TaggedWord", "commutator_word", "concat", "conjugate", "delete_letters",
@@ -193,8 +279,9 @@ PUBLIC_NAMES = {
         "CertificateError", "CertificateReport", "GuardViolation", "SurfaceCertificate",
         "TranslationError", "certificate_from_dict", "certificate_to_dict",
         "certify_elliptic", "certify_hyperbolic", "certify_parabolic", "certify_unknotted",
-        "translate_certificate", "spine_link_pipeline",
     ],
+    "translate": ["translate_certificate"],
+    "pipeline": ["spine_link_pipeline"],
 }
 PUBLIC = [(layer, name) for layer, names in PUBLIC_NAMES.items() for name in names]
 
@@ -206,7 +293,7 @@ class TestPublicNames:
 
     @pytest.mark.parametrize("layer, name", PUBLIC, ids=[name for _, name in PUBLIC])
     def test_name_is_its_layers_object(self, layer, name):
-        module = getattr(knotcert, layer)
+        module = importlib.import_module(f"knotcert.{layer}")
         assert sys.modules[f"knotcert.{layer}"] is module
         scope = {}
         exec(f"from knotcert import {name}", scope)

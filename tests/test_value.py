@@ -11,8 +11,9 @@ import pytest
 import knotcert
 from knotcert._value import Record, as_dict, data_lines, int_tokens, located_tokens, token_error
 from knotcert.bounds import InequalityReport
-from knotcert.certify import ConditionResult, CertificateReport, PipelineReport, QInfo
+from knotcert.certify import ConditionResult, CertificateReport, QInfo
 from knotcert.magnus import LongitudeSystem
+from knotcert.pipeline import PipelineReport
 from knotcert.seifert import SeifertMatrix
 from knotcert.trivializer import FamilyCheck, LetterSetFamily
 from knotcert.words import TaggedWord
