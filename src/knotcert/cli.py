@@ -101,15 +101,15 @@ COMMANDS = {
         _arg("laurent", help="laurent polynomial file (path or -)"),
         _arg("-N", "--order", type=int, required=True))),
     "bounds": ("arithmetic bound functions", {
-        "q": (None, "cmd_bounds:value", _ints("m")),
-        "t": (None, "cmd_bounds:value", _ints("n")),
-        "q-param": (None, "cmd_bounds:value", _ints("n", "k")),
-        "l-n-s": (None, "cmd_bounds:value", (_arg("q", type=int, nargs="+"),)),
-        "conflict-max": (None, "cmd_bounds:value", _ints("s")),
-        "ratio-check": (None, "cmd_bounds:value", _ints("w_y", "s_y")),
-        "good-arc-bound": (None, "cmd_bounds:value", (
+        "q": (None, "cmd_bounds:q", _ints("m")),
+        "t": (None, "cmd_bounds:t", _ints("n")),
+        "q-param": (None, "cmd_bounds:q_param", _ints("n", "k")),
+        "l-n-s": (None, "cmd_bounds:l_n_s", (_arg("q", type=int, nargs="+"),)),
+        "conflict-max": (None, "cmd_bounds:conflict_max", _ints("s")),
+        "ratio-check": (None, "cmd_bounds:ratio_check", _ints("w_y", "s_y")),
+        "good-arc-bound": (None, "cmd_bounds:good_arc_bound", (
             *_ints("m", "k", "s"), _arg("--embedded", action="store_true"))),
-        "product-bound-check": (None, "cmd_bounds:value", _ints("m", "k", "r", "s")),
+        "product-bound-check": (None, "cmd_bounds:product_bound_check", _ints("m", "k", "r", "s")),
         "check-inequalities": (None, "cmd_bounds:check_inequalities", _ints("n")),
         "partition-k": (None, "cmd_bounds:partition_k", (_arg(
             "--factors", required=True, help="generator sets split by '|', e.g. '1 2|2 3|4'"),)),

@@ -11,30 +11,44 @@ from . import bounds
 from ._value import InputError, generator_subset
 
 
-def _conflict_max(args):
+def _report(args, value):
+    return 0, {"fn": args.subcommand, "value": value}, [str(value)]
+
+
+def q(args):
+    return _report(args, bounds.q(args.m))
+
+
+def t(args):
+    return _report(args, bounds.t(args.n))
+
+
+def q_param(args):
+    return _report(args, bounds.q_param(args.n, args.k))
+
+
+def l_n_s(args):
+    return _report(args, bounds.l_n_S(args.q))
+
+
+def conflict_max(args):
     try:
-        return bounds.conflict_max(args.s)
+        value = bounds.conflict_max(args.s)
     except OverflowError as exc:
         raise InputError(f"bounds conflict-max: s = {args.s} is out of range: {exc}") from exc
+    return _report(args, value)
 
 
-# bounds leaf -> the value it reports, from its parsed arguments
-_VALUES = {
-    "q": lambda a: bounds.q(a.m),
-    "t": lambda a: bounds.t(a.n),
-    "q-param": lambda a: bounds.q_param(a.n, a.k),
-    "l-n-s": lambda a: bounds.l_n_S(a.q),
-    "conflict-max": _conflict_max,
-    "ratio-check": lambda a: bounds.ratio_check(a.w_y, a.s_y),
-    "good-arc-bound": lambda a: bounds.good_arc_bound(a.m, a.k, a.s, a.embedded),
-    "product-bound-check": lambda a: bounds.product_bound_check(a.m, a.k, a.r, a.s),
-}
+def ratio_check(args):
+    return _report(args, bounds.ratio_check(args.w_y, args.s_y))
 
 
-def value(args):
-    """The handler of every leaf in ``_VALUES``: one function value."""
-    value = _VALUES[args.subcommand](args)
-    return 0, {"fn": args.subcommand, "value": value}, [str(value)]
+def good_arc_bound(args):
+    return _report(args, bounds.good_arc_bound(args.m, args.k, args.s, args.embedded))
+
+
+def product_bound_check(args):
+    return _report(args, bounds.product_bound_check(args.m, args.k, args.r, args.s))
 
 
 def check_inequalities(args):
