@@ -14,7 +14,8 @@ kinds as argument choices without loading ``certify``, and so do the
 line primitives of the text readers (``located_tokens`` places every
 token of a word, matrix, Laurent or longitude input by its column) and
 the input helpers that ``cli`` and its command modules share
-(``InputError``, ``read_text``, ``read_json``, ``generator_subset``).
+(``InputError``, ``read_text``, ``read_json``, ``json_int``,
+``generator_subset``).
 The command modules import these from here, never from ``cli``: under
 ``python -m knotcert.cli`` the running ``cli`` is ``__main__``, and an
 import of ``knotcert.cli`` would execute it a second time.
@@ -51,6 +52,15 @@ def read_json(source: str):
     except RecursionError:
         # a RuntimeError, which the CLI would report as a defect in knotcert
         raise InputError("JSON nested too deeply") from None
+
+
+def json_int(value) -> bool:
+    """Whether ``value`` is a JSON integer: an ``int`` that is not a ``bool``.
+
+    ``bool`` is an ``int`` subclass, and ``int()`` would cut a float or
+    parse a string, so no looser test will do.
+    """
+    return isinstance(value, int) and type(value) is not bool
 
 
 def generator_subset(value: str) -> frozenset[int]:

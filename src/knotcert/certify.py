@@ -26,7 +26,7 @@ from typing import Callable, Iterator, Sequence
 # qualified: a certificate rejected before any q-value loads neither them
 # nor lyndon, which decomp imports
 from . import bounds, decomp
-from ._value import KINDS, Record, as_dict
+from ._value import KINDS, Record, as_dict, json_int
 from .magnus import MAX_GENERATOR, NCPolynomial, expand, staged_expand
 from .schreier import NotInNormalClosure, rewrite_to_word
 from .words import (
@@ -184,12 +184,8 @@ def b_dual_set(genus: int) -> frozenset[int]:
 
 
 def _integer(value, field: str) -> int:
-    """``value`` if it is a JSON integer; TypeError naming ``field`` otherwise.
-
-    ``bool`` is an ``int`` subclass, and a float or string would be cut or
-    parsed by ``int()``, so only a true ``int`` is accepted.
-    """
-    if isinstance(value, bool) or not isinstance(value, int):
+    """``value`` if it is a JSON integer; TypeError naming ``field`` otherwise."""
+    if not json_int(value):
         raise TypeError(f"{field} must be an integer, got {json.dumps(value)}")
     return value
 
@@ -698,6 +694,13 @@ def certify_parabolic(
 # n-unknotted
 
 
+def _exclusion_holds(chi_a: bool, chi_b: bool, zeta: bool, mu: bool, x: bool) -> bool:
+    """The mixed-type definition's exclusions, given which of chi_A, chi_B,
+    zeta, mu and x^l are nontrivial: chi_A and chi_B are trivial together,
+    and nontrivial exactly when zeta, mu and x^l are all trivial."""
+    return chi_a == chi_b == (not (zeta or mu or x))
+
+
 def certify_unknotted(cert: SurfaceCertificate, n: int | None = None) -> CertificateReport:
     """Check the witness factorizations of the mixed-type definition.
 
@@ -783,23 +786,15 @@ def certify_unknotted(cert: SurfaceCertificate, n: int | None = None) -> Certifi
             rb.add("chi-membership", "vacuous", a.name, "chi_A = chi_B = 1")
 
         # (c) exclusion pattern
-        chi_both = bool(fa.chi) and bool(fb.chi)
-        chi_none = not fa.chi and not fb.chi
-        zeta_trivial = not fb.zeta
-        x_trivial = fa.x_exponent == 0
-        mu_trivial = not fa.mu
-        pattern_ok = chi_none or (
-            chi_both and ((zeta_trivial and x_trivial) or (not x_trivial and not zeta_trivial))
-        )
-        iff_ok = chi_both == (zeta_trivial and mu_trivial and x_trivial)
-        if pattern_ok and iff_ok:
+        chi_a, chi_b, zeta, mu, x = map(bool, (fa.chi, fb.chi, fb.zeta, fa.mu, fa.x_exponent))
+        if _exclusion_holds(chi_a, chi_b, zeta, mu, x):
             rb.add("exclusion-pattern", "pass", a.name)
         else:
             rb.add(
                 "exclusion-pattern",
                 "fail",
                 a.name,
-                f"chi_both={chi_both} zeta=1:{zeta_trivial} mu=1:{mu_trivial} x^l=1:{x_trivial}",
+                f"chi_both={chi_a and chi_b} zeta=1:{not zeta} mu=1:{not mu} x^l=1:{not x}",
             )
 
         # (d) zeta closure membership with q + s = n+1

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 
 from . import seifert
-from ._value import InputError, data_lines, int_tokens, read_json, read_text, token_error
+from ._value import InputError, data_lines, int_tokens, json_int, read_json, read_text, token_error
 
 
 def read_matrix_file(source: str) -> tuple[int, tuple[tuple[int, ...], ...]]:
@@ -85,9 +85,8 @@ def altsum(args):
         values = {}
         for entry in data:
             subset = entry["subset"]
-            # bool is an int, and a string would iterate as its characters
-            if not isinstance(subset, list) or any(
-                    not isinstance(i, int) or isinstance(i, bool) for i in subset):
+            # a string would iterate as its characters
+            if not isinstance(subset, list) or not all(map(json_int, subset)):
                 raise ValueError(f"subset {json.dumps(subset)} is not a list of integers")
             values[tuple(subset)] = Fraction(str(entry["value"]))
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:

@@ -13,7 +13,8 @@ from __future__ import annotations
 import json
 
 from . import decomp, magnus, schreier, trivializer, words
-from ._value import InputError, data_lines, generator_subset, read_json, read_text, token_error
+from ._value import (
+    InputError, data_lines, generator_subset, json_int, read_json, read_text, token_error)
 
 
 def _raw_arg(value: str) -> str:
@@ -171,13 +172,13 @@ def trivialize_verify(args):
             raise InputError(f"bad trivializer report: word {json.dumps(word)} is not a string")
         letters = words.parse_letters(word)
         for tag in data["tags"]:
-            if tag is not None and (not isinstance(tag, int) or isinstance(tag, bool)):
+            if tag is not None and not json_int(tag):
                 raise InputError(
                     f"bad trivializer report: tag {json.dumps(tag)} is not an integer or null")
         tags = tuple(t if t else None for t in data["tags"])
         for position in (p for s in data["sets"] for p in s):
             # before the frozensets, which would merge true with 1 and 1.0 with 1
-            if not isinstance(position, int) or isinstance(position, bool):
+            if not json_int(position):
                 raise InputError(
                     f"bad trivializer report: position {json.dumps(position)} is not an integer")
         sets = tuple(frozenset(s) for s in data["sets"])

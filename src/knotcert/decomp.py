@@ -81,8 +81,6 @@ def _expand_nest_pair(entries: tuple[int, ...], degree: int) -> tuple[NCPolynomi
     inversion, and recursing on the prefix shares work between the many
     factors of a solve that differ only in their last entries.
     """
-    if len(entries) < 1:
-        raise ValueError("need at least one entry")
     if len(entries) == 1:
         return expand(entries, degree), expand((-entries[0],), degree)
     p, p_inv = _expand_nest_pair(entries[:-1], degree)

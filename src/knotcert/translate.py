@@ -23,10 +23,11 @@ from .certify import (
     _Membership,
     _membership,
     _paired_curves,
-    a_dual_set,
     b_dual_set,
     certify_hyperbolic,
     certify_unknotted,
+    x_generator,
+    y_generator,
 )
 
 
@@ -38,14 +39,11 @@ class TranslationResult(Record):
 
 def _swap_pairs_in_word(word: tuple[int, ...], swapped: set[int]) -> tuple[int, ...]:
     """Exchange x_i <-> y_i for every pair index in ``swapped``."""
-    out = []
-    for letter in word:
-        gen = abs(letter)
-        pair = (gen + 1) // 2
-        if pair in swapped:
-            gen = gen + 1 if gen % 2 == 1 else gen - 1
-        out.append(gen if letter > 0 else -gen)
-    return tuple(out)
+    swap = {}
+    for i in swapped:
+        x, y = x_generator(i), y_generator(i)
+        swap.update({x: y, y: x, -x: -y, -y: -x})
+    return tuple(swap.get(letter, letter) for letter in word)
 
 
 def _relabel_curve(curve: Curve, role: str, swapped: set[int]) -> Curve:
@@ -144,7 +142,7 @@ def translate_certificate(cert: SurfaceCertificate, kind: str, n: int) -> Transl
 
     # unknotted
     target_n = level - s - 1
-    s_a = a_dual_set(cert.genus)
+    per_pair = source_report.quantities["per_pair"]
     s_b = b_dual_set(cert.genus)
     curves = []
     for a, b in _paired_curves(cert):
@@ -153,7 +151,7 @@ def translate_certificate(cert: SurfaceCertificate, kind: str, n: int) -> Transl
         # the source is valid, so every nontrivial chi and zeta lies in its
         # closure; depth 0 rewrites without expanding
         mu = _membership(fa.mu, 0, index=a.index)
-        chi_a, chi_b = _membership(fa.chi, 0, subset=s_a), _membership(fb.chi, 0, subset=s_b)
+        chi_b = _membership(fb.chi, 0, subset=s_b)
         zeta = _membership(fb.zeta, 0, subset=s_b)
         new_fa = UnknottedFactors(
             fa.x_exponent, fa.chi, fa.mu,
@@ -161,7 +159,8 @@ def translate_certificate(cert: SurfaceCertificate, kind: str, n: int) -> Transl
         )
         chi_target = None
         if fa.chi and fb.chi:
-            chi_target = target_n + 1 - chi_a.q(new_fa.m_chi).q
+            # chi_A keeps its source depth, so its q-value is the source's
+            chi_target = target_n + 1 - per_pair[a.name]["q_chi_A"]
         new_fb = UnknottedFactors(
             chi=fb.chi,
             zeta=fb.zeta,

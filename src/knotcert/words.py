@@ -86,6 +86,14 @@ class TaggedWord(Record):
         return tuple(i for i, t in enumerate(self.tags) if t == tag)
 
 
+def _check_entries(entries: Sequence[int]) -> None:
+    """ValueError unless ``entries`` are two or more nonzero letters."""
+    if len(entries) < 2:
+        raise ValueError("a commutator needs at least two entries")
+    if any(e == 0 for e in entries):
+        raise ValueError("entries must be nonzero letters")
+
+
 def simple_commutator(entries: Sequence[int]) -> TaggedWord:
     """Expand the left-normed commutator [y1, y2, ..., y_{m+1}].
 
@@ -94,10 +102,7 @@ def simple_commutator(entries: Sequence[int]) -> TaggedWord:
     carries the index of the entry it realizes.  No free reduction is
     performed; use ``.word()`` for the group element.
     """
-    if len(entries) < 2:
-        raise ValueError("a commutator needs at least two entries")
-    if any(e == 0 for e in entries):
-        raise ValueError("entries must be nonzero letters")
+    _check_entries(entries)
     letters = [entries[0]]
     tags: list[int | None] = [1]
     for stage, y in enumerate(entries[1:], start=2):
@@ -129,10 +134,7 @@ def commutator_word(entries: Sequence[int]) -> tuple[int, ...]:
     3*2^(k-1)-2 letters (weight k) that ``simple_commutator`` spells out
     is never formed.
     """
-    if len(entries) < 2:
-        raise ValueError("a commutator needs at least two entries")
-    if any(e == 0 for e in entries):
-        raise ValueError("entries must be nonzero letters")
+    _check_entries(entries)
     w: tuple[int, ...] = (entries[0],)
     for y in entries[1:]:
         out = list(w)

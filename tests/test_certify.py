@@ -1,5 +1,7 @@
+import itertools
 import json
 import random
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -31,8 +33,8 @@ from knotcert.synth import (
     twist_unknotted_example,
     unknotted_example,
 )
-from knotcert.translate import _resolve_depth, translate_certificate
-from knotcert import certify, decomp, magnus
+from knotcert.translate import _resolve_depth, _swap_pairs_in_word, translate_certificate
+from knotcert import certify, decomp, magnus, translate
 from knotcert.bounds import partition_k, q, q_param
 from knotcert.decomp import decompose
 from knotcert.schreier import NotInNormalClosure, rewrite_to_word
@@ -318,6 +320,14 @@ class TestUnknotted:
         assert report.verdict == "invalid"
         assert any(c.name == "chi-pairing" and c.status == "fail" for c in report.conditions)
 
+    @pytest.mark.parametrize("chi_a, chi_b, zeta, mu, x", itertools.product((False, True), repeat=5))
+    def test_exclusion_condition_matches_the_two_clause_rule(self, chi_a, chi_b, zeta, mu, x):
+        # the rule as it was first written: a pattern clause and an iff clause
+        chi_both = chi_a and chi_b
+        pattern = (not chi_a and not chi_b) or (chi_both and zeta == x)
+        iff = chi_both == (not zeta and not mu and not x)
+        assert certify._exclusion_holds(chi_a, chi_b, zeta, mu, x) == (pattern and iff)
+
     def test_product_mismatch_is_error(self):
         base = unknotted_example()
         broken = SurfaceCertificate(
@@ -396,6 +406,20 @@ class TestTranslations:
         assert result.certificate.n == 2
         assert result.report.verdict == "valid"
 
+    def test_unknotted_chi_resolve(self, monkeypatch):
+        # no valid source at tier-1 cost reaches the chi re-solve, so the
+        # shipped level-2 chi certificate stands in for a level-4 source:
+        # chi_B aims at q = 3 - q_chi_A = 1, which depth 5 gives
+        cert = replace(unknotted_example(), n=4)
+        source = certify_unknotted(cert, n=2)
+        assert source.verdict == "valid"
+        monkeypatch.setattr(translate, "_verify_source", lambda c, kind: source)
+        result = translate_certificate(cert, "unknotted", 2)
+        assert result.source_report is source
+        a1, b1 = result.certificate.curves
+        assert (a1.factors.m_chi, b1.factors.m_chi) == (11, 5)
+        assert (result.certificate.n, result.report.verdict) == (2, "valid")
+
     def test_unknotted_guard(self):
         with pytest.raises(GuardViolation):
             translate_certificate(twist_unknotted_example(n=4, s=3), "unknotted", 2)
@@ -414,6 +438,11 @@ class TestTranslations:
     def test_level_mismatch(self):
         with pytest.raises(TranslationError):
             translate_certificate(elliptic_example(), "elliptic", 2)
+
+
+def test_swap_pairs_in_word():
+    # x_i = 2i-1 and y_i = 2i trade places, with their signs, in the swapped pairs only
+    assert _swap_pairs_in_word((1, -2, 3, -4, -5, 6), {1, 3}) == (2, -1, 3, -4, -6, 5)
 
 
 class TestResolveDepth:

@@ -5,7 +5,8 @@ prints, and the exit code, for every shipped certificate, the index-shift
 translations, the spine-link pipeline (with and without a slice depth)
 and one one-letter mutant per certificate kind, so the failure details
 are pinned as well.  A few hand-made certificates (``DOCUMENTS``) pin
-failure details that neither the corpus nor the mutants reach.  The
+failure details, and one pass branch, that neither the corpus nor the
+mutants reach.  The
 mutants come from ``mutate_certificate`` at a fixed seed; they and the
 hand-made documents are stored in the file, so the reports do not depend on later changes to ``synth``,
 and ``test_mutant_builder_unchanged`` checks that the builder still makes the stored mutants.
@@ -64,7 +65,7 @@ MUTANT_SOURCES = {
 }
 
 # name -> (kind, certificate document): hand-made certificates whose
-# failure details are not reached by the shipped corpus or the mutants
+# details are not reached by the shipped corpus or the mutants
 DOCUMENTS = {
     # pushoff + fails at lcs degree 1, pushoff - at degree 2 below n+1 = 4
     "hyperbolic-both-pushoffs-fail": ("hyperbolic", {
@@ -154,6 +155,22 @@ DOCUMENTS = {
             {"name": "a4", "role": "A", "index": 4, "pushoff_plus": "", "pushoff_minus": None},
             {"name": "b4", "role": "B", "index": 4, "pushoff_plus": None, "pushoff_minus": "g8",
              "factors": {"zeta": "g8", "m_zeta": 1}},
+        ],
+    }),
+    # pair 1 is the x_1^2 band twist; pair 2's mu = [x_1, y_1] dies when
+    # stage 2 kills x_1 and y_1, so its trivial image gets q(m_mu+1) =
+    # q(18) = 3 = n+1 and the mu q-equation passes
+    "unknotted-mu-q-equation-pass": ("unknotted", {
+        "schema": 1, "kind": "unknotted", "genus": 2, "n": 2,
+        "asserted_flags": ["regular-spine"],
+        "curves": [
+            {"name": "a1", "role": "A", "index": 1, "pushoff_plus": "g1 g1", "pushoff_minus": None,
+             "factors": {"x_exponent": 2}},
+            {"name": "b1", "role": "B", "index": 1, "pushoff_plus": None, "pushoff_minus": ""},
+            {"name": "a2", "role": "A", "index": 2,
+             "pushoff_plus": "g1 g2 g1^-1 g2^-1", "pushoff_minus": None,
+             "factors": {"mu": "g1 g2 g1^-1 g2^-1", "m_mu": 17}},
+            {"name": "b2", "role": "B", "index": 2, "pushoff_plus": None, "pushoff_minus": ""},
         ],
     }),
     # zeta = [y_i, x_i] passes at m_zeta = 0 in both pairs, and with no
