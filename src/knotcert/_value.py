@@ -55,11 +55,7 @@ def read_json(source: str):
 
 
 def json_int(value) -> bool:
-    """Whether ``value`` is a JSON integer: an ``int`` that is not a ``bool``.
-
-    ``bool`` is an ``int`` subclass, and ``int()`` would cut a float or
-    parse a string, so no looser test will do.
-    """
+    """Whether ``value`` is a JSON integer: an ``int``, but not a ``bool``, which subclasses it."""
     return isinstance(value, int) and type(value) is not bool
 
 

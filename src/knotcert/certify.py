@@ -47,6 +47,15 @@ _SIMPLICITY_RE = re.compile(r"^simplicity=(\d+)$")
 _TRIVIAL_BOUNDARY = "genus 0: boundary is the trivial knot"
 
 
+def vassiliev_conclusion(l_value: int, bound: str) -> str:
+    """``bound``, the Vassiliev bound that l = ``l_value`` gives, when it says
+    anything.  Vassiliev invariants of order <= 1 are constant on knots, so
+    for l <= 1 the conclusion is instead that no bound follows."""
+    if l_value >= 2:
+        return bound
+    return f"l = {l_value} <= 1: no Vassiliev bound follows"
+
+
 class CertificateError(ValueError):
     """Structurally malformed certificate (CLI exit code 2)."""
 
@@ -560,9 +569,10 @@ def certify_hyperbolic(cert: SurfaceCertificate, n: int | None = None) -> Certif
     if q_values:
         l_value = bounds.l_n_S(q_values)
         rb.quantities["l_n_S"] = l_value
-        rb.quantities["conclusion"] = (
+        rb.quantities["conclusion"] = vassiliev_conclusion(
+            l_value,
             f"boundary knot is at least {l_value}-trivial; Vassiliev invariants "
-            f"of orders <= {l_value} vanish"
+            f"of orders <= {l_value} vanish",
         )
     else:
         rb.quantities["l_n_S"] = None

@@ -18,6 +18,7 @@ from .certify import (
     SurfaceCertificate,
     _membership,
     _verdict,
+    vassiliev_conclusion,
 )
 from .magnus import lcs_degree
 
@@ -89,10 +90,8 @@ def spine_link_pipeline(
     if not cert.genus:
         conclusion = _TRIVIAL_BOUNDARY
     elif vanish:
-        conclusion = (
-            f"Milnor invariants of length <= {n + 1} vanish; Vassiliev invariants "
-            f"of orders <= {l_value} vanish for the boundary knot"
-        )
+        conclusion = f"Milnor invariants of length <= {n + 1} vanish; " + vassiliev_conclusion(
+            l_value, f"Vassiliev invariants of orders <= {l_value} vanish for the boundary knot")
     else:
         conclusion = f"some Milnor invariant of length <= {n + 1} is nonzero"
 
@@ -102,10 +101,8 @@ def spine_link_pipeline(
         if not cert.genus:
             slice_conclusion = _TRIVIAL_BOUNDARY
         elif slice_vanish:
-            slice_conclusion = (
-                f"{slice_depth}-slice input: Vassiliev invariants of orders <= "
-                f"{slice_l} vanish"
-            )
+            slice_conclusion = f"{slice_depth}-slice input: " + vassiliev_conclusion(
+                slice_l, f"Vassiliev invariants of orders <= {slice_l} vanish")
         else:
             slice_conclusion = (
                 f"{slice_depth}-slice input fails: invariants of length <= "

@@ -2,11 +2,12 @@
 
 These constructions realize each certificate kind at desk scale: deep
 memberships are witnessed by balanced commutators of conjugates of the
-closure generators, which keep the pushoff words short (the q-value of
-a word at depth m forces m+1 >= 6q, so q-values above 2 need
-astronomically long words and are out of reach for any checker).  The
-builders double as the reference corpus shipped with the CLI and as
-the mutation-testing population.
+closure generators, which keep the pushoff words short.  The q-value
+of a word at depth m forces m+1 >= 6q, so q-value 3 needs depth 17;
+the words stay short there too (a 336-letter word lies in F^(18)), and
+the cost is the degree-18 expansion that checks them.  The builders
+double as the reference corpus shipped with the CLI and as the
+mutation-testing population.
 """
 
 from __future__ import annotations

@@ -475,6 +475,44 @@ class TestResolveDepth:
             _resolve_depth(word, at, 5, 2)
 
 
+class TestConclusions:
+    """Vassiliev invariants of order <= 1 are constant on knots, so l <= 1
+    gives no bound.  Empty pushoffs get q(m+1), so level n = 17 gives
+    l = q(18) - 1 = 2 and level 16 gives l = 1."""
+
+    @staticmethod
+    def empty_pushoffs(n):
+        curves = (Curve(name="a1", role="A", index=1, pushoff_plus=()),
+                  Curve(name="b1", role="B", index=1, pushoff_plus=()))
+        return SurfaceCertificate(kind="hyperbolic", genus=1, n=n, curves=curves,
+                                  asserted_flags=FLAGS)
+
+    @pytest.mark.parametrize("n, l_value, conclusion", [
+        (17, 2, "boundary knot is at least 2-trivial; Vassiliev invariants of orders <= 2 vanish"),
+        (16, 1, "l = 1 <= 1: no Vassiliev bound follows"),
+    ])
+    def test_hyperbolic(self, n, l_value, conclusion):
+        report = certify_hyperbolic(self.empty_pushoffs(n))
+        assert report.verdict == "valid"
+        assert report.quantities["l_n_S"] == l_value
+        assert report.quantities["conclusion"] == conclusion
+
+    @pytest.mark.parametrize("n, slice_depth, conclusion, slice_conclusion", [
+        (17, 9,
+         "Milnor invariants of length <= 18 vanish; Vassiliev invariants of orders <= 2 "
+         "vanish for the boundary knot",
+         "9-slice input: Vassiliev invariants of orders <= 2 vanish"),
+        (16, 8,
+         "Milnor invariants of length <= 17 vanish; l = 1 <= 1: no Vassiliev bound follows",
+         "8-slice input: l = 1 <= 1: no Vassiliev bound follows"),
+    ])
+    def test_pipeline(self, n, slice_depth, conclusion, slice_conclusion):
+        report = spine_link_pipeline(self.empty_pushoffs(n), "++", slice_depth=slice_depth)
+        assert (report.l_n_S, report.slice_l) == (n - 15, n - 15)
+        assert report.conclusion == conclusion
+        assert report.slice_conclusion == slice_conclusion
+
+
 class TestSpinePipeline:
     def test_trivial_pushoffs(self):
         curves = (
