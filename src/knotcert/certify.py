@@ -34,6 +34,7 @@ from .words import (
     concat,
     format_word,
     generators_in,
+    invert,
     kill_generators,
     parse_word,
     reduce_word,
@@ -177,15 +178,15 @@ def y_generator(index: int) -> int:
 
 def prefix_kill_set(index: int) -> frozenset[int]:
     """Duals of the first index-1 handle pairs: {x_1, y_1, ..., x_{i-1}, y_{i-1}}."""
-    return frozenset(range(1, 2 * (index - 1) + 1))
+    return a_dual_set(index - 1) | b_dual_set(index - 1)
 
 
 def a_dual_set(genus: int) -> frozenset[int]:
-    return frozenset(2 * i - 1 for i in range(1, genus + 1))
+    return frozenset(map(x_generator, range(1, genus + 1)))
 
 
 def b_dual_set(genus: int) -> frozenset[int]:
-    return frozenset(2 * i for i in range(1, genus + 1))
+    return frozenset(map(y_generator, range(1, genus + 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -735,16 +736,17 @@ def certify_unknotted(cert: SurfaceCertificate, n: int | None = None) -> Certifi
     for a, b in _paired_curves(cert):
         fa = a.factors or UnknottedFactors()
         fb = b.factors or UnknottedFactors()
-        # x^l chi mu keeps at least |l| - |chi| - |mu| letters after reduction,
-        # so a longer power than this matches no pushoff and is never built
-        longest = max((len(w) for w in (a.pushoff_plus, a.pushoff_minus) if w), default=0)
+        # gamma_A = x^l chi mu exactly when gamma_A (chi mu)^-1 reduces to |l|
+        # letters x, with x = x_i or x_i^-1 by the sign of l; x^l is never built
+        x = x_generator(a.index) if fa.x_exponent >= 0 else -x_generator(a.index)
+        chi_mu_inverse = invert(concat(fa.chi, fa.mu))
+        product_b = concat(fb.zeta, fb.chi)
         eps = None
-        if abs(fa.x_exponent) <= len(fa.chi) + len(fa.mu) + longest:
-            x = x_generator(a.index) if fa.x_exponent >= 0 else -x_generator(a.index)
-            product_a = concat((x,) * abs(fa.x_exponent), fa.chi, fa.mu)
-            product_b = concat(fb.zeta, fb.chi)
-            eps = next((e for e, (wa, wb) in _orientations((a, b))
-                        if product_a == reduce_word(wa) and product_b == reduce_word(wb)), None)
+        for e, (wa, wb) in _orientations((a, b)):
+            rest = concat(wa, chi_mu_inverse)
+            if len(rest) == abs(fa.x_exponent) == rest.count(x) and product_b == reduce_word(wb):
+                eps = e
+                break
         if eps is None:
             rb.add(
                 "factorization-product",

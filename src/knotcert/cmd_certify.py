@@ -18,15 +18,16 @@ from ._value import InputError, read_json
 _KIND_EXITS = {"valid": 0, "invalid": 1, "not-checkable-from-words": 3}
 
 
-def read_certificate_file(source: str):
-    return certify.certificate_from_dict(read_json(source))
+def read_certificate_file(source: str, kind: str | None = None):
+    cert = certify.certificate_from_dict(read_json(source))
+    if kind is not None and cert.kind != kind:
+        raise InputError(f"certificate kind {cert.kind!r} does not match {kind!r}")
+    return cert
 
 
 def certify_kind(args):
     kind = args.subcommand
-    cert = read_certificate_file(args.certificate)
-    if cert.kind != kind:
-        raise InputError(f"certificate is of kind {cert.kind!r}, not {kind!r}")
+    cert = read_certificate_file(args.certificate, kind)
     # only the parabolic leaf has --simplicity
     kwargs = {"s": args.simplicity} if "simplicity" in args else {}
     report = certify.CERTIFIERS[kind](cert, n=args.n, **kwargs)
@@ -41,10 +42,10 @@ def certify_kind(args):
 
 
 def translate(args):
-    cert = read_certificate_file(args.certificate)
+    cert = read_certificate_file(args.certificate, args.kind)
     from .translate import translate_certificate
 
-    result = translate_certificate(cert, args.kind, args.n)
+    result = translate_certificate(cert, args.n)
     payload = {
         "source_verdict": result.source_report.verdict,
         "target": certify.certificate_to_dict(result.certificate),

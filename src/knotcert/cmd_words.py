@@ -87,8 +87,6 @@ def word_reduce(args):
 
 def word_commutator(args):
     entries = _entries_arg(args.entries)
-    if len(entries) < 2:
-        raise InputError("need at least two entries")
     tagged = words.simple_commutator(entries)
     payload = {
         "entries": words.format_word(entries),

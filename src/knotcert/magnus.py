@@ -363,8 +363,6 @@ def expand(word: Sequence[int], degree: int) -> NCPolynomial:
     ``_expand_packed`` then computes the expansion afresh.  Both paths
     are exact and give equal buckets, with no zero coefficients.
     """
-    if degree < 1:
-        raise ValueError("truncation degree must be >= 1")
     gens = _alphabet([abs(letter) for letter in word])
     table, size = 0, 1
     for _ in range(degree + 1):

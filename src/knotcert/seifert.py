@@ -17,14 +17,18 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from ._value import Record
+from ._value import Record, json_int
 
 
 def _as_matrix(rows: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
-    out = tuple(tuple(int(x) for x in row) for row in rows)
-    for row in out:
+    """``rows`` as tuples; ValueError unless square with integer entries (never coerced)."""
+    out = tuple(map(tuple, rows))
+    for i, row in enumerate(out):
         if len(row) != len(out):
             raise ValueError("matrix must be square")
+        for j, x in enumerate(row):
+            if not json_int(x):
+                raise ValueError(f"matrix entry ({i}, {j}) must be an integer, got {x!r}")
     return out
 
 

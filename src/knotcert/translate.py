@@ -54,10 +54,8 @@ def _relabel_curve(curve: Curve, role: str, swapped: set[int]) -> Curve:
                    pushoff_minus=w(curve.pushoff_minus), pair=None, factors=None)
 
 
-def _verify_source(cert: SurfaceCertificate, kind: str) -> CertificateReport:
-    if cert.kind != kind:
-        raise TranslationError(f"certificate kind {cert.kind!r} does not match {kind!r}")
-    report = CERTIFIERS[kind](cert)
+def _verify_source(cert: SurfaceCertificate) -> CertificateReport:
+    report = CERTIFIERS[cert.kind](cert)
     if report.verdict != "valid":
         raise TranslationError(f"source certificate is {report.verdict}")
     return report
@@ -86,19 +84,20 @@ def _hyperbolic_target(
     return TranslationResult(target, certify_hyperbolic(target), source_report)
 
 
-def translate_certificate(cert: SurfaceCertificate, kind: str, n: int) -> TranslationResult:
-    """Apply the certificate index shifts and re-verify the result.
+def translate_certificate(cert: SurfaceCertificate, n: int) -> TranslationResult:
+    """Apply the index shift of ``cert``'s own kind and re-verify the result.
 
-    hyperbolic: identity.  elliptic at level 2n: the member of each
-    dual pair with q >= n+1 becomes a gamma-curve of an n-hyperbolic
-    certificate (relabeling duals where the B-curve is chosen).
+    A caller that expects one kind checks ``cert.kind`` first, as the
+    ``translate KIND`` command does.  hyperbolic: identity.  elliptic at
+    level 2n: the member of each dual pair with q >= n+1 becomes a
+    gamma-curve of an n-hyperbolic certificate (relabeling duals where
+    the B-curve is chosen).
     parabolic at level n with simplicity s and n > s+1: the B-half
     basis becomes an (n-s-1)-hyperbolic certificate.  unknotted at
     level 2n with 2n-s-1 > 1: the words survive at level 2n-s-1 with
     the membership depths re-solved so the q-equations hold there.
     """
-    if kind not in _SHIFTS:
-        raise TranslationError(f"unknown source kind {kind!r}")
+    kind = cert.kind
     factor, guarded = _SHIFTS[kind]
     level = factor * n
     if cert.n != level:
@@ -114,7 +113,7 @@ def translate_certificate(cert: SurfaceCertificate, kind: str, n: int) -> Transl
     if kind == "unknotted" and level - s - 1 < 2:
         # unknotted certificates need n > 1, so the target level must exceed 1
         raise GuardViolation(f"guard violated: need 2n-s-1 > 1, got 2n-s-1 = {level - s - 1}")
-    source_report = _verify_source(cert, kind)
+    source_report = _verify_source(cert)
     if kind == "hyperbolic":
         return TranslationResult(cert, source_report, source_report)
 

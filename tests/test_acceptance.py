@@ -341,25 +341,25 @@ def test_criterion_11_certificates_and_mutation():
 def test_criterion_12_level_shift_translations():
     with Budget(12, 30.0, "valid sources re-verify after translation; guards reject"):
         # (a) 2n-elliptic -> n-hyperbolic on the shipped certificate
-        result = translate_certificate(_load("elliptic_g1_n2.json"), "elliptic", 1)
+        result = translate_certificate(_load("elliptic_g1_n2.json"), 1)
         assert result.certificate.kind == "hyperbolic"
         assert result.certificate.n == 1
         assert result.report.verdict == "valid"
         # (c) 2n-unknotted -> (2n-s-1)-unknotted on the twist family
         for n, s in ((4, 1), (6, 1), (6, 3)):
             source = twist_unknotted_example(n=n, s=s)
-            result = translate_certificate(source, "unknotted", n // 2)
+            result = translate_certificate(source, n // 2)
             assert result.certificate.n == n - s - 1
             assert result.report.verdict == "valid", (n, s)
         # identity translation
         cert = _load("hyperbolic_g2_n3.json")
-        assert translate_certificate(cert, "hyperbolic", 3).report.verdict == "valid"
+        assert translate_certificate(cert, 3).report.verdict == "valid"
         # guard rejections: the parabolic shift needs n > s+1 and the
         # unknotted shift 2n > s+1
         with pytest.raises(GuardViolation):
-            translate_certificate(_load("parabolic_g1_n2.json"), "parabolic", 2)
+            translate_certificate(_load("parabolic_g1_n2.json"), 2)
         with pytest.raises(GuardViolation):
-            translate_certificate(twist_unknotted_example(n=4, s=3), "unknotted", 2)
+            translate_certificate(twist_unknotted_example(n=4, s=3), 2)
 
 
 def test_criterion_13_spine_pipeline():

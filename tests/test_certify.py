@@ -347,6 +347,35 @@ class TestUnknotted:
         assert any(c.name == "factorization-product" and c.status == "error"
                    for c in report.conditions)
 
+    MU = commutator_word((1, 2, 1))
+
+    @pytest.mark.parametrize("word, l, chi, mu, status", [
+        ((1, 1, 1), 3, (), (), "pass"),
+        ((-1, -1), -2, (), (), "pass"),
+        ((1, 2, -2), 1, (), (), "pass"),
+        ((1, -1), 0, (), (), "pass"),
+        ((1, 1) + MU, 2, (), MU, "pass"),
+        ((1, 1, 2) + MU, 2, (2,), MU, "pass"),
+        ((1, 1), -2, (), (), "error"),
+        ((-1, -1), 2, (), (), "error"),
+        ((2, 2), 2, (), (), "error"),
+        ((1, 2), 2, (), (), "error"),
+        ((1, 1, 1), 2, (), (), "error"),
+        ((1,), 0, (), (), "error"),
+        (MU + (1, 1), 2, (), MU, "error"),
+        ((1, 1) + MU + (2,), 2, (2,), MU, "error"),
+        ((1, 1), 10**9, (), (), "error"),
+    ])
+    def test_x_power_factor(self, word, l, chi, mu, status):
+        # gamma_A = x_1^l chi mu: every letter left after dividing off chi mu
+        # must be x_1 with the sign of l, and there must be exactly |l| of them
+        a1, b1 = twist_unknotted_example().curves
+        factors = UnknottedFactors(x_exponent=l, chi=chi, mu=mu, m_chi=1, m_mu=2)
+        a1 = replace(a1, pushoff_plus=word, factors=factors)
+        report = certify_unknotted(replace(twist_unknotted_example(), curves=(a1, b1)))
+        product = next(c for c in report.conditions if c.name == "factorization-product")
+        assert product.status == status
+
     def test_degenerate_reduces_to_membership_check(self):
         # all chi = zeta = 1, mu a weight-(m+1) commutator, x^l = x1^2
         mu = commutator_word((1, 2, 1))
@@ -372,14 +401,14 @@ class TestUnknotted:
 
 class TestTranslations:
     def test_elliptic_to_hyperbolic(self):
-        result = translate_certificate(elliptic_example(), "elliptic", 1)
+        result = translate_certificate(elliptic_example(), 1)
         assert result.certificate.kind == "hyperbolic"
         assert result.certificate.n == 1
         assert result.report.verdict == "valid"
 
     def test_parabolic_guard(self):
         with pytest.raises(GuardViolation):
-            translate_certificate(parabolic_example(), "parabolic", 2)
+            translate_certificate(parabolic_example(), 2)
 
     @pytest.mark.parametrize("n, s", [(3, 1), (4, 1), (5, 2)])
     def test_parabolic_to_hyperbolic(self, n, s):
@@ -391,7 +420,7 @@ class TestTranslations:
                     Curve(name="b1", role="B", index=1, pushoff_plus=(), m=6 * (n + 1 - s) - 1)),
             asserted_flags=("regular-spine", "geometrically-unrelated", f"simplicity={s}"),
         )
-        result = translate_certificate(cert, "parabolic", n)
+        result = translate_certificate(cert, n)
         assert result.source_report.verdict == "valid"
         assert result.source_report.quantities["per_curve"]["b1"]["q"] == n + 1 - s
         target = result.certificate
@@ -401,7 +430,7 @@ class TestTranslations:
             ("b1", "A", ()), ("a1", "B", (2, 2))]
 
     def test_unknotted_translation(self):
-        result = translate_certificate(twist_unknotted_example(n=4, s=1), "unknotted", 2)
+        result = translate_certificate(twist_unknotted_example(n=4, s=1), 2)
         assert result.certificate.kind == "unknotted"
         assert result.certificate.n == 2
         assert result.report.verdict == "valid"
@@ -413,8 +442,8 @@ class TestTranslations:
         cert = replace(unknotted_example(), n=4)
         source = certify_unknotted(cert, n=2)
         assert source.verdict == "valid"
-        monkeypatch.setattr(translate, "_verify_source", lambda c, kind: source)
-        result = translate_certificate(cert, "unknotted", 2)
+        monkeypatch.setattr(translate, "_verify_source", lambda c: source)
+        result = translate_certificate(cert, 2)
         assert result.source_report is source
         a1, b1 = result.certificate.curves
         assert (a1.factors.m_chi, b1.factors.m_chi) == (11, 5)
@@ -422,22 +451,22 @@ class TestTranslations:
 
     def test_unknotted_guard(self):
         with pytest.raises(GuardViolation):
-            translate_certificate(twist_unknotted_example(n=4, s=3), "unknotted", 2)
+            translate_certificate(twist_unknotted_example(n=4, s=3), 2)
 
     def test_identity(self):
         cert = hyperbolic_example(1, 2)
-        result = translate_certificate(cert, "hyperbolic", 2)
+        result = translate_certificate(cert, 2)
         assert result.certificate is cert
         assert result.report.verdict == "valid"
 
     def test_invalid_source_rejected(self):
         bad = plain_hyperbolic((1,), 2)
         with pytest.raises(TranslationError):
-            translate_certificate(bad, "hyperbolic", 2)
+            translate_certificate(bad, 2)
 
     def test_level_mismatch(self):
         with pytest.raises(TranslationError):
-            translate_certificate(elliptic_example(), "elliptic", 2)
+            translate_certificate(elliptic_example(), 2)
 
 
 def test_swap_pairs_in_word():
@@ -944,7 +973,7 @@ class TestEllipticSwapTranslation:
         assert report.verdict == "valid"
         data = report.quantities["per_pair"]["a1"]
         assert data["q_A"] == 1 and data["q_B"] == 2
-        result = translate_certificate(cert, "elliptic", 1)
+        result = translate_certificate(cert, 1)
         assert result.certificate.kind == "hyperbolic"
         names = [c.name for c in result.certificate.curves_of_role("A")]
         assert names == ["b1"]
@@ -987,6 +1016,6 @@ class TestGenusTwoElliptic:
         assert report.verdict == "valid", report.conditions
         pairs = report.quantities["per_pair"]
         assert pairs["a1"]["q_A"] == 2 and pairs["a2"]["q_A"] == 2
-        result = translate_certificate(cert, "elliptic", 1)
+        result = translate_certificate(cert, 1)
         assert result.report.verdict == "valid"
         assert result.certificate.genus == 2

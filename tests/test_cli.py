@@ -78,7 +78,7 @@ class TestWordCommands:
 
     def test_commutator_needs_two_entries(self, capsys):
         assert run(capsys, "word", "commutator", "g1") == (
-            2, "", "error: need at least two entries\n")
+            2, "", "error: a commutator needs at least two entries\n")
 
 
 class TestWordSources:
@@ -284,6 +284,10 @@ class TestMatrixCommands:
         code, out, _ = run(capsys, "alexander", str(DATA / "trefoil.mat"))
         assert code == 0 and out.strip() == "t^-1 - 1 + t"
 
+    def test_alexander_figure8(self, capsys):
+        # a leading -1 coefficient prints as a bare minus sign
+        assert run(capsys, "alexander", str(DATA / "figure8.mat")) == (0, "-t^-1 + 3 - t\n", "")
+
     def test_alexander_whitehead(self, capsys):
         code, doc, _ = run_json(capsys, "alexander", str(DATA / "whitehead_k3.mat"))
         assert code == 0 and doc["alexander"]["coeffs"] == [1]
@@ -442,10 +446,8 @@ class TestCertifyCommands:
         assert doc["quantities"]["l_n_S"] is not None
 
     def test_kind_mismatch(self, capsys):
-        code, _, err = run(
-            capsys, "certify", "elliptic", str(DATA / "hyperbolic_g2_n3.json")
-        )
-        assert code == 2 and "kind" in err
+        assert run(capsys, "certify", "elliptic", str(DATA / "hyperbolic_g2_n3.json")) == (
+            2, "", "error: certificate kind 'hyperbolic' does not match 'elliptic'\n")
 
     def test_invalid_exit_1(self, capsys, tmp_path):
         doc = json.loads((DATA / "hyperbolic_g2_n3.json").read_text())

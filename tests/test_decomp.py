@@ -202,6 +202,15 @@ class TestDecompose:
             weight3 = [f for f in comb.factors if len(f[0]) == 3]
             assert len(weight3) == 1
 
+    def test_single_factor_search_falls_back_to_lyndon_solve(self):
+        # the entry multiset of (1, 2, 1, 2, 3, 3, 4) has 7!/2!^3 = 630
+        # orderings, over the single-factor search's limit of 300, so the
+        # weight-7 slice goes through the Lyndon solve
+        w = commutator_word((1, 2, 1, 2, 3, 3, 4))
+        comb = decompose(w, 6, 7)
+        assert len(comb.factors) == 95
+        assert reduce_word(comb.product_word() + comb.residual) == w
+
     def test_precondition(self):
         with pytest.raises(ValueError):
             decompose((1,), 1, 3)

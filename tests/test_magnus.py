@@ -169,6 +169,13 @@ class TestExpandAgainstSeriesProducts:
         with pytest.raises(ValueError):
             expand((-1024,), 3)
 
+    def test_degree_checked_by_polynomial(self):
+        # NCPolynomial owns the degree check, after the generator check
+        with pytest.raises(ValueError, match="truncation degree must be >= 1"):
+            expand((1, 2), 0)
+        with pytest.raises(ValueError, match="generator index 1024 out of range"):
+            expand((1024,), 0)
+
 
 def sparse_expand(word, degree):
     """The dict kernel alone, letter by letter."""

@@ -50,6 +50,17 @@ class TestSeifertMatrix:
     def test_genus_zero(self):
         assert SeifertMatrix(0, ()).rows == ()
 
+    @pytest.mark.parametrize("call, entry", [
+        (lambda: SeifertMatrix(1, ((-1.7, "1"), (0, True))), "(0, 0) must be an integer, got -1.7"),
+        (lambda: int_det([[2.9, 0], [0, 1]]), "(0, 0) must be an integer, got 2.9"),
+        (lambda: classify_form([["0", 1.2], [1, 0]], 1), "(0, 0) must be an integer, got '0'"),
+        (lambda: int_det([[1, 0], [0, True]]), "(1, 1) must be an integer, got True"),
+    ], ids=["seifert-matrix", "int-det", "classify-form", "bool"])
+    def test_entries_are_checked_not_coerced(self, call, entry):
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert str(exc.value) == f"matrix entry {entry}"
+
 
 class TestAlexander:
     def test_unknot(self):
@@ -74,6 +85,11 @@ class TestAlexander:
                 delta = alexander(random_seifert(rng, genus))
                 assert delta(1) == 1
                 assert delta.is_symmetric()
+
+
+def test_zero_polynomial():
+    zero = LaurentPolynomial.from_dict({})
+    assert (zero.coefficient_list(), zero.pretty()) == ((0, ()), "0")
 
 
 class TestLaurentEvaluation:
