@@ -29,9 +29,13 @@ reason, and need no laziness: nothing imports them before that command
 does.  ``translate`` (the index shifts) and ``pipeline`` (the spine-link
 pipeline) are imported by their own CLI handler, or by ``__getattr__``
 below when their public name is first read, so a ``certify`` job never
-compiles them.  The CLI handlers sit in one module per command family
-(``cmd_words``, ``cmd_seifert``, ``cmd_bounds``, ``cmd_certify``), which
-``cli.main`` imports for the leaf it runs.
+compiles them.  ``closure`` (the elliptic, parabolic and unknotted
+verifiers) is imported by ``certify.certifier`` for those three kinds
+and by ``translate``, so a ``certify hyperbolic`` or ``pipeline`` job
+compiles neither it nor ``schreier``, which only its normal-closure
+memberships reach.  The CLI handlers sit in one module per command
+family (``cmd_words``, ``cmd_seifert``, ``cmd_bounds``,
+``cmd_certify``), which ``cli.main`` imports for the leaf it runs.
 """
 
 import sys
@@ -75,8 +79,9 @@ _EXPORTS = {
     "certify": (
         "CertificateError", "CertificateReport", "GuardViolation", "SurfaceCertificate",
         "TranslationError", "certificate_from_dict", "certificate_to_dict",
-        "certify_elliptic", "certify_hyperbolic", "certify_parabolic", "certify_unknotted",
+        "certify_hyperbolic",
     ),
+    "closure": ("certify_elliptic", "certify_parabolic", "certify_unknotted"),
     "translate": ("translate_certificate",),
     "pipeline": ("spine_link_pipeline",),
 }

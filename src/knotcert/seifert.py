@@ -14,10 +14,14 @@ rational arithmetic.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from ._value import Record, json_int
+
+if TYPE_CHECKING:
+    # the series functions import Fraction where they use it, so that
+    # alexander and classify never load fractions, decimal and numbers
+    from fractions import Fraction
 
 
 def _as_matrix(rows: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
@@ -30,6 +34,13 @@ def _as_matrix(rows: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
             if not json_int(x):
                 raise ValueError(f"matrix entry ({i}, {j}) must be an integer, got {x!r}")
     return out
+
+
+def _check_genus(genus) -> None:
+    """ValueError unless ``genus`` is an integer; a float or a bool would
+    pass every size comparison (2 * 1.0 == 2) and leak into the results."""
+    if not json_int(genus):
+        raise ValueError(f"genus must be an integer, got {genus!r}")
 
 
 def _row_end(row: Sequence[int]) -> int:
@@ -157,6 +168,7 @@ class SeifertMatrix(Record):
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        _check_genus(self.genus)
         rows = _as_matrix(self.rows)
         object.__setattr__(self, "rows", rows)
         if self.genus < 0:
@@ -276,6 +288,7 @@ def classify_form(rows: Sequence[Sequence[int]], genus: int) -> str:
     blocks), hyperbolic (zero g x g top-left block), parabolic (top-left
     and off-diagonal g x g blocks diagonal), else none.
     """
+    _check_genus(genus)
     m = _as_matrix(rows)
     n = len(m)
     if n != 2 * genus:
@@ -372,6 +385,8 @@ class RationalSeries(Record):
 
 def _exp_series(scale: Fraction, order: int) -> list[Fraction]:
     """Series of exp(scale * h) through the given order."""
+    from fractions import Fraction
+
     out = [Fraction(0)] * (order + 1)
     term = Fraction(1)
     for j in range(order + 1):
@@ -386,6 +401,8 @@ def mmr_series(delta: LaurentPolynomial, order: int) -> RationalSeries:
     p(h) = (e^{h/2} - e^{-h/2})/h; requires Delta(1) = 1 so the quotient
     is a power series with constant term 1.
     """
+    from fractions import Fraction
+
     if order < 0:
         raise ValueError("order must be >= 0")
     if delta(1) != 1:
@@ -416,6 +433,8 @@ def alternating_sum(values: Mapping[Iterable[int], Fraction | int]) -> Fraction:
     The universe is the union of the keys; every one of its subsets must
     be present.
     """
+    from fractions import Fraction
+
     table: dict[frozenset[int], Fraction] = {}
     for key, value in values.items():
         fkey = frozenset(key)

@@ -2,8 +2,9 @@
 
 Each shift rewrites a valid source certificate into a certificate of
 another kind or level and re-verifies the result with the verifiers of
-``certify``.  This is a plain module, imported only by the ``translate``
-command (and by library callers), so a ``certify`` job never compiles it.
+``certify`` and ``closure``.  This is a plain module, imported only by
+the ``translate`` command (and by library callers), so a ``certify`` job
+never compiles it.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from typing import Sequence
 
 from ._value import Record
 from .certify import (
-    CERTIFIERS,
     CertificateReport,
     Curve,
     GuardViolation,
@@ -22,13 +22,13 @@ from .certify import (
     UnknottedFactors,
     _Membership,
     _membership,
-    _paired_curves,
     b_dual_set,
+    certifier,
     certify_hyperbolic,
-    certify_unknotted,
     x_generator,
     y_generator,
 )
+from .closure import _paired_curves, certify_unknotted
 
 
 class TranslationResult(Record):
@@ -55,7 +55,7 @@ def _relabel_curve(curve: Curve, role: str, swapped: set[int]) -> Curve:
 
 
 def _verify_source(cert: SurfaceCertificate) -> CertificateReport:
-    report = CERTIFIERS[cert.kind](cert)
+    report = certifier(cert.kind)(cert)
     if report.verdict != "valid":
         raise TranslationError(f"source certificate is {report.verdict}")
     return report

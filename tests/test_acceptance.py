@@ -26,10 +26,10 @@ from knotcert.bounds import (
     t,
 )
 from knotcert.certify import (
-    CERTIFIERS,
     CertificateError,
     GuardViolation,
     certificate_from_dict,
+    certifier,
 )
 from knotcert.decomp import decompose
 from knotcert.magnus import (
@@ -323,7 +323,7 @@ def test_criterion_11_certificates_and_mutation():
             _load("unknotted_g1_n2.json"),
         ]
         for cert in shipped:
-            report = CERTIFIERS[cert.kind](cert)
+            report = certifier(cert.kind)(cert)
             assert report.verdict == "valid", (cert.kind, report.conditions)
         rng = random.Random(111)
         flips = 0
@@ -331,7 +331,7 @@ def test_criterion_11_certificates_and_mutation():
             cert = shipped[i % len(shipped)]
             mutant = mutate_certificate(cert, rng)
             try:
-                flips += CERTIFIERS[mutant.kind](mutant).verdict != "valid"
+                flips += certifier(mutant.kind)(mutant).verdict != "valid"
             except (CertificateError, ValueError):
                 flips += 1
         print(f"  [criterion 11] mutants flipped: {flips}/100")

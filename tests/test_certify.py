@@ -17,12 +17,11 @@ from knotcert.certify import (
     UnknottedFactors,
     certificate_from_dict,
     certificate_to_dict,
-    certify_elliptic,
+    certifier,
     certify_hyperbolic,
-    certify_parabolic,
-    certify_unknotted,
     q_of_word,
 )
+from knotcert.closure import certify_elliptic, certify_parabolic, certify_unknotted
 from knotcert.pipeline import spine_link_pipeline
 from knotcert.synth import (
     checked_words,
@@ -34,7 +33,7 @@ from knotcert.synth import (
     unknotted_example,
 )
 from knotcert.translate import _resolve_depth, _swap_pairs_in_word, translate_certificate
-from knotcert import certify, decomp, magnus, translate
+from knotcert import certify, closure, decomp, magnus, translate
 from knotcert.bounds import partition_k, q, q_param
 from knotcert.decomp import decompose
 from knotcert.schreier import NotInNormalClosure, rewrite_to_word
@@ -326,7 +325,7 @@ class TestUnknotted:
         chi_both = chi_a and chi_b
         pattern = (not chi_a and not chi_b) or (chi_both and zeta == x)
         iff = chi_both == (not zeta and not mu and not x)
-        assert certify._exclusion_holds(chi_a, chi_b, zeta, mu, x) == (pattern and iff)
+        assert closure._exclusion_holds(chi_a, chi_b, zeta, mu, x) == (pattern and iff)
 
     def test_product_mismatch_is_error(self):
         base = unknotted_example()
@@ -911,17 +910,15 @@ class TestMutationSensitivity:
     def test_most_mutants_flip(self, rng):
         certs = [hyperbolic_example(2, 3), elliptic_example(), parabolic_example(),
                  unknotted_example()]
-        from knotcert.certify import CERTIFIERS
-
         for cert in certs:
-            assert CERTIFIERS[cert.kind](cert).verdict == "valid"
+            assert certifier(cert.kind)(cert).verdict == "valid"
         flips = 0
         total = 40
         for i in range(total):
             cert = certs[i % len(certs)]
             mutant = mutate_certificate(cert, rng)
             try:
-                flips += CERTIFIERS[mutant.kind](mutant).verdict != "valid"
+                flips += certifier(mutant.kind)(mutant).verdict != "valid"
             except (CertificateError, ValueError):
                 flips += 1
         assert flips >= 0.9 * total

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from conftest import expand_commutator, letters_strategy, words_strategy
 from knotcert import decomp, words
-from knotcert.certify import certificate_from_dict, certify_elliptic
+from knotcert.certify import certificate_from_dict
+from knotcert.closure import certify_elliptic
 from knotcert.cli import main
 from knotcert.decomp import decompose, lie_component
 from knotcert.lyndon import (

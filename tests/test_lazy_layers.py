@@ -9,6 +9,7 @@ interpreter, because the test process itself has long since loaded
 every layer.
 """
 
+import ast
 import importlib
 import json
 import os
@@ -21,7 +22,7 @@ import pytest
 
 import knotcert
 from knotcert import cli
-from knotcert.certify import CERTIFIERS, certificate_from_dict, certificate_to_dict
+from knotcert.certify import certificate_from_dict, certificate_to_dict, certifier
 from knotcert.synth import mutate_certificate
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -63,8 +64,10 @@ WORDS = {"cli", "_value", "cmd_words", "words"}
 MAGNUS = WORDS | {"magnus"}
 SEIFERT = {"cli", "_value", "cmd_seifert", "seifert"}
 # a certificate whose memberships fail computes no q-value, and loads
-# neither bounds nor decomp and lyndon (see TestRejectedMutants)
-CERTIFY = {"cli", "_value", "cmd_certify", "words", "magnus", "schreier", "certify"}
+# neither bounds nor decomp and lyndon (see TestRejectedMutants); only the
+# normal-closure kinds load their verifiers' module and schreier
+CERTIFY = {"cli", "_value", "cmd_certify", "words", "magnus", "certify"}
+CLOSURE = {"closure", "schreier"}
 Q_VALUES = {"bounds", "decomp", "lyndon"}
 BOUNDS = {"cli", "_value", "cmd_bounds", "bounds"}
 
@@ -97,14 +100,14 @@ LOAD_SETS = [
     (["bounds", "product-bound-check", "12", "1", "3", "2"], BOUNDS),
     (["bounds", "partition-k", "--factors", "1 2|2 3|4"], BOUNDS),
     (["bounds", "check-inequalities", "11"], BOUNDS),
-    (["certify", "elliptic", DATA / "elliptic_g1_n2.json"], CERTIFY | Q_VALUES),
+    (["certify", "elliptic", DATA / "elliptic_g1_n2.json"], CERTIFY | CLOSURE | Q_VALUES),
     (["certify", "hyperbolic", DATA / "hyperbolic_g2_n3.json"], CERTIFY | Q_VALUES),
-    (["certify", "parabolic", DATA / "parabolic_g1_n2.json"], CERTIFY | Q_VALUES),
-    (["certify", "unknotted", DATA / "unknotted_g1_n2.json"], CERTIFY | Q_VALUES),
+    (["certify", "parabolic", DATA / "parabolic_g1_n2.json"], CERTIFY | CLOSURE | Q_VALUES),
+    (["certify", "unknotted", DATA / "unknotted_g1_n2.json"], CERTIFY | CLOSURE | Q_VALUES),
     # the band-twist certificate's conditions compute no q-value; the
     # unknotted_g1_n2 row above does compute them
     (["translate", "unknotted", DATA / "unknotted_twist_n4.json", "--n", "2"],
-     CERTIFY | {"translate"}),
+     CERTIFY | CLOSURE | {"translate"}),
     (["pipeline", "spine-link", DATA / "hyperbolic_g2_n3.json", "--signs", "++++"],
      CERTIFY | Q_VALUES | {"pipeline"}),
 ]
@@ -148,9 +151,10 @@ class TestLoadSets:
         if "certify" not in modules:
             # dataclasses and inspect come in with certify alone
             assert not {"dataclasses", "inspect"} & set(probe["added"])
-        if "seifert" not in modules and argv[:2] != ["bounds", "check-inequalities"]:
-            # fractions comes in with seifert and with the one bounds report
-            # that prints a Fraction; every other bound is decided in integers
+        if argv[0] not in ("mmr", "altsum") and argv[:2] != ["bounds", "check-inequalities"]:
+            # fractions comes in with the two seifert series commands and
+            # with the one bounds report that prints a Fraction; every other
+            # job works in integers
             assert not {"fractions", "decimal", "numbers"} & set(probe["added"])
 
     def test_one_row_per_leaf_command(self):
@@ -171,14 +175,15 @@ class TestLoadSets:
 
 
 class TestRejectedMutants:
-    """A mutant rejected at its memberships computes no q-value, so it
-    compiles neither decomp nor lyndon."""
+    """A closure-kind mutant rejected at its memberships computes no
+    q-value, so it compiles neither decomp nor lyndon; a hyperbolic mutant
+    compiles neither closure nor schreier."""
 
     @pytest.mark.parametrize("stem", ["elliptic_g1_n2", "parabolic_g1_n2", "unknotted_g1_n2"])
     def test_loads_no_decomposition(self, tmp_path, stem):
         cert = certificate_from_dict(json.loads((DATA / f"{stem}.json").read_text()))
         mutant = mutate_certificate(cert, random.Random(0))
-        report = CERTIFIERS[cert.kind](mutant)
+        report = certifier(cert.kind)(mutant)
         assert [c.name for c in report.conditions if c.status == "fail"][0].endswith("membership")
         assert not [c.name for c in report.conditions if "q-" in c.name]
         path = tmp_path / "mutant.json"
@@ -186,6 +191,19 @@ class TestRejectedMutants:
         probe = probe_job("certify", cert.kind, path)
         assert probe["code"] == 1
         assert not {"decomp", "lyndon"} & set(probe["loaded"])
+
+    def test_hyperbolic_loads_no_closure(self, tmp_path):
+        cert = certificate_from_dict(json.loads((DATA / "hyperbolic_g2_n3.json").read_text()))
+        mutant = mutate_certificate(cert, random.Random(0))
+        report = certifier("hyperbolic")(mutant)
+        assert [c.status for c in report.conditions if c.name == "quotient-membership"] == [
+            "pass", "fail"]
+        path = tmp_path / "mutant.json"
+        path.write_text(json.dumps(certificate_to_dict(mutant)))
+        probe = probe_job("certify", "hyperbolic", path)
+        assert probe["code"] == 1
+        # a1 passes and computes its q-value
+        assert set(probe["loaded"]) == CERTIFY | Q_VALUES
 
 
 # Runs knotcert.cli as __main__, as ``python -m knotcert.cli`` does, then
@@ -223,6 +241,21 @@ class TestTracerContract:
         proc = run_python("-B", "-c", code)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    def test_modules_outside_the_layers(self):
+        # the tracer wraps only the modules in LAYERS, so a function of any
+        # other module records no span; a new module outside LAYERS must be
+        # added here on purpose.  LAYERS is read from the source, not imported.
+        tree = ast.parse(TRACER.read_text())
+        layers = next(ast.literal_eval(node.value) for node in tree.body
+                      if isinstance(node, ast.Assign)
+                      and [getattr(t, "id", None) for t in node.targets] == ["LAYERS"])
+        modules = {path.stem for path in (ROOT / "src" / "knotcert").glob("*.py")} - {"__init__"}
+        assert set(layers) <= modules
+        assert modules - set(layers) == {
+            "_value", "cmd_bounds", "cmd_certify", "cmd_seifert", "cmd_words", "synth",
+            "translate", "pipeline", "closure",
+        }
 
     @pytest.mark.parametrize("argv, layers", [
         (["alexander", DATA / "trefoil.mat", "--format", "structured"], {"cli", "seifert"}),
@@ -278,8 +311,9 @@ PUBLIC_NAMES = {
     "certify": [
         "CertificateError", "CertificateReport", "GuardViolation", "SurfaceCertificate",
         "TranslationError", "certificate_from_dict", "certificate_to_dict",
-        "certify_elliptic", "certify_hyperbolic", "certify_parabolic", "certify_unknotted",
+        "certify_hyperbolic",
     ],
+    "closure": ["certify_elliptic", "certify_parabolic", "certify_unknotted"],
     "translate": ["translate_certificate"],
     "pipeline": ["spine_link_pipeline"],
 }

@@ -61,6 +61,17 @@ class TestSeifertMatrix:
             call()
         assert str(exc.value) == f"matrix entry {entry}"
 
+    @pytest.mark.parametrize("call, genus", [
+        (lambda: SeifertMatrix(1.0, TREFOIL), "1.0"),
+        (lambda: SeifertMatrix(True, TREFOIL), "True"),
+        (lambda: classify_form([[0, 1], [1, 0]], 1.0), "1.0"),
+    ], ids=["float", "bool", "classify-form-float"])
+    def test_genus_is_checked_not_coerced(self, call, genus):
+        # 2 * 1.0 == 2 and 2 * True == 2, so the size checks alone pass them
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert str(exc.value) == f"genus must be an integer, got {genus}"
+
 
 class TestAlexander:
     def test_unknot(self):
