@@ -7,15 +7,17 @@ them: an ``__init__`` over the annotated fields that ends in
 be assigned or deleted.  The methods are generic and read the field
 names that ``__init_subclass__`` records once per class, so creating a
 class compiles and executes nothing.  This module imports no other
-knotcert module, so any layer can use it.
+knotcert module when it loads, so any layer can use it; ``function_at``
+imports the module it is asked for.
 
 ``KINDS`` lives here too, so that the CLI can offer the certificate
 kinds as argument choices without loading ``certify``, and so do the
-line primitives of the text readers (``located_tokens`` places every
-token of a word, matrix, Laurent or longitude input by its column) and
-the input helpers that ``cli`` and its command modules share
-(``InputError``, ``read_text``, ``read_json``, ``json_int``,
-``generator_subset``).
+one integer rule of every text input (``integer``), the one
+``"module:function"`` resolver (``function_at``), the line primitives of
+the text readers (``located_tokens`` places every token of a word,
+matrix, Laurent or longitude input by its column) and the input helpers
+that ``cli`` and its command modules share (``InputError``,
+``read_text``, ``read_json``, ``json_int``, ``generator_subset``).
 The command modules import these from here, never from ``cli``: under
 ``python -m knotcert.cli`` the running ``cli`` is ``__main__``, and an
 import of ``knotcert.cli`` would execute it a second time.
@@ -23,6 +25,7 @@ import of ``knotcert.cli`` would execute it a second time.
 
 import json
 import sys
+from importlib import import_module
 from pathlib import Path
 
 KINDS = ("hyperbolic", "elliptic", "parabolic", "unknotted")
@@ -54,6 +57,25 @@ def read_json(source: str):
         raise InputError("JSON nested too deeply") from None
 
 
+def integer(token: str, *, signed: bool = True) -> int:
+    """The integer that ``token`` spells in ASCII digits: ``[+-]?[0-9]+``, or
+    ``[0-9]+`` when not ``signed``.  ValueError for any other token (``int``
+    alone reads ``_`` grouping, non-ASCII digits and surrounding whitespace)
+    and for more digits than ``int`` converts."""
+    digits = token[1:] if signed and token[:1] in ("+", "-") else token
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not an integer: {token!r}")
+    return int(token)
+
+
+def function_at(ref: str):
+    """The function that ``ref`` names as ``"module:function"`` of knotcert,
+    read from its module on each call, so a function rebound there (as
+    ``bench/tracer.py`` rebinds every public function) is the one returned."""
+    module, _, name = ref.partition(":")
+    return getattr(import_module(f".{module}", __package__), name)
+
+
 def json_int(value) -> bool:
     """Whether ``value`` is a JSON integer: an ``int``, but not a ``bool``, which subclasses it."""
     return isinstance(value, int) and type(value) is not bool
@@ -62,7 +84,7 @@ def json_int(value) -> bool:
 def generator_subset(value: str) -> frozenset[int]:
     """The generator indices that ``value`` lists, such as ``'1 2'``."""
     try:
-        out = frozenset(int(tok) for tok in value.split())
+        out = frozenset(map(integer, value.split()))
     except ValueError as exc:
         raise InputError(f"bad generator subset {value!r}") from exc
     if any(g < 1 for g in out):
@@ -97,11 +119,11 @@ def token_error(lineno: int, body: str, index: int, message: str) -> ValueError:
 
 def int_tokens(lineno: int, body: str, message: str) -> list[int]:
     """The integers that the tokens of line ``lineno`` spell; columns are looked
-    up only once ``int`` refuses a token, which ``token_error`` names with ``message``."""
+    up only once ``integer`` refuses a token, which ``token_error`` names with ``message``."""
     values: list[int] = []
     try:
         for tok in body.split():
-            values.append(int(tok))
+            values.append(integer(tok))
     except ValueError:
         raise token_error(lineno, body, len(values), message) from None
     return values

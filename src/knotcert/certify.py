@@ -11,23 +11,23 @@ reports keep the two kinds of condition separate, and a certificate
 whose algebra passes but whose assertions are missing is
 "not-checkable-from-words" rather than valid.
 
-This module holds the data model, the report builder, the one
-membership primitive with its q-value, the orientation search and the
-hyperbolic verifier, which checks staged quotient memberships.  The
-elliptic, parabolic and unknotted verifiers check normal-closure
-memberships through Schreier rewriting and live in ``closure``;
-``certifier(kind)`` finds the verifier of a kind and imports
-``closure`` only for those three.  The index-shift translations and the
-spine-link pipeline build on these verifiers in their own modules,
-``translate`` and ``pipeline``.
+This module holds the data model, the report builder, the one image
+step (``_image``: the stage image or Schreier rewrite that a membership
+reads), the one membership primitive with its q-value, the orientation
+search and the hyperbolic verifier, which checks staged quotient
+memberships.  The elliptic, parabolic and unknotted verifiers check
+normal-closure memberships through Schreier rewriting and live in
+``closure``; ``certifier(kind)`` finds the verifier of a kind through
+``_value.function_at`` and imports ``closure`` only for those three.
+The index-shift translations and the spine-link pipeline build on these
+verifiers in their own modules, ``translate`` and ``pipeline``; their
+q-values at other depths read ``_image`` directly.
 """
 
 from __future__ import annotations
 
 import json
-import re
 from dataclasses import dataclass
-from importlib import import_module
 from typing import Callable, Iterator, Sequence
 
 # bounds, decomp and schreier are lazy modules (see knotcert/__init__.py),
@@ -35,7 +35,7 @@ from typing import Callable, Iterator, Sequence
 # bounds nor decomp and lyndon, which decomp imports, and only a
 # normal-closure membership loads schreier
 from . import bounds, decomp, schreier
-from ._value import KINDS, Record, as_dict, json_int
+from ._value import KINDS, Record, as_dict, function_at, integer, json_int
 from .magnus import MAX_GENERATOR, NCPolynomial, expand, staged_expand
 from .words import (
     WordSyntaxError,
@@ -49,7 +49,7 @@ from .words import (
 FLAG_REGULAR_SPINE = "regular-spine"
 FLAG_UNRELATED = "geometrically-unrelated"
 FLAG_ADMISSIBLE = "admissible-spine"
-_SIMPLICITY_RE = re.compile(r"^simplicity=(\d+)$")
+_SIMPLICITY = "simplicity="
 
 _TRIVIAL_BOUNDARY = "genus 0: boundary is the trivial knot"
 
@@ -152,6 +152,13 @@ class SurfaceCertificate:
             indices = sorted(c.index for c in self.curves if c.role == role)
             if indices != sorted(set(indices)):
                 raise CertificateError(f"duplicate {role}-curve indices")
+        for i, flag in enumerate(self.asserted_flags):
+            if flag.startswith(_SIMPLICITY):
+                try:
+                    integer(flag[len(_SIMPLICITY):], signed=False)
+                except ValueError:
+                    raise CertificateError(
+                        f"asserted_flags[{i}]: bad simplicity flag {flag!r}") from None
 
     @staticmethod
     def _curve_words(curve: Curve) -> list[tuple[int, ...]]:
@@ -167,10 +174,10 @@ class SurfaceCertificate:
         return flag in self.asserted_flags
 
     def simplicity(self) -> int | None:
+        """s of the first ``simplicity=<s>`` flag, or None without one."""
         for flag in self.asserted_flags:
-            match = _SIMPLICITY_RE.match(flag)
-            if match:
-                return int(match.group(1))
+            if flag.startswith(_SIMPLICITY):
+                return integer(flag[len(_SIMPLICITY):], signed=False)
         return None
 
 
@@ -452,8 +459,8 @@ def q_of_word(
 
 
 class _Membership(Record):
-    """One membership, kept for its q-value: ``word`` is the stage image or
-    Schreier rewrite (None outside the closure), ``degree`` its lcs degree
+    """One membership, kept for its q-value: ``word`` is the image that
+    ``_image`` gives (None outside the closure), ``degree`` its lcs degree
     when at most ``depth``, ``expansion`` its staged expansion (up to depth+1)."""
 
     word: tuple[int, ...] | None
@@ -467,31 +474,31 @@ class _Membership(Record):
     def passed(self) -> bool:
         return self.word is not None and self.degree is None
 
-    def q(self, depth: int | None = None) -> QInfo:
-        """q-value at ``depth``; by default the membership depth, reusing the expansion."""
-        if depth is None:
-            return q_of_word(self.word, self.depth, self.exclude, self.expansion)
-        return q_of_word(self.word, depth, self.exclude)
+    def q(self) -> QInfo:
+        """q-value at the membership depth, reusing the expansion."""
+        return q_of_word(self.word, self.depth, self.exclude, self.expansion)
+
+
+def _image(word: Sequence[int], *, index: int | None = None,
+           subset: frozenset[int] | None = None) -> tuple[tuple[int, ...], frozenset[int]]:
+    """The word a membership of ``word`` reads and the generators its q-value
+    excludes: with ``index`` its stage image in F, excluding the handle's
+    x-dual; with ``subset`` its Schreier rewrite in the normal closure of
+    ``subset`` (NotInNormalClosure outside it), excluding nothing."""
+    if index is not None:
+        return kill_generators(word, prefix_kill_set(index)), frozenset({x_generator(index)})
+    return schreier.rewrite_to_word(word, subset), frozenset()
 
 
 def _membership(word: Sequence[int], depth: int, *, index: int | None = None,
                 subset: frozenset[int] | None = None) -> _Membership:
-    """Membership of ``word`` in the (depth+1)-st lower central term.
-
-    With ``index``: its stage image in F, whose q-value excludes the
-    handle's x-dual.  With ``subset``: its Schreier rewrite in the normal
-    closure of ``subset``.  Depth 0 expands nothing; the staged caps end
-    at depth+1, so a member's expansion is the one its q-value reads.
-    """
-    exclude: frozenset[int] = frozenset()
-    if index is not None:
-        target = kill_generators(word, prefix_kill_set(index))
-        exclude = frozenset({x_generator(index)})
-    else:
-        try:
-            target = schreier.rewrite_to_word(word, subset)
-        except schreier.NotInNormalClosure as exc:
-            return _Membership(None, depth, exclude, None, None, f"not in normal closure: {exc}")
+    """Membership of ``word``'s ``_image`` in the (depth+1)-st lower central
+    term.  Depth 0 expands nothing; the staged caps end at depth+1, so a
+    member's expansion is the one its q-value reads."""
+    try:
+        target, exclude = _image(word, index=index, subset=subset)
+    except schreier.NotInNormalClosure as exc:
+        return _Membership(None, depth, frozenset(), None, None, f"not in normal closure: {exc}")
     degree = expansion = None
     if depth >= 1 and target:
         expansion = staged_expand(target, depth + 1)
@@ -606,11 +613,7 @@ _VERIFIERS = {
 
 
 def certifier(kind: str) -> Callable[..., CertificateReport]:
-    """The verifier of certificate ``kind``.
-
-    The module attribute is read on each call, so a verifier rebound on
-    its module (as ``bench/tracer.py`` rebinds every public function) is
-    the one returned.
-    """
-    module, _, name = _VERIFIERS[kind].partition(":")
-    return getattr(import_module(f".{module}", __package__), name)
+    """The verifier of certificate ``kind``, found by ``_value.function_at``,
+    which reads the module attribute on each call, so a verifier rebound
+    on its module is the one returned."""
+    return function_at(_VERIFIERS[kind])

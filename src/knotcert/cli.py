@@ -19,9 +19,8 @@ import argparse
 import json
 import os
 import sys
-from importlib import import_module
 
-from ._value import KINDS
+from ._value import KINDS, function_at
 
 SCHEMA = 1
 
@@ -46,8 +45,9 @@ def _ints(*names):
 # The command table: name -> (help, handler, argument specs) for a leaf or
 # (help, {name -> leaf row}, ()) for a group; a help of None lists no entry.
 # A handler is named as "module:function" of one command module per family
-# (cmd_words, cmd_seifert, cmd_bounds, cmd_certify), which main imports only
-# when it runs that leaf, so a job compiles its own family's handlers alone.
+# (cmd_words, cmd_seifert, cmd_bounds, cmd_certify), which main imports
+# through _value.function_at only when it runs that leaf, so a job compiles
+# its own family's handlers alone.
 # Every leaf takes --format before its own arguments, and only those: argparse
 # rejects any other.  A group's leaf finds its own name in args.subcommand.
 COMMANDS = {
@@ -201,17 +201,11 @@ def _emit(args, code: int, payload: dict, lines: list[str]) -> int:
     return code
 
 
-def _handler(ref: str):
-    """The function that a COMMANDS leaf names as ``"module:function"``."""
-    module, _, name = ref.partition(":")
-    return getattr(import_module(f".{module}", __package__), name)
-
-
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = build_parser(_leaf_path(argv)).parse_args(argv)
     try:
-        code, payload, lines = _handler(args.handler)(args)
+        code, payload, lines = function_at(args.handler)(args)
     except ValueError as exc:
         # InputError, words.WordSyntaxError, CertificateError,
         # certify.TranslationError and schreier.NotInNormalClosure are all

@@ -11,7 +11,8 @@ from __future__ import annotations
 import json
 
 from . import seifert
-from ._value import InputError, data_lines, int_tokens, json_int, read_json, read_text, token_error
+from ._value import (
+    InputError, data_lines, int_tokens, integer, json_int, read_json, read_text, token_error)
 
 
 def read_matrix_file(source: str) -> tuple[int, tuple[tuple[int, ...], ...]]:
@@ -20,7 +21,7 @@ def read_matrix_file(source: str) -> tuple[int, tuple[tuple[int, ...], ...]]:
     if not lines:
         raise InputError("line 1, col 1: empty matrix file")
     try:
-        genus = int(lines[0][1].split()[0])
+        genus = integer(lines[0][1].split()[0])
     except ValueError:
         raise token_error(*lines[0], 0, "genus must be an integer") from None
     if genus < 0:

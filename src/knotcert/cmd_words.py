@@ -14,7 +14,7 @@ import json
 
 from . import decomp, magnus, schreier, trivializer, words
 from ._value import (
-    InputError, data_lines, generator_subset, json_int, read_json, read_text, token_error)
+    InputError, data_lines, generator_subset, integer, json_int, read_json, read_text, token_error)
 
 
 def _raw_arg(value: str) -> str:
@@ -37,7 +37,7 @@ def _entries_arg(value: str) -> tuple[int, ...]:
 
 def _indices_arg(value: str) -> tuple[int, ...]:
     try:
-        out = tuple(int(tok) for tok in value.split())
+        out = tuple(map(integer, value.split()))
     except ValueError as exc:
         raise InputError(f"bad index sequence {value!r}") from exc
     if any(i < 1 for i in out):
@@ -58,7 +58,7 @@ def read_longitudes_file(source: str) -> magnus.LongitudeSystem:
         raise InputError("line 1, col 1: empty longitude file")
     (count_line, body), *rest = lines
     try:
-        count = int(body.split()[0])
+        count = integer(body.split()[0])
     except (IndexError, ValueError):  # a blank count line is a bad count too
         raise token_error(count_line, body, 0, "component count must be an integer") from None
     if count > magnus.MAX_GENERATOR:
@@ -150,7 +150,7 @@ def trivialize_build(args):
             letter_word = words.parse_word(letter_str)
             if len(letter_word) != 1:
                 raise ValueError
-            insertions.append((int(pos_str), letter_word[0]))
+            insertions.append((integer(pos_str), letter_word[0]))
         except (ValueError, words.WordSyntaxError):
             raise InputError(f"bad insertion {ins!r}; expected POSITION:LETTER") from None
     tagged, family = trivializer.build_letter_sets(factors, insertions)

@@ -58,11 +58,11 @@ class NCPolynomial:
 
     __slots__ = ("degree", "buckets")
 
-    def __init__(self, degree: int, buckets: list[dict[int, int]] | None = None):
+    def __init__(self, degree: int):
         if degree < 1:
             raise ValueError("truncation degree must be >= 1")
         self.degree = degree
-        self.buckets = buckets if buckets is not None else [{} for _ in range(degree + 1)]
+        self.buckets = [{} for _ in range(degree + 1)]
 
     @classmethod
     def one(cls, degree: int) -> "NCPolynomial":

@@ -16,8 +16,9 @@ from .certify import (
     _TRIVIAL_BOUNDARY,
     CertificateError,
     SurfaceCertificate,
-    _membership,
+    _image,
     _verdict,
+    q_of_word,
     vassiliev_conclusion,
 )
 from .magnus import lcs_degree
@@ -82,7 +83,8 @@ def spine_link_pipeline(
         """(whether Milnor invariants of length <= depth+1 vanish, l(depth, S) if they do)."""
         if lowest <= depth:
             return False, None
-        q_values = [_membership(w, 0, index=c.index).q(depth).q for c, w in longitudes[::2]]
+        images = (_image(w, index=c.index) for c, w in longitudes[::2])
+        q_values = [q_of_word(word, depth, exclude).q for word, exclude in images]
         return True, bounds.l_n_S(q_values) if q_values else None
 
     vanish, l_value = level(n)

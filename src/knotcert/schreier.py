@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import NamedTuple, Sequence
 
 from .magnus import lcs_degree
-from .words import kill_generators, reduce_word
+from .words import reduce_word
 
 
 class NotInNormalClosure(ValueError):
@@ -38,25 +38,23 @@ def schreier_rewrite(word: Sequence[int], subset: Sequence[int]) -> tuple[Schrei
     """Rewrite a word of the normal closure of ``subset`` over Schreier letters.
 
     Substituting conjugator * base * conjugator^-1 for every letter and
-    reducing recovers the word exactly.  Raises NotInNormalClosure when
-    the image under killing ``subset`` is nontrivial.
+    reducing recovers the word exactly.  The coset stack is the image of
+    the prefix read so far under killing ``subset``, so NotInNormalClosure
+    is raised when the final coset is not trivial.
     """
     killed = frozenset(abs(s) for s in subset)
-    word = reduce_word(word)
-    image = kill_generators(word, killed)
-    if image:
-        raise NotInNormalClosure(
-            f"word has nontrivial image {image} after killing {sorted(killed)}"
-        )
     coset: list[int] = []
     out: list[SchreierLetter] = []
-    for letter in word:
+    for letter in reduce_word(word):
         if abs(letter) in killed:
             out.append(SchreierLetter(tuple(coset), letter))
         elif coset and coset[-1] == -letter:
             coset.pop()
         else:
             coset.append(letter)
+    if coset:
+        raise NotInNormalClosure(
+            f"word has nontrivial image {tuple(coset)} after killing {sorted(killed)}")
     return tuple(out)
 
 

@@ -5,16 +5,17 @@ memberships are witnessed by balanced commutators of conjugates of the
 closure generators, which keep the pushoff words short.  The q-value
 of a word at depth m forces m+1 >= 6q, so q-value 3 needs depth 17;
 the words stay short there too (a 336-letter word lies in F^(18)), and
-the cost is the degree-18 expansion that checks them.  The builders
-double as the reference corpus shipped with the CLI and as the
-mutation-testing population.
+the cost is the degree-18 expansion that checks them.  Every
+commutator here, of letters or of whole words, is a left-normed
+bracket of reduced words built by ``words._left_normed``, the builder
+behind ``commutator_word``.  The builders double as the reference
+corpus shipped with the CLI and as the mutation-testing population.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import replace
-from typing import Sequence
 
 from ._value import as_dict
 from .certify import (
@@ -27,19 +28,7 @@ from .certify import (
     x_generator,
     y_generator,
 )
-from .words import commutator_word, concat, conjugate, invert
-
-
-def bracket(u: Sequence[int], v: Sequence[int]) -> tuple[int, ...]:
-    return concat(u, v, invert(u), invert(v))
-
-
-def nest(*parts: Sequence[int]) -> tuple[int, ...]:
-    """Left-normed bracket of whole words."""
-    out = tuple(parts[0])
-    for p in parts[1:]:
-        out = bracket(out, p)
-    return out
+from .words import _left_normed, commutator_word, conjugate
 
 
 def closure_letters(base: int, conjugator: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -55,15 +44,15 @@ def deep_closure_word(base: int, conjugator: int) -> tuple[int, ...]:
     the degree-12 bracket survives.
     """
     a, b = closure_letters(base, conjugator)
-    c6 = bracket(nest(a, b, a), nest(b, a, b))
-    c6p = bracket(nest(b, a, b, a), nest(b, a))
-    return bracket(c6, c6p)
+    c6 = _left_normed((_left_normed((a, b, a)), _left_normed((b, a, b))))
+    c6p = _left_normed((_left_normed((b, a, b, a)), _left_normed((b, a))))
+    return _left_normed((c6, c6p))
 
 
 def mid_closure_word(base: int, conjugator: int) -> tuple[int, ...]:
     """A word of the closure of ``base`` with closure lcs degree exactly 6."""
     a, b = closure_letters(base, conjugator)
-    return bracket(nest(a, b, a), nest(b, a, b))
+    return _left_normed((_left_normed((a, b, a)), _left_normed((b, a, b))))
 
 
 def pair_commutator(index: int, weight: int) -> tuple[int, ...]:

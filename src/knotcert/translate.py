@@ -20,11 +20,11 @@ from .certify import (
     SurfaceCertificate,
     TranslationError,
     UnknottedFactors,
-    _Membership,
-    _membership,
+    _image,
     b_dual_set,
     certifier,
     certify_hyperbolic,
+    q_of_word,
     x_generator,
     y_generator,
 )
@@ -147,14 +147,10 @@ def translate_certificate(cert: SurfaceCertificate, n: int) -> TranslationResult
     for a, b in _paired_curves(cert):
         fa = a.factors or UnknottedFactors()
         fb = b.factors or UnknottedFactors()
-        # the source is valid, so every nontrivial chi and zeta lies in its
-        # closure; depth 0 rewrites without expanding
-        mu = _membership(fa.mu, 0, index=a.index)
-        chi_b = _membership(fb.chi, 0, subset=s_b)
-        zeta = _membership(fb.zeta, 0, subset=s_b)
+        # the source is valid, so every nontrivial chi and zeta lies in its closure
         new_fa = UnknottedFactors(
             fa.x_exponent, fa.chi, fa.mu,
-            m_mu=_resolve_depth(fa.mu, mu, fa.m_mu, target_n + 1), m_chi=fa.m_chi,
+            m_mu=_resolve_depth(fa.mu, fa.m_mu, target_n + 1, index=a.index), m_chi=fa.m_chi,
         )
         chi_target = None
         if fa.chi and fb.chi:
@@ -163,8 +159,8 @@ def translate_certificate(cert: SurfaceCertificate, n: int) -> TranslationResult
         new_fb = UnknottedFactors(
             chi=fb.chi,
             zeta=fb.zeta,
-            m_chi=_resolve_depth(fb.chi, chi_b, fb.m_chi, chi_target),
-            m_zeta=_resolve_depth(fb.zeta, zeta, fb.m_zeta, target_n + 1 - s),
+            m_chi=_resolve_depth(fb.chi, fb.m_chi, chi_target, subset=s_b),
+            m_zeta=_resolve_depth(fb.zeta, fb.m_zeta, target_n + 1 - s, subset=s_b),
         )
         curves += [replace(a, factors=new_fa), replace(b, factors=new_fb)]
     target = replace(cert, n=target_n, curves=tuple(curves))
@@ -173,20 +169,23 @@ def translate_certificate(cert: SurfaceCertificate, n: int) -> TranslationResult
 
 def _resolve_depth(
     word: tuple[int, ...],
-    at: _Membership,
     m_source: int | None,
     q_target: int | None,
+    **where,
 ) -> int | None:
-    """Largest depth m <= m_source at which ``at``'s q-value hits ``q_target``.
+    """Largest depth m <= m_source at which the q-value of ``word``'s image
+    (``certify._image`` of ``word`` and ``where``) hits ``q_target``.
 
     Deeper membership implies shallower membership, so lowering m keeps
     the membership valid while re-aiming the q-equation.  Trivial words
-    need no depth, and ``q_target`` None keeps the source depth.
+    need no depth, and ``q_target`` None keeps the source depth; neither
+    builds the image.
     """
     if not word or m_source is None or q_target is None:
         return m_source
+    image, exclude = _image(word, **where)
     for m in range(m_source, 0, -1):
-        if at.q(m).q == q_target:
+        if q_of_word(image, m, exclude).q == q_target:
             return m
     raise TranslationError(
         f"no membership depth <= {m_source} realizes the target q-value {q_target}"

@@ -5,18 +5,20 @@ positions realizing entry i across all factors form the set C_i; the
 C_1..C_{m+1} are disjoint, inserted canceling pairs belong to none of
 them, and deleting the union of any nonempty subfamily frees the whole
 word to the identity.  ``verify_family`` checks all 2^(m+1)-1 deletions
-exhaustively rather than trusting the construction.
+exhaustively rather than trusting the construction.  It joins reduced
+segment images with ``words._cancel_length``, the junction cancellation
+that ``words`` builds its reduced products on.
 """
 
 from __future__ import annotations
 
-from itertools import combinations, compress, count
-from operator import add
+from itertools import combinations
 from typing import Sequence
 
 from ._value import Record
 from .words import (
     TaggedWord,
+    _cancel_length,
     insert_canceling_pair,
     simple_commutator,
     successive_entry_check,
@@ -95,19 +97,6 @@ def build_letter_sets(
 _LEAF_LETTERS = 64
 # A segment carrying at most this many labels keeps its images.
 _MEMO_LABELS = 7
-
-
-def _cancel_length(left: tuple[int, ...], right: tuple[int, ...]) -> int:
-    """Letters that cancel where reduced ``left`` meets reduced ``right``.
-
-    Both sides are reduced, so letters cancel only at the junction: pair
-    the end of ``left``, read backwards, with the head of ``right``, and
-    the first pair whose sum is not 0 ends the cancellation.  The scan
-    runs in C iterators, with no Python step per letter.
-    """
-    if not left or not right or left[-1] != -right[0]:
-        return 0
-    return next(compress(count(), map(add, reversed(left), right)), min(len(left), len(right)))
 
 
 def _segment(letters: Sequence[int], labels: Sequence[int], lo: int, hi: int,

@@ -10,10 +10,11 @@ which is what the letter-set trivializer needs.
 
 from __future__ import annotations
 
-import operator
+from itertools import compress, count
+from operator import add, neg
 from typing import Iterable, Sequence
 
-from ._value import Record, located_tokens
+from ._value import Record, integer, located_tokens
 
 
 def reduce_word(letters: Iterable[int]) -> tuple[int, ...]:
@@ -37,7 +38,7 @@ def concat(*words: Sequence[int]) -> tuple[int, ...]:
 
 
 def invert(word: Sequence[int]) -> tuple[int, ...]:
-    return tuple(map(operator.neg, reversed(word)))
+    return tuple(map(neg, reversed(word)))
 
 
 def conjugate(word: Sequence[int], by: Sequence[int]) -> tuple[int, ...]:
@@ -113,35 +114,49 @@ def simple_commutator(entries: Sequence[int]) -> TaggedWord:
     return TaggedWord(tuple(letters), tuple(tags))
 
 
-def _push_reduced(out: list[int], piece: Sequence[int]) -> None:
-    """Append a reduced word to the reduced word ``out``, keeping it reduced.
+def _cancel_length(left: Sequence[int], right: Sequence[int]) -> int:
+    """Letters that cancel where reduced ``left`` meets reduced ``right``.
 
-    Both sides are already reduced, so letters can cancel only at the
-    junction: pop while the end of ``out`` inverts the head of ``piece``.
+    Both sides are reduced, so letters cancel only at the junction: pair
+    the end of ``left``, read backwards, with the head of ``right``, and
+    the first pair whose sum is not 0 ends the cancellation.  The scan
+    runs in C iterators, with no Python step per letter.
     """
-    i, n = 0, len(piece)
-    while i < n and out and out[-1] == -piece[i]:
-        out.pop()
-        i += 1
-    out.extend(piece[i:] if i else piece)
+    if not left or not right or left[-1] != -right[0]:
+        return 0
+    return next(compress(count(), map(add, reversed(left), right)), min(len(left), len(right)))
+
+
+def _push_reduced(out: list[int], piece: Sequence[int]) -> None:
+    """Append a reduced word to the reduced word ``out``, keeping it reduced."""
+    cut = _cancel_length(out, piece)
+    del out[len(out) - cut:]
+    out.extend(piece[cut:] if cut else piece)
+
+
+def _left_normed(parts: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """Reduced word of the left-normed commutator [u1, ..., uk] of reduced
+    words, built stage by stage as w' = w u w^-1 u^-1 with cancellation at
+    the junctions only, so the unreduced nest is never formed."""
+    w = tuple(parts[0])
+    for u in parts[1:]:
+        out = list(w)
+        # u^-1 is spelled out, so a stage makes one public (traced) call, invert(w)
+        for piece in (u, invert(w), [-l for l in reversed(u)]):
+            _push_reduced(out, piece)
+        w = tuple(out)
+    return w
 
 
 def commutator_word(entries: Sequence[int]) -> tuple[int, ...]:
     """Reduced word of the left-normed commutator on ``entries``.
 
-    Built stage by stage from the reduced prefix as w' = w y w^-1 y^-1,
-    cancelling only at the junctions, so the unreduced nest of
+    The one-letter case of ``_left_normed``: the unreduced nest of
     3*2^(k-1)-2 letters (weight k) that ``simple_commutator`` spells out
     is never formed.
     """
     _check_entries(entries)
-    w: tuple[int, ...] = (entries[0],)
-    for y in entries[1:]:
-        out = list(w)
-        for piece in ((y,), invert(w), (-y,)):
-            _push_reduced(out, piece)
-        w = tuple(out)
-    return w
+    return _left_normed([(e,) for e in entries])
 
 
 def insert_canceling_pair(tagged: TaggedWord, position: int, letter: int) -> TaggedWord:
@@ -185,7 +200,8 @@ def successive_entry_check(entries: Sequence[int]) -> bool:
 
 # ---------------------------------------------------------------------------
 # Text syntax: whitespace-separated tokens `g<k>` / `g<k>^-1`, or signed
-# integers.  Emitted form is the token form.
+# integers, all in ASCII digits (``_value.integer``).  Emitted form is the
+# token form.
 
 
 class WordSyntaxError(ValueError):
@@ -200,20 +216,16 @@ class WordSyntaxError(ValueError):
 
 def _parse_token(tok: str, line: int, column: int) -> int:
     if tok.startswith("g"):
-        body = tok[1:]
-        sign = 1
-        if body.endswith("^-1"):
-            sign = -1
-            body = body[:-3]
+        body, sign = (tok[1:-3], -1) if tok.endswith("^-1") else (tok[1:], 1)
         try:
-            index = int(body) if body.isdecimal() else 0
-        except ValueError:  # more digits than int() converts
+            index = integer(body, signed=False)
+        except ValueError:
             index = 0
         if index < 1:
             raise WordSyntaxError(f"bad generator token {tok!r}", line, column)
         return sign * index
     try:
-        value = int(tok)
+        value = integer(tok)
     except ValueError:
         raise WordSyntaxError(f"bad token {tok!r}", line, column) from None
     if value == 0:

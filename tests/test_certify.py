@@ -478,29 +478,30 @@ class TestResolveDepth:
     pushoff: its q-values at depths 5, 4, ..., 1 are 1, 0, 0, 0, 0."""
 
     @pytest.fixture(scope="class")
-    def word_and_membership(self):
+    def word_and_where(self):
         cert = certificate_from_dict(json.loads((DATA / "elliptic_g1_n2.json").read_text()))
         (b,) = cert.curves_of_role("B")
         word = b.pushoff_minus
-        at = certify._membership(word, 0, subset=certify.b_dual_set(cert.genus))
-        assert [at.q(m).q for m in range(5, 0, -1)] == [1, 0, 0, 0, 0]
-        return word, at
+        where = {"subset": certify.b_dual_set(cert.genus)}
+        image, exclude = certify._image(word, **where)
+        assert [q_of_word(image, m, exclude).q for m in range(5, 0, -1)] == [1, 0, 0, 0, 0]
+        return word, where
 
     @pytest.mark.parametrize("target, depth", [(1, 5), (0, 4)])
-    def test_largest_depth_hitting_the_target(self, word_and_membership, target, depth):
-        word, at = word_and_membership
-        assert _resolve_depth(word, at, 5, target) == depth
+    def test_largest_depth_hitting_the_target(self, word_and_where, target, depth):
+        word, where = word_and_where
+        assert _resolve_depth(word, 5, target, **where) == depth
 
-    def test_source_depth_kept(self, word_and_membership):
-        word, at = word_and_membership
-        assert _resolve_depth(word, at, 5, None) == 5
-        assert _resolve_depth((), at, 5, 0) == 5
-        assert _resolve_depth(word, at, None, 0) is None
+    def test_source_depth_kept(self, word_and_where):
+        word, where = word_and_where
+        assert _resolve_depth(word, 5, None, **where) == 5
+        assert _resolve_depth((), 5, 0, **where) == 5
+        assert _resolve_depth(word, None, 0, **where) is None
 
-    def test_unrealizable_target(self, word_and_membership):
-        word, at = word_and_membership
+    def test_unrealizable_target(self, word_and_where):
+        word, where = word_and_where
         with pytest.raises(TranslationError, match="target q-value 2$"):
-            _resolve_depth(word, at, 5, 2)
+            _resolve_depth(word, 5, 2, **where)
 
 
 class TestConclusions:

@@ -65,6 +65,11 @@ class TestWordCommands:
         code, out, _ = run(capsys, "word", "kill", "g1 g2 g1^-1", "--subset", "1")
         assert code == 0 and out.strip() == "g2"
 
+    @pytest.mark.parametrize("subset", ["1 \u0662", "1_0"])
+    def test_kill_bad_subset_exit_2(self, capsys, subset):
+        assert run(capsys, "word", "kill", "g1 g2", "--subset", subset) == (
+            2, "", f"error: bad generator subset {subset!r}\n")
+
     def test_parse_error_exit_2(self, capsys):
         code, _, err = run(capsys, "word", "reduce", "g1 gX")
         assert code == 2 and "col 4" in err
@@ -75,6 +80,19 @@ class TestWordCommands:
         code, out, err = run(capsys, "word", "reduce", f"g2 {token}")
         assert code == 2 and out == ""
         assert err == f"error: line 1, col 4: bad generator token {token!r}\n"
+
+    @pytest.mark.parametrize("word, col, message", [
+        ("g2 1_0", 4, "bad token '1_0'"),
+        ("g\u0663", 1, "bad generator token 'g\u0663'"),
+        ("g1 g1_0^-1", 4, "bad generator token 'g1_0^-1'"),
+        ("\u0661", 1, "bad token '\u0661'"),
+    ], ids=["grouped", "arabic-indic-generator", "grouped-generator", "arabic-indic"])
+    def test_non_ascii_or_grouped_digits_exit_2(self, capsys, word, col, message):
+        assert run(capsys, "word", "reduce", word) == (2, "", f"error: line 1, col {col}: {message}\n")
+
+    def test_leading_zeros_and_signs_accepted(self, capsys):
+        assert run(capsys, "word", "reduce", "+3 -0004 g007 g02^-1") == (
+            0, "g3 g4^-1 g7 g2^-1\n", "")
 
     def test_commutator_needs_two_entries(self, capsys):
         assert run(capsys, "word", "commutator", "g1") == (
@@ -127,8 +145,9 @@ class TestMagnusCommands:
     ], ids=["fox", "milnor-invariant"])
     @pytest.mark.parametrize("index, message", [
         ("1 x", "bad index sequence '1 x'"),
+        ("1 \u0662", "bad index sequence '1 \u0662'"),
         ("0 1", "indices must be positive"),
-    ], ids=["not-int", "zero"])
+    ], ids=["not-int", "non-ascii", "zero"])
     def test_bad_index_exit_2(self, capsys, argv, index, message):
         assert run(capsys, *argv, "--index", index) == (2, "", f"error: {message}\n")
 
@@ -172,6 +191,15 @@ class TestDecomposeAndSchreier:
     def test_schreier_not_in_closure(self, capsys):
         code, _, err = run(capsys, "schreier", "degree", "g2", "--subset", "1", "-D", "3")
         assert code == 2 and "nontrivial image" in err
+
+    @pytest.mark.parametrize("word, subset, image, killed", [
+        ("g2 g1 g4 g3^-1", "1 3", "(2, 4)", "[1, 3]"),
+        ("g2 g1 g2^-1 g4", "1", "(4,)", "[1]"),
+    ], ids=["killed-after-complement", "complement-cancels"])
+    def test_not_in_closure_message(self, capsys, word, subset, image, killed):
+        # killed letters follow an uncancelled complement letter
+        assert run(capsys, "schreier", "degree", word, "--subset", subset, "-D", "3") == (
+            2, "", f"error: word has nontrivial image {image} after killing {killed}\n")
 
 
 class TestTrivializeCommands:
@@ -232,7 +260,8 @@ class TestTrivializeCommands:
         path.write_text(json.dumps(report))
         assert run(capsys, "trivialize", "verify", str(path)) == (2, "", f"error: {message}\n")
 
-    @pytest.mark.parametrize("insertion", ["x", "a:g1", "1:g1 g2", "1:gX", "1:"])
+    @pytest.mark.parametrize("insertion", [
+        "x", "a:g1", "1:g1 g2", "1:gX", "1:", "1_0:g1", "\u0661:g1", " 1:g1"])
     def test_bad_insertion_exit_2(self, capsys, insertion):
         assert run(capsys, "trivialize", "build", "--factor", "g1 g2", "--insert", insertion) == (
             2, "", f"error: bad insertion {insertion!r}; expected POSITION:LETTER\n")
@@ -327,15 +356,20 @@ class TestReaderErrors:
         (["alexander"], "1 0 1\n0 x\n", "line 2, col 3: bad matrix entry 'x'"),
         (["alexander"], "# g\n  x 1\n", "line 2, col 3: genus must be an integer"),
         (["alexander"], "1\n0  1 # row 1\n\t0   -x\n", "line 3, col 6: bad matrix entry '-x'"),
+        (["alexander"], "1_0\n", "line 1, col 1: genus must be an integer"),
+        (["alexander"], "1\n0 1\n0 \u0661\n", "line 3, col 3: bad matrix entry '\u0661'"),
         (["mmr", "-N", "1"], "", "laurent file needs a min-exponent line and a coefficient line"),
         (["mmr", "-N", "1"], "0\n", "laurent file needs a min-exponent line and a coefficient line"),
         (["mmr", "-N", "1"], "x\n1\n", "line 1, col 1: bad laurent polynomial data"),
         (["mmr", "-N", "1"], "0\n1 x\n", "line 2, col 3: bad laurent polynomial data"),
+        (["mmr", "-N", "1"], "0\n1 -1_0\n", "line 2, col 3: bad laurent polynomial data"),
         (["mmr", "-N", "1"], "0 5\n1 -1 1\n7 7\n", "line 1, col 3: stray token '5'"),
         (["mmr", "-N", "1"], "0\n1 -1 1\n\n# more\n  7 7\n", "line 5, col 3: stray token '7'"),
         (["milnor", "vanish", "-n", "1"], "", "line 1, col 1: empty longitude file"),
         (["milnor", "vanish", "-n", "1"], "# comment only\n", "line 1, col 1: empty longitude file"),
         (["milnor", "vanish", "-n", "1"], "two\n", "line 1, col 1: component count must be an integer"),
+        (["milnor", "vanish", "-n", "1"], "\u0662\ng1\ng2\n",
+         "line 1, col 1: component count must be an integer"),
         (["milnor", "vanish", "-n", "1"], "  \n2\n", "line 1, col 1: component count must be an integer"),
         (["milnor", "vanish", "-n", "1"], "2\ng1\ng1 gX\n", "line 3, col 4: bad generator token 'gX'"),
         (["milnor", "vanish", "-n", "1"], "# c\n2\n\tg1 gX # x\n",
@@ -343,10 +377,12 @@ class TestReaderErrors:
         (["milnor", "vanish", "-n", "1"], "2 g1\ng2\ng1\n", "line 1, col 3: stray token 'g1'"),
         (["milnor", "vanish", "-n", "1"], "2\ng2\ng1\ng1 g1\n", "line 4, col 1: stray token 'g1'"),
     ], ids=["matrix-empty", "matrix-comment-only", "matrix-genus", "matrix-count", "matrix-entry",
-            "matrix-genus-indented", "matrix-entry-tab",
+            "matrix-genus-indented", "matrix-entry-tab", "matrix-genus-grouped",
+            "matrix-entry-non-ascii",
             "laurent-empty", "laurent-one-line", "laurent-min-exp", "laurent-coefficient",
-            "laurent-stray-exponent", "laurent-stray-line",
+            "laurent-coefficient-grouped", "laurent-stray-exponent", "laurent-stray-line",
             "longitudes-empty", "longitudes-comment-only", "longitudes-count",
+            "longitudes-count-non-ascii",
             "longitudes-blank-count", "longitudes-word",
             "longitudes-word-tab", "longitudes-stray-count", "longitudes-stray-line"])
     def test_exit_2(self, capsys, tmp_path, argv, text, message):
@@ -390,6 +426,15 @@ class TestBoundsCommands:
         assert code == 0 and doc["all_hold"] is True
         assert doc["l_bound_argument"] == "1/24"
 
+    @pytest.mark.parametrize("argv, value", [
+        (("t", "0"), 0), (("t", "13"), 3), (("t", "24"), 6),
+        (("l-n-s", "3"), 2), (("l-n-s", "4", "2", "7"), 1), (("l-n-s", "0"), -1),
+    ])
+    def test_report_values(self, capsys, argv, value):
+        assert run(capsys, "bounds", *argv) == (0, f"{value}\n", "")
+        assert run_json(capsys, "bounds", *argv) == (0, {
+            "command": "bounds", "exit_code": 0, "fn": argv[0], "schema": 1, "value": value}, "")
+
     def test_partition(self, capsys):
         code, doc, _ = run_json(capsys, "bounds", "partition-k", "--factors", "1 2|2 3|4 5")
         assert code == 0 and doc["k"] == 2
@@ -412,8 +457,10 @@ class TestBoundsCommands:
          "error: bounds partition-k: --factors: bad generator subset '1 x'"),
         (("partition-k", "--factors", "1 2|0"),
          "error: bounds partition-k: --factors: generator subsets need positive indices"),
+        (("partition-k", "--factors", "1 2|2_0"),
+         "error: bounds partition-k: --factors: bad generator subset '2_0'"),
     ], ids=["partition-k-ints", "embedded-q", "embedded-partition-k", "factors-q-param",
-            "factors-not-int", "factors-zero"])
+            "factors-not-int", "factors-zero", "factors-grouped"])
     def test_stray_arguments(self, capsys, argv, message):
         # an argument the function does not take stops in argparse; a
         # malformed --factors value stops in the handler
@@ -699,6 +746,14 @@ class TestCertifyCommands:
             "regular-spine", "geometrically-unrelated", flag])
         assert run(capsys, "certify", "parabolic", path, *argv) == (
             2, "", "error: simplicity must be >= 1\n")
+
+    @pytest.mark.parametrize("flag", [
+        "simplicity=\u0661", "simplicity=1\n", "simplicity=1_0", "simplicity=-1", "simplicity="])
+    def test_malformed_simplicity_flag_exit_2(self, capsys, tmp_path, flag):
+        path = _shipped_variant(tmp_path, "parabolic_g1_n2", asserted_flags=[
+            "regular-spine", "geometrically-unrelated", flag])
+        assert run(capsys, "certify", "parabolic", path) == (
+            2, "", f"error: asserted_flags[2]: bad simplicity flag {flag!r}\n")
 
     def test_parabolic_simplicity_accepted(self, capsys):
         code, doc, err = run_json(

@@ -10,13 +10,13 @@ from knotcert import trivializer
 from knotcert.trivializer import (
     FamilyCheck,
     LetterSetFamily,
-    _cancel_length,
     build_letter_sets,
     extremal_entry_word,
     verify_family,
 )
 from knotcert.words import (
     TaggedWord,
+    _cancel_length,
     delete_letters,
     reduce_word,
     simple_commutator,

@@ -1,15 +1,18 @@
 """The frozen value records of knotcert._value, the classes built on it, and
 the line primitives of the text readers."""
 
+import ast
 import importlib
 import inspect
 import pkgutil
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import knotcert
-from knotcert._value import Record, as_dict, data_lines, int_tokens, located_tokens, token_error
+from knotcert._value import (
+    Record, as_dict, data_lines, int_tokens, integer, located_tokens, token_error)
 from knotcert.bounds import InequalityReport
 from knotcert.certify import ConditionResult, CertificateReport, QInfo
 from knotcert.magnus import LongitudeSystem
@@ -175,3 +178,52 @@ class TestLinePrimitives:
         assert int_tokens(1, " 3 -1\t+2 ", "bad {tok!r}") == [3, -1, 2]
         with pytest.raises(ValueError, match="^line 4, col 6: bad 'x1'$"):
             int_tokens(4, "1 -2 x1 x2", "bad {tok!r}")
+
+    @pytest.mark.parametrize("token, signed, value", [
+        ("7", True, 7), ("+7", True, 7), ("-007", True, -7), ("0", True, 0),
+        ("007", False, 7), ("0", False, 0),
+    ])
+    def test_integer(self, token, signed, value):
+        assert integer(token, signed=signed) == value
+
+    @pytest.mark.parametrize("token, signed", [
+        # int() reads these five
+        ("1_0", True), ("\u0663", True), ("\uff11", True), ("1\n", True), (" 1", True),
+        ("", True), ("+", True), ("+-1", True), ("--1", True), ("1.0", True), ("\u00b2", True),
+        ("1" * 5000, True), ("-1", False), ("+1", False), ("", False),
+    ])
+    def test_integer_rejects(self, token, signed):
+        with pytest.raises(ValueError):
+            integer(token, signed=signed)
+
+
+SOURCES = sorted((Path(knotcert.__file__).parent).glob("*.py"))
+
+
+def _names_used(path: Path, name: str) -> list[int]:
+    """Lines of ``path`` that load the global name ``name`` or import it."""
+    lines = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name) and node.id == name and isinstance(node.ctx, ast.Load):
+            lines.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and any(a.name == name for a in node.names):
+            lines.append(node.lineno)
+    return lines
+
+
+class TestOneOwner:
+    """The rules that one module owns, so that no reader grows its own copy."""
+
+    def test_int_called_only_in_value(self):
+        # argparse's numeric options name int as a type, which is not a call
+        callers = set()
+        for path in SOURCES:
+            for node in ast.walk(ast.parse(path.read_text())):
+                if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                        and node.func.id == "int"):
+                    callers.add(path.stem)
+        assert callers == {"_value"}
+
+    def test_import_module_only_in_value_and_init(self):
+        users = {path.stem for path in SOURCES if _names_used(path, "import_module")}
+        assert users == {"_value", "__init__"}
