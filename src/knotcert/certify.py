@@ -31,12 +31,14 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
 # bounds, decomp and schreier are lazy modules (see knotcert/__init__.py),
-# used qualified: a certificate rejected before any q-value loads neither
-# bounds nor decomp and lyndon, which decomp imports, and only a
+# used qualified: a certificate rejected before any q-value loads no
+# bounds; a q-value reads k off its slice and loads decomp, and lyndon,
+# which decomp imports, only when the slice leaves k open, and the
+# hyperbolic report loads them to count its factors; only a
 # normal-closure membership loads schreier
 from . import bounds, decomp, schreier
 from ._value import KINDS, Record, as_dict, function_at, integer, json_int
-from .magnus import MAX_GENERATOR, NCPolynomial, expand, staged_expand
+from .magnus import MAX_GENERATOR, NCPolynomial, expand, staged_expand, unpack_monomial
 from .words import (
     WordSyntaxError,
     format_word,
@@ -152,8 +154,12 @@ class SurfaceCertificate:
             indices = sorted(c.index for c in self.curves if c.role == role)
             if indices != sorted(set(indices)):
                 raise CertificateError(f"duplicate {role}-curve indices")
+        seen_simplicity = False
         for i, flag in enumerate(self.asserted_flags):
             if flag.startswith(_SIMPLICITY):
+                if seen_simplicity:
+                    raise CertificateError(f"asserted_flags[{i}]: second simplicity flag {flag!r}")
+                seen_simplicity = True
                 try:
                     integer(flag[len(_SIMPLICITY):], signed=False)
                 except ValueError:
@@ -174,7 +180,7 @@ class SurfaceCertificate:
         return flag in self.asserted_flags
 
     def simplicity(self) -> int | None:
-        """s of the first ``simplicity=<s>`` flag, or None without one."""
+        """s of the ``simplicity=<s>`` flag (at most one), or None without one."""
         for flag in self.asserted_flags:
             if flag.startswith(_SIMPLICITY):
                 return integer(flag[len(_SIMPLICITY):], signed=False)
@@ -412,7 +418,6 @@ class _ReportBuilder:
 class QInfo(Record):
     k: int
     q: int
-    factor_count: int
 
 
 def q_of_word(
@@ -431,31 +436,49 @@ def q_of_word(
     two-branch bound at depth m.  A trivial word imposes no constraint
     and gets the k-free branch value q(m+1).
 
-    ``expansion`` is the word's expansion at degree m+1 when the caller
-    already has it (a passing membership's); otherwise the word is expanded
-    here.  The residual is built only when it can change k: r = G^-1 * w
-    uses only generators of w and of the factors, so when the factor
-    sets form at most one block and that block covers the generators
-    of w (both minus ``exclude``), r's set either is empty or lies inside
-    the block and merges into it, and k is already exact.
+    The factor generator sets are those of the slice's nonzero monomials
+    (``_slice_support``), so k is read off the slice without solving for
+    the factors.  ``expansion`` is the word's expansion at degree m+1
+    when the caller already has it (a passing membership's); otherwise
+    the word is expanded here.  The residual is built only when it can
+    change k: r = G^-1 * w uses only generators of w and of the factors,
+    so when the slice's sets form at most one block and that block covers
+    the generators of w (both minus ``exclude``), r's set either is empty
+    or lies inside the block and merges into it, and k is already exact.
+    An empty slice has no factors, so r is w.  Only in the other cases
+    are the factors solved for and r built from them.
     """
     word = reduce_word(word)
     if not word or m < 1:
         # trivial word, or depth 0 where membership in F^(1) says nothing:
         # no factorization constrains the curve
-        return QInfo(0, bounds.q(m + 1), 0)
+        return QInfo(0, bounds.q(m + 1))
     if expansion is None:
         expansion = expand(word, m + 1)
-    factors = decomp.stage_factors(expansion, m, m + 1)
-    gensets = [s for s in (frozenset(entries) - exclude for entries, _ in factors) if s]
+    low = expansion.min_positive_degree()
+    if low is not None and low <= m:
+        raise ValueError(f"word has lcs degree {low} <= m = {m}")
+    support = _slice_support(expansion, m + 1)
+    gensets = [s for s in (gens - exclude for gens in support) if s]
     partition, k = bounds.partition_k(gensets)
     covered = frozenset().union(*gensets)
     if len(partition.blocks) > 1 or not generators_in(word) - exclude <= covered:
-        rest = generators_in(decomp.residual_word(word, factors)) - exclude
+        residual = word
+        if support:
+            factors = decomp.stage_factors(expansion, m, m + 1)
+            residual = decomp.residual_word(word, factors)
+        rest = generators_in(residual) - exclude
         if rest:
             _, k = bounds.partition_k(gensets + [rest])
     q = bounds.q_param(m, k) if k >= 1 else bounds.q(m + 1)
-    return QInfo(k, q, len(factors))
+    return QInfo(k, q)
+
+
+def _slice_support(expansion: NCPolynomial, d: int) -> set[frozenset[int]]:
+    """Generator sets of the nonzero degree-d monomials of ``expansion``.  For
+    a Lie slice these are the generator sets of its stage factors, since
+    the Lyndon basis is multihomogeneous."""
+    return {frozenset(unpack_monomial(mon)) for mon in expansion.buckets[d]}
 
 
 class _Membership(Record):
@@ -547,7 +570,9 @@ def certify_hyperbolic(cert: SurfaceCertificate, n: int | None = None) -> Certif
     Stage i kills the duals of the first i-1 handle pairs and requires
     the image of one of the two pushoffs of gamma_i to lie in the
     (n+1)-st lower central term.  On success the factor partitions give
-    k_i, the q-values, and the triviality bound l(n, S) = min q_i - 1.
+    k_i, the q-values, and the triviality bound l(n, S) = min q_i - 1;
+    each curve's weight-(n+1) factors are counted from its membership's
+    expansion.
     """
     rb = _ReportBuilder("hyperbolic", cert, n, [FLAG_REGULAR_SPINE])
     n = rb.n
@@ -571,13 +596,15 @@ def certify_hyperbolic(cert: SurfaceCertificate, n: int | None = None) -> Certif
             f"pushoff {sign}: image in F^({n + 1}) after killing "
             f"{sorted(prefix_kill_set(curve.index))}",
         )
-        info = tried[-1][1][0].q()
+        at = tried[-1][1][0]
+        info = at.q()
         q_values.append(info.q)
         per_curve[curve.name] = {
             "sign": sign,
             "k": info.k,
             "q": info.q,
-            "factors": info.factor_count,
+            "factors": 0 if at.expansion is None else len(
+                decomp.stage_factors(at.expansion, n, n + 1)),
         }
     rb.quantities["per_curve"] = per_curve
     if q_values:

@@ -61,13 +61,15 @@ def read_longitudes_file(source: str) -> magnus.LongitudeSystem:
         count = integer(body.split()[0])
     except (IndexError, ValueError):  # a blank count line is a bad count too
         raise token_error(count_line, body, 0, "component count must be an integer") from None
+    if count < 1:
+        raise token_error(count_line, body, 0, "component count must be >= 1")
     if count > magnus.MAX_GENERATOR:
         raise token_error(count_line, body, 0,
                           f"component count {count} exceeds the limit {magnus.MAX_GENERATOR}")
     if len(body.split()) > 1:
         raise token_error(count_line, body, 1, "stray token {tok!r}")
     longitudes = []
-    for lineno, body in rest[:max(count, 0)]:
+    for lineno, body in rest[:count]:
         try:
             longitudes.append(words.parse_word(body))
         except words.WordSyntaxError as exc:

@@ -5,7 +5,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from knotcert.certify import (
@@ -668,14 +668,19 @@ class TestQOfWord:
         without_x = q_of_word(word, 2, exclude=frozenset({1}))
         assert with_x.k == 2 and without_x.k == 1
 
+    def test_word_outside_the_term_raises(self):
+        # the slice of a word below F^(m+1) is no Lie element to read k from
+        with pytest.raises(ValueError, match="lcs degree 2 <= m = 2"):
+            q_of_word(commutator_word((1, 2)), 2)
+
 
 def q_oracle(word, m, exclude):
-    """(k, q, factor count) from the full decomposition, residual included."""
+    """(k, q) from the full decomposition, residual included."""
     comb = decompose(word, m, m + 1)
     gensets = [frozenset(entries) - exclude for entries, _ in comb.factors]
     gensets.append(generators_in(comb.residual) - exclude)
     _, k = partition_k([s for s in gensets if s])
-    return k, q_param(m, k) if k >= 1 else q(m + 1), len(comb.factors)
+    return k, q_param(m, k) if k >= 1 else q(m + 1)
 
 
 def products_with_deeper_words(m):
@@ -771,7 +776,7 @@ class TestFastQPath:
     def test_matches_full_decomposition(self, case, exclude):
         m, word = case
         info = q_of_word(word, m, exclude)
-        assert (info.k, info.q, info.factor_count) == q_oracle(word, m, exclude)
+        assert (info.k, info.q) == q_oracle(word, m, exclude)
 
     def spy_residual(self, monkeypatch):
         calls = []
@@ -789,7 +794,7 @@ class TestFastQPath:
         word = concat(commutator_word((1, 2)), commutator_word((3, 4)))
         info = q_of_word(word, 1)
         assert calls == [word]
-        assert (info.k, info.q, info.factor_count) == q_oracle(word, 1, frozenset())
+        assert (info.k, info.q) == q_oracle(word, 1, frozenset())
         assert info.k == 2
 
     def test_uncovered_generator_joins_through_the_residual(self, monkeypatch):
@@ -835,8 +840,76 @@ class TestFastQPath:
         assert report.verdict == "valid"
         a_word = [degree for letters, degree in expansions if letters == 140]
         assert a_word.count(12) == 1 and 11 not in a_word
-        # one stage per q-value, each checked at the Lie level
-        assert stages == [12, 6]
+        # both q-values read k off their slices: no stage is solved or checked
+        assert stages == []
+
+
+class TestSliceSupport:
+    """The generator sets of a slice's nonzero monomials are those of its
+    stage factors, with ``stage_factors`` as the oracle."""
+
+    @staticmethod
+    def assert_support_is_factor_sets(word, m):
+        expansion = magnus.expand(word, m + 1)
+        factors = decomp.stage_factors(expansion, m, m + 1)
+        assert certify._slice_support(expansion, m + 1) == {frozenset(e) for e, _ in factors}
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 3).flatmap(
+        lambda m: st.tuples(st.just(m), products_with_deeper_words(m))))
+    def test_products_with_deeper_words(self, case):
+        m, word = case
+        self.assert_support_is_factor_sets(word, m)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(2, 4).flatmap(lambda r: st.tuples(
+        words_strategy(max_gen=r, max_len=6), words_strategy(max_gen=r, max_len=6))))
+    def test_commutators_of_random_words(self, pair):
+        # the slice at the commutator's own lcs degree, on 2-4 generators
+        u, v = pair
+        word = reduce_word(concat(u, v, invert(u), invert(v)))
+        degree = magnus.lcs_degree(word, 6)
+        assume(degree is not None)
+        self.assert_support_is_factor_sets(word, degree - 1)
+
+
+class TestHyperbolicFactorCount:
+    """The per-curve factor count of the hyperbolic report is the
+    decomposition's, from one solve per curve, plus the q-value's own
+    solve when its slice leaves k open."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 3).flatmap(
+        lambda m: st.tuples(st.just(m), products_with_deeper_words(m))))
+    def test_matches_decompose(self, case):
+        m, word = case
+        cert = plain_hyperbolic(word, m, genus=2)
+        per_curve = certify_hyperbolic(cert).quantities["per_curve"]
+        for curve in cert.curves:
+            entry = per_curve[curve.name]
+            image = kill_generators(curve.pushoff(entry["sign"]), certify.prefix_kill_set(curve.index))
+            assert entry["factors"] == len(decompose(image, m, m + 1).factors)
+            assert (entry["k"], entry["q"]) == q_oracle(image, m, frozenset({2 * curve.index - 1}))
+
+    @pytest.mark.parametrize("word, solves", [
+        # a1's slice sets {2} and {3, 4} are two blocks: the residual path
+        # solves again
+        (concat(commutator_word((1, 2)), commutator_word((3, 4))), [2, 2, 2]),
+        (commutator_word((1, 2)), [2, 2]),
+    ], ids=["residual-path-solves-again", "k-off-the-slice"])
+    def test_solves_per_curve(self, monkeypatch, word, solves):
+        calls = []
+        stage_factors = decomp.stage_factors
+
+        def counting(expansion, m, degree):
+            calls.append(degree)
+            return stage_factors(expansion, m, degree)
+
+        monkeypatch.setattr(decomp, "stage_factors", counting)
+        per_curve = certify_hyperbolic(plain_hyperbolic(word, 1, genus=2)).quantities["per_curve"]
+        assert calls == solves
+        monkeypatch.undo()
+        assert per_curve["a1"]["factors"] == len(decompose(word, 1, 2).factors)
 
 
 def reference_mutant(cert, rng):

@@ -371,6 +371,8 @@ class TestReaderErrors:
         (["milnor", "vanish", "-n", "1"], "\u0662\ng1\ng2\n",
          "line 1, col 1: component count must be an integer"),
         (["milnor", "vanish", "-n", "1"], "  \n2\n", "line 1, col 1: component count must be an integer"),
+        (["milnor", "vanish", "-n", "1"], "0\n", "line 1, col 1: component count must be >= 1"),
+        (["milnor", "vanish", "-n", "1"], "# c\n  -1\n", "line 2, col 3: component count must be >= 1"),
         (["milnor", "vanish", "-n", "1"], "2\ng1\ng1 gX\n", "line 3, col 4: bad generator token 'gX'"),
         (["milnor", "vanish", "-n", "1"], "# c\n2\n\tg1 gX # x\n",
          "line 3, col 5: bad generator token 'gX'"),
@@ -383,7 +385,8 @@ class TestReaderErrors:
             "laurent-coefficient-grouped", "laurent-stray-exponent", "laurent-stray-line",
             "longitudes-empty", "longitudes-comment-only", "longitudes-count",
             "longitudes-count-non-ascii",
-            "longitudes-blank-count", "longitudes-word",
+            "longitudes-blank-count", "longitudes-count-zero", "longitudes-count-negative",
+            "longitudes-word",
             "longitudes-word-tab", "longitudes-stray-count", "longitudes-stray-line"])
     def test_exit_2(self, capsys, tmp_path, argv, text, message):
         path = tmp_path / "input.txt"
@@ -523,7 +526,8 @@ class TestCertifyCommands:
         ("asserted_flags", 5),
         ("asserted_flags", [5]),
         ("asserted_flags", "regular-spine"),
-    ], ids=["curves-int", "flags-int", "flags-int-list", "flags-string"])
+        ("asserted_flags", ["regular-spine", "simplicity=1", "simplicity=3"]),
+    ], ids=["curves-int", "flags-int", "flags-int-list", "flags-string", "flags-two-simplicity"])
     def test_malformed_field_exit_2(self, capsys, tmp_path, field, value):
         doc = json.loads((DATA / "hyperbolic_g2_n3.json").read_text())
         doc[field] = value
@@ -754,6 +758,14 @@ class TestCertifyCommands:
             "regular-spine", "geometrically-unrelated", flag])
         assert run(capsys, "certify", "parabolic", path) == (
             2, "", f"error: asserted_flags[2]: bad simplicity flag {flag!r}\n")
+
+    def test_second_simplicity_flag_exit_2(self, capsys, tmp_path):
+        # the shipped certificate asserts simplicity=1; a second flag is
+        # malformed whatever its value
+        path = _shipped_variant(tmp_path, "parabolic_g1_n2", asserted_flags=[
+            "regular-spine", "geometrically-unrelated", "simplicity=1", "simplicity=3"])
+        assert run(capsys, "certify", "parabolic", path) == (
+            2, "", "error: asserted_flags[3]: second simplicity flag 'simplicity=3'\n")
 
     def test_parabolic_simplicity_accepted(self, capsys):
         code, doc, err = run_json(

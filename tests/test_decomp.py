@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from conftest import expand_commutator, letters_strategy, words_strategy
 from knotcert import decomp, words
 from knotcert.certify import certificate_from_dict
-from knotcert.closure import certify_elliptic
 from knotcert.cli import main
 from knotcert.decomp import decompose, lie_component
 from knotcert.lyndon import (
@@ -22,6 +21,7 @@ from knotcert.lyndon import (
     standard_factorization,
 )
 from knotcert.magnus import expand, lcs_degree
+from knotcert.schreier import rewrite_to_word
 from knotcert.words import commutator_word, concat, conjugate, invert, reduce_word
 
 DATA = Path(__file__).resolve().parent.parent / "src" / "knotcert" / "data"
@@ -362,7 +362,7 @@ class TestStageDefects:
         def off_by_one(combo):
             combo[min(combo)] -= 1
         self._perturbed(monkeypatch, off_by_one if change == "off-by-one" else self._swap_first_two)
-        code = main(["certify", "elliptic", str(DATA / "elliptic_g1_n2.json")])
+        code = main(["decompose", words.format_word(self.WORD), "-m", "2", "-D", "3"])
         captured = capsys.readouterr()
         assert code == 4 and captured.out == ""
         assert captured.err.startswith("internal error: stage ")
@@ -371,8 +371,9 @@ class TestStageDefects:
 class TestStageCheckBuildsNoFactorPolynomial:
     def test_elliptic_without_wide_factor_polynomials(self, monkeypatch):
         # _try_single_factor expands factors of weight <= 7 only; the
-        # shipped elliptic certificate's weight-12 stage must be checked
-        # without expanding any of its factors on its own
+        # weight-12 stage of the shipped elliptic certificate's a1 image
+        # (its q-value reads k off the slice, so the solve is called here)
+        # must be checked without expanding any of its factors on its own
         real = decomp.left_normed_lie_polynomial
 
         def bounded(entries):
@@ -383,7 +384,10 @@ class TestStageCheckBuildsNoFactorPolynomial:
         monkeypatch.setattr(decomp, "left_normed_lie_polynomial", bounded)
         decomp._expand_nest_pair.cache_clear()
         cert = certificate_from_dict(json.loads((DATA / "elliptic_g1_n2.json").read_text()))
-        assert certify_elliptic(cert).verdict == "valid"
+        a1 = next(c for c in cert.curves if c.name == "a1")
+        image = rewrite_to_word(a1.pushoff_plus, frozenset({1}))
+        factors = decomp.stage_factors(expand(image, a1.m + 1), a1.m, a1.m + 1)
+        assert len({entries for entries, _ in factors}) == 60
 
 
 def conjugated_commutator_products(m):

@@ -66,10 +66,13 @@ MAGNUS = WORDS | {"magnus"}
 SEIFERT = {"cli", "_value", "cmd_seifert", "seifert"}
 # a certificate whose memberships fail computes no q-value, and loads
 # neither bounds nor decomp and lyndon (see TestRejectedMutants); only the
-# normal-closure kinds load their verifiers' module and schreier
+# normal-closure kinds load their verifiers' module and schreier.  A
+# q-value loads bounds and reads k off its slice; in these rows only the
+# hyperbolic report's factor count solves for factors in decomp and lyndon
 CERTIFY = {"cli", "_value", "cmd_certify", "words", "magnus", "certify"}
 CLOSURE = {"closure", "schreier"}
-Q_VALUES = {"bounds", "decomp", "lyndon"}
+Q_VALUES = {"bounds"}
+FACTORS = {"decomp", "lyndon"}
 BOUNDS = {"cli", "_value", "cmd_bounds", "bounds"}
 
 # (argv, the knotcert modules it loads); one row per leaf command
@@ -102,7 +105,7 @@ LOAD_SETS = [
     (["bounds", "partition-k", "--factors", "1 2|2 3|4"], BOUNDS),
     (["bounds", "check-inequalities", "11"], BOUNDS),
     (["certify", "elliptic", DATA / "elliptic_g1_n2.json"], CERTIFY | CLOSURE | Q_VALUES),
-    (["certify", "hyperbolic", DATA / "hyperbolic_g2_n3.json"], CERTIFY | Q_VALUES),
+    (["certify", "hyperbolic", DATA / "hyperbolic_g2_n3.json"], CERTIFY | Q_VALUES | FACTORS),
     (["certify", "parabolic", DATA / "parabolic_g1_n2.json"], CERTIFY | CLOSURE | Q_VALUES),
     (["certify", "unknotted", DATA / "unknotted_g1_n2.json"], CERTIFY | CLOSURE | Q_VALUES),
     # the band-twist certificate's conditions compute no q-value (the
@@ -204,8 +207,8 @@ class TestRejectedMutants:
         path.write_text(json.dumps(certificate_to_dict(mutant)))
         probe = probe_job("certify", "hyperbolic", path)
         assert probe["code"] == 1
-        # a1 passes and computes its q-value
-        assert set(probe["loaded"]) == CERTIFY | Q_VALUES
+        # a1 passes and computes its q-value and factor count
+        assert set(probe["loaded"]) == CERTIFY | Q_VALUES | FACTORS
 
 
 # Runs knotcert.cli as __main__, as ``python -m knotcert.cli`` does, then
@@ -262,7 +265,7 @@ class TestTracerContract:
     @pytest.mark.parametrize("argv, layers", [
         (["alexander", DATA / "trefoil.mat", "--format", "structured"], {"cli", "seifert"}),
         (["certify", "elliptic", DATA / "elliptic_g1_n2.json", "--format", "structured"],
-         {"cli", "words", "magnus", "lyndon", "decomp", "schreier", "bounds", "certify"}),
+         {"cli", "words", "magnus", "schreier", "bounds", "certify"}),
         # translate and pipeline import their layers' functions after the
         # tracer has wrapped them, so they call the wrappers; the band twist's
         # trivial factors need no Schreier rewrite
@@ -270,7 +273,7 @@ class TestTracerContract:
           "--format", "structured"], {"cli", "words", "certify"}),
         (["pipeline", "spine-link", DATA / "hyperbolic_g2_n3.json", "--signs", "++++",
           "--format", "structured"],
-         {"cli", "words", "magnus", "lyndon", "decomp", "bounds", "certify"}),
+         {"cli", "words", "magnus", "bounds", "certify"}),
     ], ids=["alexander", "certify-elliptic", "translate-unknotted", "pipeline-spine-link"])
     def test_traced_job_matches_untraced(self, tmp_path, argv, layers):
         spans_path = tmp_path / "spans.json"

@@ -72,7 +72,7 @@ class TestConstruction:
 
     def test_repr(self):
         assert repr(Point(1, label="a")) == "Point(x=1, y=0, label='a')"
-        assert repr(QInfo(2, 3, 4)) == "QInfo(k=2, q=3, factor_count=4)"
+        assert repr(QInfo(2, 3)) == "QInfo(k=2, q=3)"
         assert repr(FamilyCheck(True, 7)) == (
             "FamilyCheck(ok=True, checked=7, failing_subfamily=None, failing_word=None)")
 
