@@ -20,13 +20,14 @@ that ``cli`` and its command modules share (``InputError``,
 ``read_text``, ``read_json``, ``json_int``, ``generator_subset``).
 The command modules import these from here, never from ``cli``: under
 ``python -m knotcert.cli`` the running ``cli`` is ``__main__``, and an
-import of ``knotcert.cli`` would execute it a second time.
+import of ``knotcert.cli`` would execute it a second time.  ``read_text``
+opens files with ``open``, not ``pathlib``, which would load ``pathlib``,
+``urllib.parse`` and ``ipaddress`` into every job.
 """
 
 import json
 import sys
 from importlib import import_module
-from pathlib import Path
 
 KINDS = ("hyperbolic", "elliptic", "parabolic", "unknotted")
 
@@ -40,7 +41,8 @@ def read_text(source: str) -> str:
     if source == "-":
         return sys.stdin.read()
     try:
-        return Path(source).read_text()
+        with open(source) as fh:
+            return fh.read()
     except OSError as exc:
         raise InputError(f"cannot read {source}: {exc}") from exc
 

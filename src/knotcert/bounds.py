@@ -9,10 +9,11 @@ legitimate (the bounds go vacuous for small parameters).  The only
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 from ._value import Record
 
+TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
 if TYPE_CHECKING:
     from fractions import Fraction
 

@@ -27,8 +27,8 @@ q-values at other depths read ``_image`` directly.
 from __future__ import annotations
 
 import json
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
 
 # bounds, decomp and schreier are lazy modules (see knotcert/__init__.py),
 # used qualified: a certificate rejected before any q-value loads no

@@ -6,6 +6,15 @@ summary or a structured JSON report (``--format structured``) with a
 stable ``schema`` field.  Reports are deterministic: identical inputs
 produce byte-identical structured output.
 
+A command line is read straight from the ``COMMANDS`` table when it is
+plain: a leaf's names, its positionals in order, then exact ``--flag
+value`` pairs and ``store_true`` flags (``_read_plain``).  Any other line,
+including ``-h``, abbreviations, ``--flag=value`` and every malformed
+line, goes to an argparse parser of the named leaf (``build_parser``),
+which stays the parser of record: both give the same arguments, and only
+argparse prints usage, help and diagnostics.  So ``argparse``, and the
+``gettext`` and ``locale`` that it imports, load only for those lines.
+
 Exit codes: 0 success/valid verdict, 1 invalid (a checked property is
 false), 2 malformed input, 3 not checkable from word data (required
 geometric assertions missing), 4 internal error (an internal self-check
@@ -15,12 +24,16 @@ RuntimeError: a defect in knotcert, not a verdict on the input).
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
+from types import SimpleNamespace
 
 from ._value import KINDS, function_at
+
+TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
+if TYPE_CHECKING:
+    import argparse
 
 SCHEMA = 1
 
@@ -48,8 +61,9 @@ def _ints(*names):
 # (cmd_words, cmd_seifert, cmd_bounds, cmd_certify), which main imports
 # through _value.function_at only when it runs that leaf, so a job compiles
 # its own family's handlers alone.
-# Every leaf takes --format before its own arguments, and only those: argparse
-# rejects any other.  A group's leaf finds its own name in args.subcommand.
+# Every leaf takes --format besides its own arguments, and only those: the
+# reader and argparse reject any other.  A group's leaf finds its own name in
+# args.subcommand.
 COMMANDS = {
     "word": ("free-group word operations", {
         "reduce": (None, "cmd_words:word_reduce", (_arg("word"),)),
@@ -148,12 +162,111 @@ def _leaf_path(argv: list[str]) -> tuple[str, ...]:
     return ()
 
 
+class Namespace(SimpleNamespace):
+    """Parsed arguments, as ``argparse.Namespace`` holds them: by attribute,
+    and ``"name" in args`` for whether the leaf has the argument at all."""
+
+    def __contains__(self, key: str) -> bool:
+        return key in self.__dict__
+
+
+# the argument options that _read_plain applies itself; a spec with any
+# other option, nargs or action is left to argparse
+_PLAIN_OPTIONS = {"help", "type", "choices", "required", "default", "action", "nargs"}
+
+
+def _dashed(token: str) -> bool:
+    return token.startswith("-") and token != "-"
+
+
+def _dest(flags: tuple[str, ...]) -> str:
+    """argparse's attribute name for ``flags``: a positional's name, else
+    the first long flag (or the first flag) without its dashes, ``-`` as ``_``."""
+    if not flags[0].startswith("-"):
+        return flags[0]
+    flag = next((f for f in flags if f.startswith("--")), flags[0])
+    return flag.lstrip("-").replace("-", "_")
+
+
+def _value(options: dict, token: str):
+    """``token`` read as argparse reads it: ``type`` applied, ``choices`` checked."""
+    value = options.get("type", str)(token)
+    if "choices" in options and value not in options["choices"]:
+        raise ValueError(f"invalid choice: {token!r}")
+    return value
+
+
+def _read_plain(argv: list[str]) -> Namespace | None:
+    """The arguments of a plain command line, as ``build_parser()`` parses
+    them, or None to leave the line to argparse.
+
+    A plain line names a leaf, gives its positionals in spec order (an
+    ``nargs="+"`` one takes the rest), then exact ``--flag value`` pairs
+    and ``store_true`` flags.  Anything else (help, an abbreviated or
+    ``--flag=value`` option, a value that starts with ``-``, a positional
+    after an option, a bad value or a missing argument) is declined, so
+    argparse reads it or prints its usage and message.
+    """
+    path = _leaf_path(argv)
+    if not path:
+        return None
+    rows = COMMANDS
+    for name in path[:-1]:
+        rows = rows[name][1]
+    _, handler, specs = rows[path[-1]]
+    args = dict(zip(("command", "subcommand"), path), handler=handler)
+    tokens = argv[len(path):]
+    split = next((i for i, token in enumerate(tokens) if _dashed(token)), len(tokens))
+    positionals, rest = tokens[:split], iter(tokens[split:])
+    flags, required = {}, set()
+    try:
+        for names, options in (_FORMAT, *specs):
+            action, nargs = options.get("action"), options.get("nargs")
+            if not (options.keys() <= _PLAIN_OPTIONS and nargs in (None, "+")
+                    and action in (None, "store_true", "append")):
+                return None
+            dest = _dest(names)
+            if names[0].startswith("-"):
+                flags.update(dict.fromkeys(names, (dest, options)))
+                args[dest] = False if action == "store_true" else options.get("default")
+                if options.get("required"):
+                    required.add(dest)
+            elif not positionals:
+                return None
+            elif nargs == "+":
+                args[dest] = [_value(options, token) for token in positionals]
+                positionals = []
+            else:
+                args[dest] = _value(options, positionals.pop(0))
+        if positionals:
+            return None
+        for token in rest:
+            if token not in flags:
+                return None
+            dest, options = flags[token]
+            required.discard(dest)
+            if options.get("action") == "store_true":
+                args[dest] = True
+                continue
+            token = next(rest, None)
+            if token is None or _dashed(token):
+                return None
+            value = _value(options, token)
+            # append copies the default list, as argparse does
+            args[dest] = [*(args[dest] or ()), value] if options.get("action") == "append" else value
+    except ValueError:
+        return None
+    return None if required else Namespace(**args)
+
+
 def build_parser(path: tuple[str, ...] = ()) -> argparse.ArgumentParser:
     """The parser of every command, or of the one leaf that ``path`` names.
 
     A one-leaf parser lists every command name in its usage lines, so it
     parses, prints and fails on that leaf's command lines like the full one.
     """
+    import argparse  # with gettext and locale: only for lines _read_plain declines
+
     parser = argparse.ArgumentParser(
         prog="knotcert",
         description="Free-group commutator calculus and knot certificate checks",
@@ -203,7 +316,9 @@ def _emit(args, code: int, payload: dict, lines: list[str]) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = build_parser(_leaf_path(argv)).parse_args(argv)
+    args = _read_plain(argv)
+    if args is None:
+        args = build_parser(_leaf_path(argv)).parse_args(argv)
     try:
         code, payload, lines = function_at(args.handler)(args)
     except ValueError as exc:

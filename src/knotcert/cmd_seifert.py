@@ -76,6 +76,20 @@ def mmr(args):
     return 0, payload, lines
 
 
+def _ratio(value) -> tuple[int, int]:
+    """An alternating-sum value: a JSON integer, or a string ``p`` or ``p/q``
+    of ASCII integers with ``q`` unsigned, as (p, q)."""
+    if json_int(value):
+        return value, 1
+    if isinstance(value, str):
+        p, slash, q = value.partition("/")
+        try:
+            return integer(p), integer(q, signed=False) if slash else 1
+        except ValueError:
+            pass
+    raise ValueError(f"value {json.dumps(value)} is not an integer or a \"p/q\" string")
+
+
 def altsum(args):
     # here, not at module level: fractions (with decimal) loaded before
     # seifert.py compiles would raise every seifert job's peak RSS
@@ -89,7 +103,7 @@ def altsum(args):
             # a string would iterate as its characters
             if not isinstance(subset, list) or not all(map(json_int, subset)):
                 raise ValueError(f"subset {json.dumps(subset)} is not a list of integers")
-            values[tuple(subset)] = Fraction(str(entry["value"]))
+            values[tuple(subset)] = Fraction(*_ratio(entry["value"]))
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise InputError(f"bad alternating-sum data: {exc}") from exc
     total = seifert.alternating_sum(values)

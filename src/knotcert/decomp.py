@@ -31,7 +31,7 @@ if they need it.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Sequence
+from collections.abc import Sequence
 
 from ._value import Record
 from .lyndon import left_normed_combination, left_normed_lie_polynomial

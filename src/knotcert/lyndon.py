@@ -13,7 +13,7 @@ sequences, the only shape the rest of the library emits.
 
 from __future__ import annotations
 
-from typing import Sequence
+from collections.abc import Sequence
 
 def is_lyndon(word: Sequence[int]) -> bool:
     w = tuple(word)

@@ -21,7 +21,7 @@ the end.
 from __future__ import annotations
 
 from math import comb, gcd
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 from ._value import Record
 from .words import reduce_word

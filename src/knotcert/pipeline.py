@@ -7,7 +7,7 @@ by library callers), so a ``certify`` job never compiles it.
 
 from __future__ import annotations
 
-from typing import Sequence
+from collections.abc import Sequence
 
 from . import bounds
 from ._value import Record, as_dict

@@ -12,7 +12,8 @@ on the finitely many Schreier letters that occur.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence
+from collections.abc import Sequence
+from typing import NamedTuple
 
 from .magnus import lcs_degree
 from .words import reduce_word

@@ -14,10 +14,11 @@ rational arithmetic.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 
 from ._value import Record, json_int
 
+TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
 if TYPE_CHECKING:
     # the series functions import Fraction where they use it, so that
     # alexander and classify never load fractions, decimal and numbers

@@ -10,7 +10,7 @@ never compiles it.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Sequence
+from collections.abc import Sequence
 
 from ._value import Record
 from .certify import (

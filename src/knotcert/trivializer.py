@@ -13,7 +13,7 @@ that ``words`` builds its reduced products on.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Sequence
+from collections.abc import Sequence
 
 from ._value import Record
 from .words import (

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from itertools import compress, count
 from operator import add, neg
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 from ._value import Record, integer, located_tokens
 

@@ -8,6 +8,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from knotcert import cli
 from knotcert.certify import certificate_from_dict, certificate_to_dict
@@ -1077,6 +1079,34 @@ class TestAltsum:
         assert code == 2 and out == ""
         assert err.startswith("error: bad alternating-sum data: ")
 
+    @pytest.mark.parametrize("value, shown", [
+        ("1_0", '"1_0"'),
+        ("\u0661/\u0662", '"\\u0661/\\u0662"'),
+        ("0.5", '"0.5"'),
+        (0.5, "0.5"),
+        (" 1/2 ", '" 1/2 "'),
+        ("1e3", '"1e3"'),
+        # Fraction() read this as 10**30000000, a sum too large to print
+        ("1e30000000", '"1e30000000"'),
+        ("9/-5", '"9/-5"'),
+        ("1/2/3", '"1/2/3"'),
+        (True, "true"),
+        (None, "null"),
+    ], ids=["grouped", "arabic-indic", "decimal", "float", "padded", "exponent",
+            "huge-exponent", "signed-denominator", "two-slashes", "bool", "null"])
+    def test_value_outside_format_exit_2(self, capsys, tmp_path, value, shown):
+        path = tmp_path / "values.json"
+        path.write_text(json.dumps([{"subset": [], "value": value}, {"subset": [1], "value": 1}]))
+        assert run(capsys, "altsum", str(path)) == (
+            2, "", f'error: bad alternating-sum data: value {shown} is not an integer or a "p/q" string\n')
+
+    def test_signs_and_leading_zeros_accepted(self, capsys, tmp_path):
+        # the benchmark writes str(Fraction) values: "3" and "-9/5"
+        path = tmp_path / "values.json"
+        path.write_text(json.dumps([{"subset": [], "value": "3"}, {"subset": [1], "value": "-9/5"},
+                                    {"subset": [2], "value": "+007/010"}, {"subset": [1, 2], "value": 2}]))
+        assert run(capsys, "altsum", str(path)) == (0, "61/10\n", "")
+
 
 class TestDeterminism:
     def test_structured_outputs_byte_identical(self, capsys):
@@ -1152,6 +1182,34 @@ def _surface_cases():
                  ["nope"], ["alex", "x"], ["word"], ["word", "nope"], ["word", "red", "x"],
                  ["--format", "structured", "alexander", "x"]):
         yield " ".join(argv) or "no-arguments", argv
+    # lines that cli._read_plain declines: argparse reads some of them
+    # (abbreviations, attached values, values and positionals that start
+    # with "-", options before positionals, "--") and rejects the rest
+    hyperbolic = str(DATA / "hyperbolic_g2_n3.json")
+    for name, argv in (
+        ("abbreviated-flag", ["bounds", "q", "3", "--form", "structured"]),
+        ("flag=value", ["certify", "hyperbolic", hyperbolic, "--n=3"]),
+        ("format=value", ["bounds", "q", "3", "--format=structured"]),
+        ("attached-short-value", ["magnus", "degree", "g1 g2 g1^-1 g2^-1", "-D12"]),
+        ("negative-positional", ["bounds", "q", "-5"]),
+        ("negative-value", ["word", "kill", "g1", "--subset", "-1"]),
+        ("dashed-positional", ["word", "reduce", "-g1"]),
+        ("flag-as-value", ["word", "kill", "g1", "--subset", "--format"]),
+        ("positional-after-option", ["word", "kill", "--subset", "1", "g1 g2"]),
+        ("positional-after-flag", ["classify", "--symmetrize", str(DATA / "trefoil.mat")]),
+        ("double-dash", ["word", "reduce", "--", "g1"]),
+        ("trailing-flag", ["magnus", "degree", "g1", "-D"]),
+        ("trailing-format", ["bounds", "q", "3", "--format"]),
+        ("bad-int", ["bounds", "q", "x"]),
+        ("bad-int-option", ["certify", "hyperbolic", hyperbolic, "--n", "three"]),
+        ("extra-positional", ["bounds", "q", "1", "2"]),
+        ("missing-positional", ["bounds", "q-param", "18"]),
+        ("empty-nargs-plus", ["bounds", "l-n-s", "--format", "structured"]),
+        ("nargs-plus-after-option", ["bounds", "l-n-s", "1", "--format", "structured", "2"]),
+        ("missing-append", ["trivialize", "build", "--insert", "1:g2"]),
+        ("bad-choice-positional", ["translate", "twisted", hyperbolic, "--n", "3"]),
+    ):
+        yield f"declined {name}", argv
 
 
 SURFACE_CASES = dict(_surface_cases())
@@ -1164,14 +1222,29 @@ def _outcome(capsys, parse, argv):
     return exc.value.code, captured.out, captured.err
 
 
+def _finished(capsys, argv):
+    """Exit code, stdout and stderr of ``main(argv)``, returned or raised."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
 class TestParseSurface:
-    """``main`` builds only the named leaf's branch; every command line that
-    stops in argparse must read exactly as from the full parser."""
+    """``main`` reads plain lines itself and builds only the named leaf's
+    branch for the rest; every line that the reader declines must read
+    exactly as from the full parser."""
 
     @pytest.mark.parametrize("argv", SURFACE_CASES.values(), ids=SURFACE_CASES.keys())
-    def test_same_as_full_parser(self, capsys, argv):
-        full = _outcome(capsys, build_parser().parse_args, argv)
-        assert _outcome(capsys, main, argv) == full
+    def test_same_as_full_parser(self, capsys, monkeypatch, argv):
+        assert cli._read_plain(argv) is None
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "_read_plain", lambda argv: None)
+            patch.setattr(cli, "_leaf_path", lambda argv: ())
+            full = _finished(capsys, argv)
+        assert _finished(capsys, argv) == full
         assert full[0] in (0, 2) and (full[1] or full[2])
 
     def test_leaf_command_builds_one_choice_per_level(self, capsys, monkeypatch):
@@ -1190,3 +1263,65 @@ class TestParseSurface:
                           if isinstance(a, argparse._SubParsersAction))
                 assert list(sub.choices) == [name]
                 parser = sub.choices[name]
+
+
+FULL_PARSER = build_parser()
+STRINGS = st.one_of(st.just("-"), st.text(max_size=8).filter(lambda t: not t.startswith("-")))
+# what int() reads beyond plain digits: a sign, "_" grouping, whitespace
+# and non-ASCII digits; none starts with "-"
+INTS = st.one_of(st.integers(0, 10**6).map(str),
+                 st.sampled_from(["+7", "007", "1_0", " 4 ", " -4", "\u0663"]))
+
+
+def _values(options):
+    if "choices" in options:
+        return st.sampled_from(options["choices"])
+    return INTS if options.get("type") is int else STRINGS
+
+
+@st.composite
+def plain_lines(draw, leaf, specs):
+    """A plain command line of ``leaf``: its positionals in order, then its
+    options in any order, optional ones present or not, append options
+    repeated and store_true flags toggled, each under any of its flags."""
+    positionals, groups = [], []
+    for flags, options in (cli._FORMAT, *specs):
+        if not flags[0].startswith("-"):
+            most = 3 if options.get("nargs") == "+" else 1
+            positionals += draw(st.lists(_values(options), min_size=1, max_size=most))
+            continue
+        if options.get("action") == "store_true":
+            times = draw(st.integers(0, 2))
+        elif options.get("action") == "append":
+            times = draw(st.integers(1 if options.get("required") else 0, 3))
+        else:
+            times = 1 if options.get("required") else draw(st.integers(0, 2))
+        for _ in range(times):
+            value = [] if options.get("action") == "store_true" else [draw(_values(options))]
+            groups.append([draw(st.sampled_from(flags)), *value])
+    groups = draw(st.permutations(groups))
+    return [*leaf, *positionals, *(token for group in groups for token in group)]
+
+
+class TestPlainReader:
+    """``cli._read_plain`` against the full argparse parser, which stays the
+    parser of record."""
+
+    @pytest.mark.parametrize("leaf", LEAVES, ids=" ".join)
+    @settings(max_examples=30)
+    @given(data=st.data())
+    def test_same_namespace_as_argparse(self, leaf, data):
+        argv = data.draw(plain_lines(leaf, LEAVES[leaf]))
+        args = cli._read_plain(argv)
+        assert args is not None
+        assert vars(args) == vars(FULL_PARSER.parse_args(argv))
+
+    def test_namespace_supports_in(self):
+        args = cli._read_plain(["certify", "parabolic", "cert.json", "--simplicity", "2"])
+        assert "simplicity" in args and "slice_depth" not in args
+
+    def test_append_default_not_shared(self):
+        # argparse copies an append option's default list before appending
+        (_, options), = [spec for spec in LEAVES[("trivialize", "build")] if spec[0] == ("--insert",)]
+        args = cli._read_plain(["trivialize", "build", "--factor", "g1", "--insert", "1:g2"])
+        assert args.insert == ["1:g2"] and options["default"] == []

@@ -34,14 +34,18 @@ ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
     [str(ROOT / "src")] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else []))}
 
 # Runs main() on its arguments, then writes to stderr, as JSON, the exit
-# code, the knotcert modules that were loaded and the modules main()'s
-# import and run added.  A lazy module that has not run yet is an
-# instance of a ModuleType subclass; isinstance() would load it.
+# code (returned, or raised by argparse), the knotcert modules that were
+# loaded and the modules main()'s import and run added.  A lazy module
+# that has not run yet is an instance of a ModuleType subclass;
+# isinstance() would load it.
 PROBE = """
 import json, sys, types
 before = set(sys.modules)
 from knotcert.cli import main
-code = main(sys.argv[1:])
+try:
+    code = main(sys.argv[1:])
+except SystemExit as exc:
+    code = exc.code
 sys.stdout.flush()
 loaded = sorted(name.split(".", 1)[1] for name, module in sys.modules.items()
                 if name.startswith("knotcert.") and type(module) is types.ModuleType)
@@ -132,22 +136,33 @@ def _leaves():
 LEAVES = _leaves()
 
 
-def probe_job(*argv):
-    proc = run_python("-c", PROBE, *argv)
+LOAD_SET_IDS = [" ".join(getattr(a, "name", a) for a in argv[:2]) for argv, _ in LOAD_SETS]
+# argparse imports gettext, and its parser's first message imports locale;
+# a plain command line is read without them (cli._read_plain)
+ARGPARSE = {"argparse", "gettext", "locale"}
+
+
+def probe_job(*argv, flags=()):
+    proc = run_python(*flags, "-c", PROBE, *argv)
     return json.loads(proc.stderr.splitlines()[-1])
 
 
+def job_argv(argv, tmp_path):
+    """``argv`` with its ``{report}`` placeholder written out as a file."""
+    report = tmp_path / "report.json"
+    report.write_text(json.dumps(TRIVIALIZER_REPORT))
+    return [str(report) if a == "{report}" else a for a in argv]
+
+
 class TestLoadSets:
-    @pytest.mark.parametrize("argv, modules", LOAD_SETS,
-                             ids=[" ".join(getattr(a, "name", a) for a in argv[:2]) for argv, _ in LOAD_SETS])
+    @pytest.mark.parametrize("argv, modules", LOAD_SETS, ids=LOAD_SET_IDS)
     def test_command_loads_only_its_layers(self, tmp_path, argv, modules):
-        report = tmp_path / "report.json"
-        report.write_text(json.dumps(TRIVIALIZER_REPORT))
-        argv = [str(report) if a == "{report}" else a for a in argv]
+        argv = job_argv(argv, tmp_path)
         probe = probe_job(*argv)
         assert probe["code"] == 0
         loaded = set(probe["loaded"])
         assert loaded == modules
+        assert not ARGPARSE & set(probe["added"])
         # the leaf's own command module, and no other family's
         family = LEAVES[cli._leaf_path(argv)].split(":")[0]
         assert {m for m in loaded if m.startswith("cmd_")} == {family}
@@ -170,6 +185,28 @@ class TestLoadSets:
     def test_leaf_handler_resolves(self, path):
         # a misspelt reference would otherwise fail only when its command runs
         assert callable(function_at(LEAVES[path]))
+
+    @pytest.mark.parametrize("argv", [
+        ["bounds", "q", "-h"],
+        ["bounds", "q", "5", "--form", "structured"],
+        ["alexander", DATA / "trefoil.mat", "--format", "xml"],
+    ], ids=["help", "abbreviated-flag", "bad-choice"])
+    def test_declined_line_loads_argparse(self, argv):
+        probe = probe_job(*argv)
+        assert probe["code"] in (0, 2)
+        assert ARGPARSE <= set(probe["added"])
+
+    @pytest.mark.parametrize("argv, modules", LOAD_SETS, ids=LOAD_SET_IDS)
+    def test_without_site(self, tmp_path, argv, modules):
+        # python -S reads no .pth file of site-packages; one that imports
+        # modules at start-up (pathlib, shutil and typing, for one) would
+        # hide a job's own import of them
+        probe = probe_job(*job_argv(argv, tmp_path), flags=["-S"])
+        assert probe["code"] == 0
+        added = set(probe["added"])
+        assert not (ARGPARSE | {"shutil", "pathlib"}) & added
+        # only schreier's NamedTuple needs typing
+        assert ("typing" in added) == ("schreier" in modules)
 
     def test_import_loads_no_library_layer(self):
         code = ("import json, sys, types, knotcert.cli; print(json.dumps(sorted(name for name, "
