@@ -6,10 +6,10 @@ lazy: importing the package registers each one in ``sys.modules`` as an
 ``importlib.util.LazyLoader`` module and binds it here, and a layer is
 compiled and run on its first attribute access.  knotcert runs one job
 per process, so a CLI job pays only for the layers its command calls
-into: an ``alexander`` job loads ``seifert`` alone, and no ``word`` or
-``magnus`` job loads ``certify`` or its ``dataclasses``.  The public
-names below are served from ``_EXPORTS`` by ``__getattr__`` and load
-their module when first read.
+into: an ``alexander`` job loads ``seifert`` alone (with the plain
+``series``), and no ``word`` or ``magnus`` job loads ``certify`` or its
+``dataclasses``.  The public names below are served from ``_EXPORTS``
+by ``__getattr__`` and load their module when first read.
 
 Two rules keep this working:
 
@@ -33,8 +33,11 @@ compiles them.  ``closure`` (the elliptic, parabolic and unknotted
 verifiers) is imported by ``certify.certifier`` for those three kinds
 and by ``translate``, so a ``certify hyperbolic`` or ``pipeline`` job
 compiles neither it nor ``schreier``, which only its normal-closure
-memberships reach.  The CLI handlers sit in one module per command
-family (``cmd_words``, ``cmd_seifert``, ``cmd_bounds``,
+memberships reach.  ``series`` (Laurent polynomials and the canonical
+series) is plain too: ``seifert`` imports it for ``alexander``'s
+result, and ``cmd_seifert`` imports it for ``mmr``, so an ``mmr`` job
+compiles it without ``seifert``.  The CLI handlers sit in one module
+per command family (``cmd_words``, ``cmd_seifert``, ``cmd_bounds``,
 ``cmd_certify``), which ``cli.main`` imports for the leaf it runs.
 """
 
@@ -72,10 +75,10 @@ _EXPORTS = {
         "verify_family",
     ),
     "seifert": (
-        "LaurentPolynomial", "RationalSeries", "SeifertMatrix", "alexander",
-        "alternating_sum", "anti_block_determinant_check", "apply_basis_change",
-        "classify_form", "mmr_series", "symmetrize",
+        "SeifertMatrix", "alexander", "alternating_sum", "anti_block_determinant_check",
+        "apply_basis_change", "classify_form", "symmetrize",
     ),
+    "series": ("LaurentPolynomial", "RationalSeries", "mmr_series"),
     "certify": (
         "CertificateError", "CertificateReport", "GuardViolation", "SurfaceCertificate",
         "TranslationError", "certificate_from_dict", "certificate_to_dict",

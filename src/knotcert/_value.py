@@ -15,7 +15,8 @@ kinds as argument choices without loading ``certify``, and so do the
 one integer rule of every text input (``integer``), the one
 ``"module:function"`` resolver (``function_at``), the line primitives of
 the text readers (``located_tokens`` places every token of a word,
-matrix, Laurent or longitude input by its column) and the input helpers
+matrix, Laurent or longitude input by its column, and ``quoted`` shows
+a token in a diagnostic, capped at 32 characters) and the input helpers
 that ``cli`` and its command modules share (``InputError``,
 ``read_text``, ``read_json``, ``json_int``, ``generator_subset``).
 The command modules import these from here, never from ``cli``: under
@@ -57,6 +58,31 @@ def read_json(source: str):
     except RecursionError:
         # a RuntimeError, which the CLI would report as a defect in knotcert
         raise InputError("JSON nested too deeply") from None
+    except ValueError:
+        # int() refuses a JSON integer of more digits than the interpreter's
+        # limit, with no position and with advice to raise the limit
+        error = _long_integer_error(text)
+        if error is None:
+            raise
+        raise error from None
+
+
+def _long_integer_error(text: str) -> InputError | None:
+    """The error that places the first JSON integer of ``text`` with more
+    digits than ``int`` converts; None if there is none.  Strings are
+    skipped whole, and a number with a fraction or an exponent is a
+    float, which has no digit limit."""
+    import re
+
+    limit = sys.get_int_max_str_digits()
+    for match in re.finditer(r'"(?:[^"\\]|\\.)*"|-?([0-9]+)(\.[0-9]+)?([eE][-+]?[0-9]+)?', text):
+        digits, fraction, exponent = match.groups()
+        if digits and fraction is None and exponent is None and 0 < limit < len(digits):
+            pos = match.start()
+            line, col = text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
+            return InputError(f"line {line}, col {col}: integer of {len(digits)} digits "
+                              f"exceeds the limit of {limit} digits")
+    return None
 
 
 def integer(token: str, *, signed: bool = True) -> int:
@@ -112,11 +138,31 @@ def data_lines(text: str) -> list[tuple[int, str]]:
             if not line.lstrip().startswith("#")]
 
 
+def quoted(tok: str) -> str:
+    """``repr(tok)`` for a diagnostic; a token of more than 32 characters is
+    shown by its first 32 and its length, so one huge token cannot make a
+    diagnostic line of thousands of characters."""
+    if len(tok) <= 32:
+        return repr(tok)
+    return f"{tok[:32]!r}... ({len(tok)} characters)"
+
+
+class _Quoted:
+    """A token that ``{tok!r}`` in a message shows as ``quoted(token)``."""
+
+    def __init__(self, tok: str):
+        self.tok = tok
+
+    def __repr__(self) -> str:
+        return quoted(self.tok)
+
+
 def token_error(lineno: int, body: str, index: int, message: str) -> ValueError:
     """Malformed input at the ``index``-th token of line ``lineno`` (one past the
-    last: just after the text), by column; ``message`` may name it as ``{tok!r}``."""
+    last: just after the text), by column; ``message`` may name it as ``{tok!r}``,
+    which shows ``quoted(token)``."""
     col, tok = (located_tokens(body) + [(len(body.rstrip()) + 1, "")])[index]
-    return ValueError(f"line {lineno}, col {col}: {message.format(tok=tok)}")
+    return ValueError(f"line {lineno}, col {col}: {message.format(tok=_Quoted(tok))}")
 
 
 def int_tokens(lineno: int, body: str, message: str) -> list[int]:

@@ -3,14 +3,16 @@
 
 Each handler takes the parsed arguments and returns (exit code, payload,
 human lines); ``cli.main`` imports this module only when it runs one of
-these commands.
+these commands.  ``mmr`` and the Laurent reader call ``series`` directly,
+so an ``mmr`` job never compiles ``seifert``, a lazy layer that loads on
+the first attribute the other three handlers read from it.
 """
 
 from __future__ import annotations
 
 import json
 
-from . import seifert
+from . import seifert, series
 from ._value import (
     InputError, data_lines, int_tokens, integer, json_int, read_json, read_text, token_error)
 
@@ -36,7 +38,7 @@ def read_matrix_file(source: str) -> tuple[int, tuple[tuple[int, ...], ...]]:
     return genus, tuple(tuple(entries[i * size: (i + 1) * size]) for i in range(size))
 
 
-def read_laurent_file(source: str) -> seifert.LaurentPolynomial:
+def read_laurent_file(source: str) -> series.LaurentPolynomial:
     """Laurent format: min exponent alone on one line, coefficient run on the next."""
     lines = [(lineno, body) for lineno, body in data_lines(read_text(source)) if body.strip()]
     if len(lines) < 2:
@@ -47,7 +49,7 @@ def read_laurent_file(source: str) -> seifert.LaurentPolynomial:
         raise token_error(*lines[2], 0, "stray token {tok!r}")
     (min_exp,) = int_tokens(*lines[0], "bad laurent polynomial data")
     coeffs = int_tokens(*lines[1], "bad laurent polynomial data")
-    return seifert.LaurentPolynomial.from_coefficient_list(min_exp, coeffs)
+    return series.LaurentPolynomial.from_coefficient_list(min_exp, coeffs)
 
 
 def alexander(args):
@@ -67,12 +69,12 @@ def classify(args):
 
 def mmr(args):
     delta = read_laurent_file(args.laurent)
-    series = seifert.mmr_series(delta, args.order)
+    coefficients = series.mmr_series(delta, args.order).coefficients
     payload = {
         "order": args.order,
-        "coefficients": [str(c) for c in series.coefficients],
+        "coefficients": [str(c) for c in coefficients],
     }
-    lines = [f"h^{i}: {c}" for i, c in enumerate(series.coefficients)]
+    lines = [f"h^{i}: {c}" for i, c in enumerate(coefficients)]
     return 0, payload, lines
 
 

@@ -14,7 +14,7 @@ from itertools import compress, count
 from operator import add, neg
 from collections.abc import Iterable, Sequence
 
-from ._value import Record, integer, located_tokens
+from ._value import Record, integer, located_tokens, quoted
 
 
 def reduce_word(letters: Iterable[int]) -> tuple[int, ...]:
@@ -222,12 +222,12 @@ def _parse_token(tok: str, line: int, column: int) -> int:
         except ValueError:
             index = 0
         if index < 1:
-            raise WordSyntaxError(f"bad generator token {tok!r}", line, column)
+            raise WordSyntaxError(f"bad generator token {quoted(tok)}", line, column)
         return sign * index
     try:
         value = integer(tok)
     except ValueError:
-        raise WordSyntaxError(f"bad token {tok!r}", line, column) from None
+        raise WordSyntaxError(f"bad token {quoted(tok)}", line, column) from None
     if value == 0:
         raise WordSyntaxError("generator index 0 is not allowed", line, column)
     return value

@@ -41,13 +41,8 @@ from knotcert.magnus import (
 )
 from knotcert.pipeline import spine_link_pipeline
 from knotcert.schreier import normal_closure_lcs_degree, schreier_rewrite, schreier_substitute
-from knotcert.seifert import (
-    LaurentPolynomial,
-    SeifertMatrix,
-    alexander,
-    anti_block_determinant_check,
-    mmr_series,
-)
+from knotcert.seifert import SeifertMatrix, alexander, anti_block_determinant_check
+from knotcert.series import LaurentPolynomial, mmr_series
 from knotcert.synth import (
     mutate_certificate,
     twist_unknotted_example,

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from knotcert import bounds
 from knotcert.bounds import (
     check_inequalities,
     conflict_max,
@@ -167,6 +168,28 @@ class TestInequalities:
         for n in range(6, 201):
             report = check_inequalities(n)
             assert report.all_hold, (n, report.violations)
+
+    def test_no_violation_to_3000(self):
+        # the docstring's proof: 6 q(n+1) >= n - 4, and with m = n + 1 - 6k
+        # the two-branch bound k + floor(log2(m/6)) exceeds floor(log2((n-5)/72))
+        for n in range(6, 3001):
+            report = check_inequalities(n)
+            assert report.all_hold and report.violations == (), n
+
+    def test_violations_guard_q_and_q_param(self, monkeypatch):
+        # the checks guard q and q_param against a change that breaks the
+        # proof.  q one too small fails the first for every n; q_param's
+        # smallest margin is 3, at n = 12 and k = 2, so one 3 too small
+        # fails there and nowhere else at n = 12
+        real_q, real_q_param = bounds.q, bounds.q_param
+        monkeypatch.setattr(bounds, "q", lambda m: real_q(m) - 1)
+        monkeypatch.setattr(bounds, "q_param", lambda n, k: real_q_param(n, k) - 3)
+        report = check_inequalities(12)
+        assert (report.q_bound_holds, report.q_param_bounds_hold, report.all_hold) == (
+            False, False, False)
+        assert report.violations == (
+            "q(13) <= (12 - 5)/6", "q_param(12, 2) <= log2((12 - 5)/72)")
+        assert real_q_param(12, 2) - bounds.floor_log2(12 - 5, 72) == 3
 
     def test_l_bound_grows(self):
         args = [check_inequalities(n).l_bound_argument for n in (10, 50, 100, 200)]

@@ -81,7 +81,9 @@ class TestWordCommands:
         token = "g" + "1" * digits
         code, out, err = run(capsys, "word", "reduce", f"g2 {token}")
         assert code == 2 and out == ""
-        assert err == f"error: line 1, col 4: bad generator token {token!r}\n"
+        # a token of more than 32 characters is shown by its first 32 and its length
+        assert err == ("error: line 1, col 4: bad generator token "
+                       f"'g{'1' * 31}'... ({digits + 1} characters)\n")
 
     @pytest.mark.parametrize("word, col, message", [
         ("g2 1_0", 4, "bad token '1_0'"),
@@ -345,6 +347,11 @@ class TestMatrixCommands:
         assert "line 1, col 1: genus must be >= 0" in err
 
 
+# a 5000-digit token, and how a diagnostic shows it
+LONG = "4" * 5000
+LONG_SHOWN = f"'{'4' * 32}'... (5000 characters)"
+
+
 class TestReaderErrors:
     """Every diagnostic of the matrix, Laurent and longitude file readers.
 
@@ -396,6 +403,30 @@ class TestReaderErrors:
         # the file is the leaf's one positional argument, so it may go last
         assert run(capsys, *argv, str(path)) == (2, "", f"error: {message}\n")
 
+    # a token of more than 32 characters is shown by its first 32 and its
+    # length, so a 5000-digit entry cannot make a 5000-character line
+    @pytest.mark.parametrize("argv, text, message", [
+        (["alexander"], f"1\n0 1\n0 {LONG}\n", f"line 3, col 3: bad matrix entry {LONG_SHOWN}"),
+        (["alexander"], f"1\n0 1\n0 x{LONG}\n",
+         f"line 3, col 3: bad matrix entry 'x{'4' * 31}'... (5001 characters)"),
+        (["mmr", "-N", "1"], f"0 {LONG}\n1\n", f"line 1, col 3: stray token {LONG_SHOWN}"),
+        (["mmr", "-N", "1"], f"0\n1\n  {LONG}\n", f"line 3, col 3: stray token {LONG_SHOWN}"),
+        (["milnor", "vanish", "-n", "1"], f"1 {LONG}\n", f"line 1, col 3: stray token {LONG_SHOWN}"),
+        (["milnor", "vanish", "-n", "1"], f"1\ng1\n{LONG}\n",
+         f"line 3, col 1: stray token {LONG_SHOWN}"),
+        (["milnor", "vanish", "-n", "1"], f"1\ng1 g{LONG}\n",
+         f"line 2, col 4: bad generator token 'g{'4' * 31}'... (5001 characters)"),
+        (["word", "reduce"], f"g1\n g{LONG}^-1\n",
+         f"line 2, col 2: bad generator token 'g{'4' * 31}'... (5004 characters)"),
+    ], ids=["matrix-entry", "matrix-entry-letter", "laurent-stray-exponent",
+            "laurent-stray-line", "longitudes-stray-count", "longitudes-stray-line",
+            "longitudes-word", "word-file"])
+    def test_long_token_exit_2(self, capsys, tmp_path, argv, text, message):
+        path = tmp_path / "input.txt"
+        path.write_text(text)
+        assert run(capsys, *argv, str(path) if argv[0] != "word" else f"@{path}") == (
+            2, "", f"error: {message}\n")
+
     @pytest.mark.parametrize("argv, text, out", [
         (["mmr", "-N", "1"], "# d\n\n-1 # min\n1 -1 1\n\n  # end\n\t\n", "h^0: 1\nh^1: 0\n"),
         (["milnor", "invariant", "--index", "2 1"], "2\n# first\ng2 # a\ng1\n\n# end\n \n", "1\n"),
@@ -419,6 +450,36 @@ class TestJsonNesting:
         assert run(capsys, *argv, str(path)) == (2, "", "error: JSON nested too deeply\n")
 
 
+class TestJsonDigitLimit:
+    """json.loads converts a JSON integer with int(), which refuses more
+    digits than the interpreter's limit (4300 by default) with no position
+    and with advice to raise the limit; the error is placed like a syntax
+    error instead."""
+
+    def test_altsum_value(self, capsys, tmp_path):
+        path = tmp_path / "values.json"
+        path.write_text(f'[{{"subset": [], "value": 1{"0" * 5000}}}]')
+        assert run(capsys, "altsum", str(path)) == (
+            2, "", "error: line 1, col 26: integer of 5001 digits exceeds the limit of 4300 digits\n")
+
+    def test_digits_in_strings_and_floats_are_skipped(self, capsys, tmp_path):
+        # neither a string nor a float has a digit limit; the integer after them is placed
+        path = tmp_path / "values.json"
+        path.write_text(f'[{{"subset": [], "value": "{"1" * 5000}"}},\n'
+                        f' {{"subset": [1], "x": 1.{"0" * 5000}, "value": -{"9" * 4301}}}]')
+        assert run(capsys, "altsum", str(path)) == (
+            2, "", "error: line 2, col 5036: integer of 4301 digits exceeds the limit of 4300 digits\n")
+
+    def test_certificate_field(self, capsys, tmp_path):
+        # the shipped certificate's line 26 is ' "n": 2,'
+        text = (DATA / "elliptic_g1_n2.json").read_text()
+        assert text.splitlines()[25] == ' "n": 2,'
+        path = tmp_path / "cert.json"
+        path.write_text(text.replace('"n": 2,', f'"n": 2{"0" * 4300},'))
+        assert run(capsys, "certify", "elliptic", str(path)) == (
+            2, "", "error: line 26, col 7: integer of 4301 digits exceeds the limit of 4300 digits\n")
+
+
 class TestBoundsCommands:
     def test_q(self, capsys):
         assert run(capsys, "bounds", "q", "13")[1].strip() == "2"
@@ -430,6 +491,16 @@ class TestBoundsCommands:
         code, doc, _ = run_json(capsys, "bounds", "check-inequalities", "11")
         assert code == 0 and doc["all_hold"] is True
         assert doc["l_bound_argument"] == "1/24"
+
+    def test_inequality_violations_exit_1(self, capsys, monkeypatch):
+        # no n reports a violation with the real q (see test_bounds); a q one
+        # too small breaks the first inequality
+        from knotcert import bounds
+
+        real_q = bounds.q
+        monkeypatch.setattr(bounds, "q", lambda m: real_q(m) - 1)
+        assert run(capsys, "bounds", "check-inequalities", "12") == (
+            1, "q(13) <= (12 - 5)/6\n", "")
 
     @pytest.mark.parametrize("argv, value", [
         (("t", "0"), 0), (("t", "13"), 3), (("t", "24"), 6),

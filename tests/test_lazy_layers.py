@@ -67,7 +67,11 @@ TRIVIALIZER_REPORT = {
 
 WORDS = {"cli", "_value", "cmd_words", "words"}
 MAGNUS = WORDS | {"magnus"}
-SEIFERT = {"cli", "_value", "cmd_seifert", "seifert"}
+# the Laurent polynomials and the canonical series live in series, which
+# seifert imports for alexander's result; mmr reads its Delta from a file
+# and loads series without seifert
+SERIES = {"cli", "_value", "cmd_seifert", "series"}
+SEIFERT = SERIES | {"seifert"}
 # a certificate whose memberships fail computes no q-value, and loads
 # neither bounds nor decomp and lyndon (see TestRejectedMutants); only the
 # normal-closure kinds load their verifiers' module and schreier.  A
@@ -96,7 +100,7 @@ LOAD_SETS = [
     (["milnor", "vanish", DATA / "borromean.longitudes", "-n", "1"], MAGNUS),
     (["alexander", DATA / "trefoil.mat"], SEIFERT),
     (["classify", DATA / "trefoil.mat", "--symmetrize"], SEIFERT),
-    (["mmr", DATA / "trefoil.lp", "-N", "2"], SEIFERT),
+    (["mmr", DATA / "trefoil.lp", "-N", "2"], SERIES),
     (["altsum", DATA / "altsum_example.json"], SEIFERT),
     (["bounds", "q", "5"], BOUNDS),
     (["bounds", "t", "9"], BOUNDS),
@@ -296,11 +300,13 @@ class TestTracerContract:
         assert set(layers) <= modules
         assert modules - set(layers) == {
             "_value", "cmd_bounds", "cmd_certify", "cmd_seifert", "cmd_words", "synth",
-            "translate", "pipeline", "closure",
+            "translate", "pipeline", "closure", "series",
         }
 
     @pytest.mark.parametrize("argv, layers", [
         (["alexander", DATA / "trefoil.mat", "--format", "structured"], {"cli", "seifert"}),
+        # series is outside LAYERS, so an mmr job's series records no span
+        (["mmr", DATA / "trefoil.lp", "-N", "2", "--format", "structured"], {"cli"}),
         (["certify", "elliptic", DATA / "elliptic_g1_n2.json", "--format", "structured"],
          {"cli", "words", "magnus", "schreier", "bounds", "certify"}),
         # translate and pipeline import their layers' functions after the
@@ -311,7 +317,8 @@ class TestTracerContract:
         (["pipeline", "spine-link", DATA / "hyperbolic_g2_n3.json", "--signs", "++++",
           "--format", "structured"],
          {"cli", "words", "magnus", "bounds", "certify"}),
-    ], ids=["alexander", "certify-elliptic", "translate-unknotted", "pipeline-spine-link"])
+    ], ids=["alexander", "mmr", "certify-elliptic", "translate-unknotted",
+            "pipeline-spine-link"])
     def test_traced_job_matches_untraced(self, tmp_path, argv, layers):
         spans_path = tmp_path / "spans.json"
         traced = run_python(TRACER, spans_path, "--", *argv)
@@ -347,10 +354,10 @@ PUBLIC_NAMES = {
         "verify_family",
     ],
     "seifert": [
-        "LaurentPolynomial", "RationalSeries", "SeifertMatrix", "alexander",
-        "alternating_sum", "anti_block_determinant_check", "apply_basis_change",
-        "classify_form", "mmr_series", "symmetrize",
+        "SeifertMatrix", "alexander", "alternating_sum", "anti_block_determinant_check",
+        "apply_basis_change", "classify_form", "symmetrize",
     ],
+    "series": ["LaurentPolynomial", "RationalSeries", "mmr_series"],
     "certify": [
         "CertificateError", "CertificateReport", "GuardViolation", "SurfaceCertificate",
         "TranslationError", "certificate_from_dict", "certificate_to_dict",
@@ -383,6 +390,13 @@ class TestPublicNames:
         exec("from knotcert import *", scope)
         for layer, name in PUBLIC:
             assert scope[name] is getattr(sys.modules[f"knotcert.{layer}"], name)
+
+    def test_seifert_keeps_laurent_polynomial(self):
+        # alexander returns a LaurentPolynomial, so seifert binds the class,
+        # and code that reads it from there gets the same object
+        from knotcert import seifert, series
+
+        assert seifert.LaurentPolynomial is series.LaurentPolynomial
 
     def test_unknown_name(self):
         with pytest.raises(AttributeError, match="no_such_name"):

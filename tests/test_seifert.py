@@ -9,7 +9,6 @@ from det_oracle import _poly_trim, fraction_det, poly_matrix_det
 from knotcert import seifert
 from knotcert.cli import main
 from knotcert.seifert import (
-    LaurentPolynomial,
     SeifertMatrix,
     alexander,
     alternating_sum,
@@ -17,10 +16,10 @@ from knotcert.seifert import (
     apply_basis_change,
     classify_form,
     int_det,
-    mmr_series,
     pencil_det,
     symmetrize,
 )
+from knotcert.series import LaurentPolynomial, mmr_series
 
 TREFOIL = ((-1, 1), (0, -1))
 FIGURE8 = ((1, 1), (0, -1))

@@ -12,7 +12,7 @@ import pytest
 
 import knotcert
 from knotcert._value import (
-    Record, as_dict, data_lines, int_tokens, integer, located_tokens, token_error)
+    Record, as_dict, data_lines, int_tokens, integer, located_tokens, quoted, token_error)
 from knotcert.bounds import InequalityReport
 from knotcert.certify import ConditionResult, CertificateReport, QInfo
 from knotcert.magnus import LongitudeSystem
@@ -173,6 +173,22 @@ class TestLinePrimitives:
     def test_token_error(self, body, index, message):
         error = token_error(7, body, index, "stray token {tok!r}")
         assert isinstance(error, ValueError) and str(error) == message
+
+    @pytest.mark.parametrize("tok, shown", [
+        ("", "''"),
+        ("x" * 32, repr("x" * 32)),
+        ("x" * 33, f"'{'x' * 32}'... (33 characters)"),
+        ("it's" + "7" * 5000, f"\"it's{'7' * 28}\"... (5004 characters)"),
+    ], ids=["empty", "32-characters", "33-characters", "quote"])
+    def test_quoted(self, tok, shown):
+        assert quoted(tok) == shown
+
+    def test_token_error_caps_a_long_token(self):
+        body = "1 " + "9" * 5000
+        error = token_error(3, body, 1, "bad entry {tok!r}")
+        assert str(error) == f"line 3, col 3: bad entry '{'9' * 32}'... (5000 characters)"
+        # a message that does not name the token is unchanged
+        assert str(token_error(3, body, 1, "count must be >= 1")) == "line 3, col 3: count must be >= 1"
 
     def test_int_tokens(self):
         assert int_tokens(1, " 3 -1\t+2 ", "bad {tok!r}") == [3, -1, 2]

@@ -286,8 +286,10 @@ class TestParseFastPath:
         # int() refuses strings of more than 4300 digits with its own
         # ValueError; the token is still a syntax error at its position
         token = "g" + "1" * digits + suffix
+        # shown by its first 32 characters and its length
         assert parse_outcome(parse_letters, f"g1\n g2 {token}") == (
-            f"line 2, col 5: bad generator token {token!r}", 2, 5)
+            f"line 2, col 5: bad generator token 'g{'1' * 31}'... ({len(token)} characters)",
+            2, 5)
         assert parse_outcome(words._scan_lines, f"g1\n g2 {token}")[1:] == (2, 5)
         with pytest.raises(WordSyntaxError, match="^line 1, col 1: bad generator token"):
             parse_letters(token)
