@@ -36,7 +36,10 @@ compiles neither it nor ``schreier``, which only its normal-closure
 memberships reach.  ``series`` (Laurent polynomials and the canonical
 series) is plain too: ``seifert`` imports it for ``alexander``'s
 result, and ``cmd_seifert`` imports it for ``mmr``, so an ``mmr`` job
-compiles it without ``seifert``.  The CLI handlers sit in one module
+compiles it without ``seifert``.  ``milnor`` (the Fox coefficients and
+Milnor invariants) is plain for the same reason: ``cmd_words`` imports
+it for ``magnus fox`` and the ``milnor`` commands, so a ``certify`` job
+compiles ``magnus`` without it.  The CLI handlers sit in one module
 per command family (``cmd_words``, ``cmd_seifert``, ``cmd_bounds``,
 ``cmd_certify``), which ``cli.main`` imports for the leaf it runs.
 """
@@ -55,24 +58,22 @@ _LAYERS = (
 # module -> the public names the package re-exports from it
 _EXPORTS = {
     "words": (
-        "TaggedWord", "commutator_word", "concat", "conjugate", "delete_letters",
-        "format_word", "generators_in", "insert_canceling_pair", "invert",
-        "kill_generators", "parse_word", "reduce_word", "simple_commutator",
-        "successive_entry_check",
+        "commutator_word", "concat", "conjugate", "format_word", "generators_in", "invert",
+        "kill_generators", "parse_word", "reduce_word",
     ),
     "magnus": (
-        "LongitudeSystem", "NCPolynomial", "expand", "fox_coefficient", "lcs_at_least",
-        "lcs_degree", "milnor_invariant", "milnor_vanish_upto", "nc_add", "nc_inverse",
-        "nc_mul",
+        "NCPolynomial", "expand", "lcs_at_least", "lcs_degree", "nc_add", "nc_inverse", "nc_mul",
     ),
+    "milnor": ("LongitudeSystem", "fox_coefficient", "milnor_invariant", "milnor_vanish_upto"),
     "decomp": ("CommutatorCombination", "decompose", "lie_component"),
     "schreier": (
         "NotInNormalClosure", "SchreierLetter", "normal_closure_lcs_degree",
         "schreier_rewrite", "schreier_substitute",
     ),
     "trivializer": (
-        "FamilyCheck", "LetterSetFamily", "build_letter_sets", "extremal_entry_word",
-        "verify_family",
+        "FamilyCheck", "LetterSetFamily", "TaggedWord", "build_letter_sets", "delete_letters",
+        "extremal_entry_word", "insert_canceling_pair", "simple_commutator",
+        "successive_entry_check", "verify_family",
     ),
     "seifert": (
         "SeifertMatrix", "alexander", "alternating_sum", "anti_block_determinant_check",

@@ -37,6 +37,14 @@ class InputError(ValueError):
     """Malformed command input (CLI exit code 2)."""
 
 
+class IntegerTooLong(ValueError):
+    """A well-formed integer token of more digits than ``int`` converts."""
+
+    def __init__(self, digits: int):
+        super().__init__(f"integer of {digits} digits exceeds the limit of "
+                         f"{sys.get_int_max_str_digits()} digits")
+
+
 def read_text(source: str) -> str:
     """The text of file ``source``, or of stdin for ``-``."""
     if source == "-":
@@ -80,20 +88,22 @@ def _long_integer_error(text: str) -> InputError | None:
         if digits and fraction is None and exponent is None and 0 < limit < len(digits):
             pos = match.start()
             line, col = text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
-            return InputError(f"line {line}, col {col}: integer of {len(digits)} digits "
-                              f"exceeds the limit of {limit} digits")
+            return InputError(f"line {line}, col {col}: {IntegerTooLong(len(digits))}")
     return None
 
 
 def integer(token: str, *, signed: bool = True) -> int:
     """The integer that ``token`` spells in ASCII digits: ``[+-]?[0-9]+``, or
     ``[0-9]+`` when not ``signed``.  ValueError for any other token (``int``
-    alone reads ``_`` grouping, non-ASCII digits and surrounding whitespace)
-    and for more digits than ``int`` converts."""
+    alone reads ``_`` grouping, non-ASCII digits and surrounding whitespace);
+    ``IntegerTooLong``, a ValueError too, for more digits than ``int`` converts."""
     digits = token[1:] if signed and token[:1] in ("+", "-") else token
     if not (digits.isascii() and digits.isdigit()):
         raise ValueError(f"not an integer: {token!r}")
-    return int(token)
+    try:
+        return int(token)
+    except ValueError:
+        raise IntegerTooLong(len(digits)) from None
 
 
 def function_at(ref: str):
@@ -167,11 +177,14 @@ def token_error(lineno: int, body: str, index: int, message: str) -> ValueError:
 
 def int_tokens(lineno: int, body: str, message: str) -> list[int]:
     """The integers that the tokens of line ``lineno`` spell; columns are looked
-    up only once ``integer`` refuses a token, which ``token_error`` names with ``message``."""
+    up only once ``integer`` refuses a token, which ``token_error`` names with
+    ``message``, or with its own message for a token of too many digits."""
     values: list[int] = []
     try:
         for tok in body.split():
             values.append(integer(tok))
+    except IntegerTooLong as exc:
+        raise token_error(lineno, body, len(values), str(exc)) from None
     except ValueError:
         raise token_error(lineno, body, len(values), message) from None
     return values

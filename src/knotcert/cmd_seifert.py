@@ -14,7 +14,8 @@ import json
 
 from . import seifert, series
 from ._value import (
-    InputError, data_lines, int_tokens, integer, json_int, read_json, read_text, token_error)
+    InputError, IntegerTooLong, data_lines, int_tokens, integer, json_int, read_json, read_text,
+    token_error)
 
 
 def read_matrix_file(source: str) -> tuple[int, tuple[tuple[int, ...], ...]]:
@@ -24,6 +25,8 @@ def read_matrix_file(source: str) -> tuple[int, tuple[tuple[int, ...], ...]]:
         raise InputError("line 1, col 1: empty matrix file")
     try:
         genus = integer(lines[0][1].split()[0])
+    except IntegerTooLong as exc:
+        raise token_error(*lines[0], 0, str(exc)) from None
     except ValueError:
         raise token_error(*lines[0], 0, "genus must be an integer") from None
     if genus < 0:

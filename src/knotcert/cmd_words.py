@@ -5,7 +5,9 @@ Each handler takes the parsed arguments and returns (exit code, payload,
 human lines); ``cli.main`` imports this module only when it runs one of
 these commands.  The library layers are lazy modules, so every use is
 qualified: a ``from .layer import name`` here would load that layer for
-every command of the family.
+every command of the family.  ``milnor`` is a plain module, imported by
+the ``magnus fox`` and ``milnor`` handlers that use it, and the tagged
+commutator expansions are reached through ``trivializer``.
 """
 
 from __future__ import annotations
@@ -14,7 +16,12 @@ import json
 
 from . import decomp, magnus, schreier, trivializer, words
 from ._value import (
-    InputError, data_lines, generator_subset, integer, json_int, read_json, read_text, token_error)
+    InputError, IntegerTooLong, data_lines, generator_subset, integer, json_int, read_json,
+    read_text, token_error)
+
+TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
+if TYPE_CHECKING:
+    from . import milnor
 
 
 def _raw_arg(value: str) -> str:
@@ -45,7 +52,7 @@ def _indices_arg(value: str) -> tuple[int, ...]:
     return out
 
 
-def read_longitudes_file(source: str) -> magnus.LongitudeSystem:
+def read_longitudes_file(source: str) -> milnor.LongitudeSystem:
     """Longitude format: component count, then one word per line.
 
     Lines starting with ``#`` are comments; a blank line is the empty
@@ -53,12 +60,16 @@ def read_longitudes_file(source: str) -> magnus.LongitudeSystem:
     no word may follow the last one.  The count is checked against
     ``magnus.MAX_GENERATOR`` before any longitude is built.
     """
+    from . import milnor
+
     lines = data_lines(read_text(source))
     if not lines:
         raise InputError("line 1, col 1: empty longitude file")
     (count_line, body), *rest = lines
     try:
         count = integer(body.split()[0])
+    except IntegerTooLong as exc:
+        raise token_error(count_line, body, 0, str(exc)) from None
     except (IndexError, ValueError):  # a blank count line is a bad count too
         raise token_error(count_line, body, 0, "component count must be an integer") from None
     if count < 1:
@@ -74,7 +85,7 @@ def read_longitudes_file(source: str) -> magnus.LongitudeSystem:
             longitudes.append(words.parse_word(body))
         except words.WordSyntaxError as exc:
             raise InputError(f"line {lineno}, col {exc.column}: {exc.message}") from None
-    system = magnus.LongitudeSystem(count, tuple(longitudes) + ((),) * (count - len(longitudes)))
+    system = milnor.LongitudeSystem(count, tuple(longitudes) + ((),) * (count - len(longitudes)))
     for lineno, body in rest[count:]:
         if body.strip():
             raise token_error(lineno, body, 0, "stray token {tok!r}")
@@ -89,7 +100,7 @@ def word_reduce(args):
 
 def word_commutator(args):
     entries = _entries_arg(args.entries)
-    tagged = words.simple_commutator(entries)
+    tagged = trivializer.simple_commutator(entries)
     payload = {
         "entries": words.format_word(entries),
         "expansion": words.format_word(tagged.letters),
@@ -120,7 +131,9 @@ def magnus_degree(args):
 
 
 def magnus_fox(args):
-    value = magnus.fox_coefficient(_word_arg(args.word), _indices_arg(args.index))
+    from . import milnor
+
+    value = milnor.fox_coefficient(_word_arg(args.word), _indices_arg(args.index))
     return 0, {"index": list(_indices_arg(args.index)), "coefficient": value}, [str(value)]
 
 
@@ -185,7 +198,7 @@ def trivialize_verify(args):
     except (KeyError, TypeError) as exc:
         raise InputError(f"bad trivializer report: {exc}") from exc
     result = trivializer.verify_family(
-        words.TaggedWord(letters, tags), trivializer.LetterSetFamily(sets))
+        trivializer.TaggedWord(letters, tags), trivializer.LetterSetFamily(sets))
     payload = {
         "ok": result.ok,
         "checked_subfamilies": result.checked,
@@ -197,12 +210,16 @@ def trivialize_verify(args):
 
 
 def milnor_invariant(args):
+    from . import milnor
+
     system = read_longitudes_file(args.longitudes)
-    value = magnus.milnor_invariant(system, _indices_arg(args.index), reduced=args.mode == "gcd")
+    value = milnor.milnor_invariant(system, _indices_arg(args.index), reduced=args.mode == "gcd")
     return 0, {"index": list(_indices_arg(args.index)), "mode": args.mode, "value": value}, [str(value)]
 
 
 def milnor_vanish(args):
+    from . import milnor
+
     system = read_longitudes_file(args.longitudes)
-    ok = magnus.milnor_vanish_upto(system, args.n)
+    ok = milnor.milnor_vanish_upto(system, args.n)
     return (0 if ok else 1), {"n": args.n, "vanish_up_to": args.n + 1, "vanish": ok}, [str(ok)]

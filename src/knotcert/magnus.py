@@ -3,10 +3,9 @@
 The Magnus map sends x_k to 1 + X_k and x_k^-1 to the truncated
 geometric series 1 - X_k + X_k^2 - ...; a word's expansion determines
 its position in the lower central series: w lies in F^(k) iff the
-expansion has no terms of degree 1..k-1.  Milnor invariants of a link
-presented by longitude words are coefficients of these expansions, and
-``fox_coefficient`` reads one without expanding: a pass over the word
-counts only the coefficients of the index's left factors, exactly.
+expansion has no terms of degree 1..k-1.  The Milnor invariants and the
+Fox coefficients that read these expansions are in ``milnor``, which a
+certificate check never loads.
 
 Monomials X_{i1}...X_{id} are packed into integers, 10 bits per index,
 first index in the low bits, and stored in one dict per degree.  All
@@ -20,11 +19,8 @@ the end.
 
 from __future__ import annotations
 
-from math import comb, gcd
+from math import comb
 from collections.abc import Iterable, Sequence
-
-from ._value import Record
-from .words import reduce_word
 
 _SHIFT = 10
 _MASK = (1 << _SHIFT) - 1
@@ -425,95 +421,3 @@ def lcs_at_least(word: Sequence[int], k: int) -> bool:
     if k == 1 or not word:
         return True
     return lcs_degree(word, k - 1) is None
-
-
-def fox_coefficient(word: Sequence[int], indices: Sequence[int]) -> int:
-    """Coefficient of X_{i1}...X_{ik} in the Magnus expansion.
-
-    Equals the augmentation of the iterated Fox derivative d/dx_{i1}
-    ... d/dx_{ik} of the word.  One pass keeps c[j], the coefficient of
-    X_{i1}...X_{ij} in the expansion of the letters read so far.  A
-    letter changes a monomial's coefficient only through those of its
-    left factors, so these k+1 follow ``_mul_letter``'s recurrence
-    exactly: x_g adds c[j-1] to c[j] wherever i_j = g, top down; x_g^-1
-    subtracts the new c[j-1], bottom up.
-    """
-    if not indices:
-        return 1
-    _alphabet([abs(letter) for letter in word])
-    _alphabet(indices)
-    steps: dict[int, list[int]] = {}
-    for j, g in enumerate(indices, 1):
-        steps.setdefault(-g, []).append(j)
-        steps.setdefault(g, []).insert(0, j)
-    c = [1] + [0] * len(indices)
-    for letter in word:
-        positions = steps.get(letter, ())
-        if letter > 0:
-            for j in positions:
-                c[j] += c[j - 1]
-        else:
-            for j in positions:
-                c[j] -= c[j - 1]
-    return c[-1]
-
-
-# ---------------------------------------------------------------------------
-# Milnor invariants from longitude words
-
-
-class LongitudeSystem(Record):
-    """Longitude words of a link, over its meridian generators 1..r."""
-
-    components: int
-    longitudes: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        if self.components < 1:
-            raise ValueError("component count must be >= 1")
-        if len(self.longitudes) != self.components:
-            raise ValueError("need one longitude per component")
-        reduced = tuple(reduce_word(w) for w in self.longitudes)
-        object.__setattr__(self, "longitudes", reduced)
-        for w in reduced:
-            for letter in w:
-                if abs(letter) > self.components:
-                    raise ValueError(
-                        f"longitude uses generator {abs(letter)} > {self.components}"
-                    )
-
-
-def milnor_invariant(system: LongitudeSystem, index: Sequence[int], reduced: bool = False) -> int:
-    """Milnor invariant mu(i1 ... ik) as a Magnus coefficient.
-
-    The raw value is the coefficient of X_{i1}...X_{i_{k-1}} in the
-    expansion of the longitude of component i_k, read by one pass of
-    ``fox_coefficient``.  With ``reduced=True`` the value is returned
-    modulo the gcd of the raw invariants of all multi-indices obtained
-    by deleting one index (length-1 invariants are 0 by convention, and
-    a vanishing gcd means no reduction).
-    """
-    k = len(index)
-    if k < 2:
-        raise ValueError("multi-index must have length >= 2")
-    for i in index:
-        if not 1 <= i <= system.components:
-            raise ValueError(f"component index {i} out of range 1..{system.components}")
-    raw = fox_coefficient(system.longitudes[index[-1] - 1], index[:-1])
-    if not reduced or k == 2:
-        return raw
-    modulus = 0
-    for drop in range(k):
-        modulus = gcd(modulus, milnor_invariant(system, (*index[:drop], *index[drop + 1:])))
-    return raw % modulus if modulus else raw
-
-
-def milnor_vanish_upto(system: LongitudeSystem, n: int) -> bool:
-    """True iff every raw Milnor invariant of length <= n+1 vanishes.
-
-    Equivalent to every longitude lying in F^(n+1): an invariant of
-    length k reads a degree-(k-1) coefficient of a longitude.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return all(lcs_at_least(w, n + 1) for w in system.longitudes)

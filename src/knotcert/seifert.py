@@ -129,16 +129,18 @@ def pencil_det(x: Sequence[Sequence[int]], y: Sequence[Sequence[int]]) -> tuple[
     At consecutive integers the level-k differences of a polynomial in Z[t]
     are Delta^k f / k!, integers, so each level divides exactly by k; a
     remainder is an internal defect.  X and Y are validated once; row i of
-    every X - tY is 0 from column max(end of X's row i, end of Y's row i) on.
+    every X - tY is 0 from column max(end of X's row i, end of Y's row i)
+    on, so only the columns before it are computed and the rest is padded.
     """
     x, y = _as_matrix(x), _as_matrix(y)
     n = len(x)
     if len(y) != n:
         raise ValueError("pencil matrices must have the same size")
     ends = [max(_row_end(rx), _row_end(ry)) for rx, ry in zip(x, y)]
+    heads = [(rx[:end], ry[:end], [0] * (n - end)) for rx, ry, end in zip(x, y, ends)]
     nodes = range(-(n // 2), n + 1 - n // 2)
     diffs = [
-        _bareiss([[a - t * b for a, b in zip(rx, ry)] for rx, ry in zip(x, y)], ends[:])
+        _bareiss([[a - t * b for a, b in zip(rx, ry)] + pad for rx, ry, pad in heads], ends[:])
         for t in nodes
     ]
     for level in range(1, n + 1):

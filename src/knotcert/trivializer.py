@@ -8,21 +8,106 @@ word to the identity.  ``verify_family`` checks all 2^(m+1)-1 deletions
 exhaustively rather than trusting the construction.  It joins reduced
 segment images with ``words._cancel_length``, the junction cancellation
 that ``words`` builds its reduced products on.
+
+The tagged words live here too: ``simple_commutator`` keeps the
+unreduced letter sequence of a commutator expansion together with the
+index of the entry each letter realizes, ``insert_canceling_pair`` and
+``delete_letters`` edit it, and ``successive_entry_check`` bounds the
+entry runs.  ``words`` keeps only reduced words, so a certificate
+check, which never builds a tagged word, does not compile them.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 
 from ._value import Record
-from .words import (
-    TaggedWord,
-    _cancel_length,
-    insert_canceling_pair,
-    simple_commutator,
-    successive_entry_check,
-)
+from .words import _cancel_length, _check_entries, reduce_word
+
+
+class TaggedWord(Record):
+    """Unreduced letter sequence with per-letter origin tags.
+
+    ``tags[i]`` is the 1-based index of the commutator entry that letter
+    ``letters[i]`` realizes, or ``None`` for letters of an inserted
+    canceling pair.
+    """
+
+    letters: tuple[int, ...]
+    tags: tuple[int | None, ...]
+
+    def __post_init__(self) -> None:
+        if len(self.letters) != len(self.tags):
+            raise ValueError("letters and tags must have equal length")
+
+    def __len__(self) -> int:
+        return len(self.letters)
+
+    def word(self) -> tuple[int, ...]:
+        """The reduced word, tags dropped."""
+        return reduce_word(self.letters)
+
+    def positions_with_tag(self, tag: int) -> tuple[int, ...]:
+        return tuple(i for i, t in enumerate(self.tags) if t == tag)
+
+
+def simple_commutator(entries: Sequence[int]) -> TaggedWord:
+    """Expand the left-normed commutator [y1, y2, ..., y_{m+1}].
+
+    The nest [[..[[y1,y2],y3]..], y_{m+1}] is expanded fully, with the
+    inverse of each stage written out letter by letter, so every letter
+    carries the index of the entry it realizes.  No free reduction is
+    performed; use ``.word()`` for the group element.
+    """
+    _check_entries(entries)
+    letters = [entries[0]]
+    tags: list[int | None] = [1]
+    for stage, y in enumerate(entries[1:], start=2):
+        inv_letters = [-l for l in reversed(letters)]
+        inv_tags = list(reversed(tags))
+        letters = letters + [y] + inv_letters + [-y]
+        tags = tags + [stage] + inv_tags + [stage]
+    return TaggedWord(tuple(letters), tuple(tags))
+
+
+def insert_canceling_pair(tagged: TaggedWord, position: int, letter: int) -> TaggedWord:
+    """Insert ``letter * letter^-1`` at ``position``; element unchanged."""
+    if letter == 0:
+        raise ValueError("letter must be nonzero")
+    if not 0 <= position <= len(tagged):
+        raise ValueError(f"position {position} out of range 0..{len(tagged)}")
+    letters = tagged.letters[:position] + (letter, -letter) + tagged.letters[position:]
+    tags = tagged.tags[:position] + (None, None) + tagged.tags[position:]
+    return TaggedWord(letters, tags)
+
+
+def delete_letters(tagged: TaggedWord, positions: Iterable[int]) -> tuple[int, ...]:
+    """Delete the letters at ``positions`` (unreduced indices), then reduce."""
+    drop = set(positions)
+    for p in drop:
+        if not 0 <= p < len(tagged):
+            raise ValueError(f"position {p} out of range 0..{len(tagged) - 1}")
+    return reduce_word(l for i, l in enumerate(tagged.letters) if i not in drop)
+
+
+def successive_entry_check(entries: Sequence[int]) -> bool:
+    """True iff no generator occupies three or more consecutive entries.
+
+    Signs are ignored: y and y^-1 count as the same generator.
+    """
+    run = 0
+    prev = 0
+    for e in entries:
+        g = abs(e)
+        if g == prev:
+            run += 1
+            if run >= 3:
+                return False
+        else:
+            prev = g
+            run = 1
+    return True
 
 
 class LetterSetFamily(Record):

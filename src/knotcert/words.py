@@ -3,9 +3,8 @@
 A letter is a nonzero integer: ``+k`` is the k-th free generator, ``-k``
 its inverse.  A word is a tuple of letters kept in freely reduced form;
 since reduced forms are unique, tuple equality is equality in the free
-group.  Tagged words keep the unreduced letter sequence of a commutator
-expansion together with the index of the entry each letter realizes,
-which is what the letter-set trivializer needs.
+group.  The tagged, unreduced commutator expansions that the letter-set
+trivializer needs are in ``trivializer``.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ from itertools import compress, count
 from operator import add, neg
 from collections.abc import Iterable, Sequence
 
-from ._value import Record, integer, located_tokens, quoted
+from ._value import IntegerTooLong, integer, located_tokens, quoted
 
 
 def reduce_word(letters: Iterable[int]) -> tuple[int, ...]:
@@ -61,57 +60,12 @@ def kill_generators(word: Sequence[int], subset: Iterable[int]) -> tuple[int, ..
     return reduce_word(l for l in word if abs(l) not in killed)
 
 
-class TaggedWord(Record):
-    """Unreduced letter sequence with per-letter origin tags.
-
-    ``tags[i]`` is the 1-based index of the commutator entry that letter
-    ``letters[i]`` realizes, or ``None`` for letters of an inserted
-    canceling pair.
-    """
-
-    letters: tuple[int, ...]
-    tags: tuple[int | None, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.letters) != len(self.tags):
-            raise ValueError("letters and tags must have equal length")
-
-    def __len__(self) -> int:
-        return len(self.letters)
-
-    def word(self) -> tuple[int, ...]:
-        """The reduced word, tags dropped."""
-        return reduce_word(self.letters)
-
-    def positions_with_tag(self, tag: int) -> tuple[int, ...]:
-        return tuple(i for i, t in enumerate(self.tags) if t == tag)
-
-
 def _check_entries(entries: Sequence[int]) -> None:
     """ValueError unless ``entries`` are two or more nonzero letters."""
     if len(entries) < 2:
         raise ValueError("a commutator needs at least two entries")
     if any(e == 0 for e in entries):
         raise ValueError("entries must be nonzero letters")
-
-
-def simple_commutator(entries: Sequence[int]) -> TaggedWord:
-    """Expand the left-normed commutator [y1, y2, ..., y_{m+1}].
-
-    The nest [[..[[y1,y2],y3]..], y_{m+1}] is expanded fully, with the
-    inverse of each stage written out letter by letter, so every letter
-    carries the index of the entry it realizes.  No free reduction is
-    performed; use ``.word()`` for the group element.
-    """
-    _check_entries(entries)
-    letters = [entries[0]]
-    tags: list[int | None] = [1]
-    for stage, y in enumerate(entries[1:], start=2):
-        inv_letters = [-l for l in reversed(letters)]
-        inv_tags = list(reversed(tags))
-        letters = letters + [y] + inv_letters + [-y]
-        tags = tags + [stage] + inv_tags + [stage]
-    return TaggedWord(tuple(letters), tuple(tags))
 
 
 def _cancel_length(left: Sequence[int], right: Sequence[int]) -> int:
@@ -152,50 +106,11 @@ def commutator_word(entries: Sequence[int]) -> tuple[int, ...]:
     """Reduced word of the left-normed commutator on ``entries``.
 
     The one-letter case of ``_left_normed``: the unreduced nest of
-    3*2^(k-1)-2 letters (weight k) that ``simple_commutator`` spells out
-    is never formed.
+    3*2^(k-1)-2 letters (weight k) that ``trivializer.simple_commutator``
+    spells out is never formed.
     """
     _check_entries(entries)
     return _left_normed([(e,) for e in entries])
-
-
-def insert_canceling_pair(tagged: TaggedWord, position: int, letter: int) -> TaggedWord:
-    """Insert ``letter * letter^-1`` at ``position``; element unchanged."""
-    if letter == 0:
-        raise ValueError("letter must be nonzero")
-    if not 0 <= position <= len(tagged):
-        raise ValueError(f"position {position} out of range 0..{len(tagged)}")
-    letters = tagged.letters[:position] + (letter, -letter) + tagged.letters[position:]
-    tags = tagged.tags[:position] + (None, None) + tagged.tags[position:]
-    return TaggedWord(letters, tags)
-
-
-def delete_letters(tagged: TaggedWord, positions: Iterable[int]) -> tuple[int, ...]:
-    """Delete the letters at ``positions`` (unreduced indices), then reduce."""
-    drop = set(positions)
-    for p in drop:
-        if not 0 <= p < len(tagged):
-            raise ValueError(f"position {p} out of range 0..{len(tagged) - 1}")
-    return reduce_word(l for i, l in enumerate(tagged.letters) if i not in drop)
-
-
-def successive_entry_check(entries: Sequence[int]) -> bool:
-    """True iff no generator occupies three or more consecutive entries.
-
-    Signs are ignored: y and y^-1 count as the same generator.
-    """
-    run = 0
-    prev = 0
-    for e in entries:
-        g = abs(e)
-        if g == prev:
-            run += 1
-            if run >= 3:
-                return False
-        else:
-            prev = g
-            run = 1
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -219,6 +134,8 @@ def _parse_token(tok: str, line: int, column: int) -> int:
         body, sign = (tok[1:-3], -1) if tok.endswith("^-1") else (tok[1:], 1)
         try:
             index = integer(body, signed=False)
+        except IntegerTooLong as exc:
+            raise WordSyntaxError(str(exc), line, column) from None
         except ValueError:
             index = 0
         if index < 1:
@@ -226,6 +143,8 @@ def _parse_token(tok: str, line: int, column: int) -> int:
         return sign * index
     try:
         value = integer(tok)
+    except IntegerTooLong as exc:
+        raise WordSyntaxError(str(exc), line, column) from None
     except ValueError:
         raise WordSyntaxError(f"bad token {quoted(tok)}", line, column) from None
     if value == 0:

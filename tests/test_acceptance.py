@@ -32,13 +32,8 @@ from knotcert.certify import (
     certifier,
 )
 from knotcert.decomp import decompose
-from knotcert.magnus import (
-    LongitudeSystem,
-    expand,
-    lcs_degree,
-    milnor_invariant,
-    nc_mul,
-)
+from knotcert.magnus import expand, lcs_degree, nc_mul
+from knotcert.milnor import LongitudeSystem, milnor_invariant
 from knotcert.pipeline import spine_link_pipeline
 from knotcert.schreier import normal_closure_lcs_degree, schreier_rewrite, schreier_substitute
 from knotcert.seifert import SeifertMatrix, alexander, anti_block_determinant_check
@@ -48,14 +43,8 @@ from knotcert.synth import (
     twist_unknotted_example,
 )
 from knotcert.translate import translate_certificate
-from knotcert.trivializer import build_letter_sets, verify_family
-from knotcert.words import (
-    commutator_word,
-    conjugate,
-    invert,
-    reduce_word,
-    successive_entry_check,
-)
+from knotcert.trivializer import build_letter_sets, successive_entry_check, verify_family
+from knotcert.words import commutator_word, conjugate, invert, reduce_word
 
 from conftest import expand_commutator, spine_example
 from det_oracle import poly_matrix_det

@@ -592,7 +592,8 @@ class TestSpinePipeline:
         # coefficientwise vanishing vs longitude lcs, on the pipeline's system
         from itertools import product as iproduct
 
-        from knotcert.magnus import LongitudeSystem, lcs_at_least, milnor_invariant
+        from knotcert.magnus import lcs_at_least
+        from knotcert.milnor import LongitudeSystem, milnor_invariant
 
         for _ in range(8):
             n = rng.randint(1, 2)

@@ -78,12 +78,12 @@ class TestWordCommands:
 
     @pytest.mark.parametrize("digits", [4301, 5000])
     def test_generator_past_int_digit_limit_exit_2(self, capsys, digits):
-        token = "g" + "1" * digits
-        code, out, err = run(capsys, "word", "reduce", f"g2 {token}")
-        assert code == 2 and out == ""
-        # a token of more than 32 characters is shown by its first 32 and its length
-        assert err == ("error: line 1, col 4: bad generator token "
-                       f"'g{'1' * 31}'... ({digits + 1} characters)\n")
+        # the token is well formed, so the error says what is wrong with it:
+        # the message that read_json gives a JSON integer of too many digits
+        for token in ("g" + "1" * digits, "-" + "1" * digits):
+            assert run(capsys, "word", "reduce", f"g2 {token}") == (
+                2, "", f"error: line 1, col 4: integer of {digits} digits exceeds the limit of "
+                       "4300 digits\n")
 
     @pytest.mark.parametrize("word, col, message", [
         ("g2 1_0", 4, "bad token '1_0'"),
@@ -350,6 +350,7 @@ class TestMatrixCommands:
 # a 5000-digit token, and how a diagnostic shows it
 LONG = "4" * 5000
 LONG_SHOWN = f"'{'4' * 32}'... (5000 characters)"
+LONG_INTEGER = "integer of 5000 digits exceeds the limit of 4300 digits"
 
 
 class TestReaderErrors:
@@ -404,9 +405,10 @@ class TestReaderErrors:
         assert run(capsys, *argv, str(path)) == (2, "", f"error: {message}\n")
 
     # a token of more than 32 characters is shown by its first 32 and its
-    # length, so a 5000-digit entry cannot make a 5000-character line
+    # length, so a 5000-digit entry cannot make a 5000-character line; a
+    # well-formed integer of more digits than int converts is named as such
     @pytest.mark.parametrize("argv, text, message", [
-        (["alexander"], f"1\n0 1\n0 {LONG}\n", f"line 3, col 3: bad matrix entry {LONG_SHOWN}"),
+        (["alexander"], f"1\n0 1\n0 {LONG}\n", f"line 3, col 3: {LONG_INTEGER}"),
         (["alexander"], f"1\n0 1\n0 x{LONG}\n",
          f"line 3, col 3: bad matrix entry 'x{'4' * 31}'... (5001 characters)"),
         (["mmr", "-N", "1"], f"0 {LONG}\n1\n", f"line 1, col 3: stray token {LONG_SHOWN}"),
@@ -414,13 +416,17 @@ class TestReaderErrors:
         (["milnor", "vanish", "-n", "1"], f"1 {LONG}\n", f"line 1, col 3: stray token {LONG_SHOWN}"),
         (["milnor", "vanish", "-n", "1"], f"1\ng1\n{LONG}\n",
          f"line 3, col 1: stray token {LONG_SHOWN}"),
-        (["milnor", "vanish", "-n", "1"], f"1\ng1 g{LONG}\n",
-         f"line 2, col 4: bad generator token 'g{'4' * 31}'... (5001 characters)"),
-        (["word", "reduce"], f"g1\n g{LONG}^-1\n",
-         f"line 2, col 2: bad generator token 'g{'4' * 31}'... (5004 characters)"),
+        (["milnor", "vanish", "-n", "1"], f"1\ng1 g{LONG}\n", f"line 2, col 4: {LONG_INTEGER}"),
+        (["word", "reduce"], f"g1\n g{LONG}^-1\n", f"line 2, col 2: {LONG_INTEGER}"),
+        (["alexander"], f" -{LONG}\n", f"line 1, col 2: {LONG_INTEGER}"),
+        (["mmr", "-N", "1"], f"0\n1 +{LONG}\n", f"line 2, col 3: {LONG_INTEGER}"),
+        (["milnor", "vanish", "-n", "1"], f"{LONG}\n", f"line 1, col 1: {LONG_INTEGER}"),
+        (["word", "reduce"], f"g1 x{LONG}\n", f"line 1, col 4: bad token 'x{'4' * 31}'... "
+                                              "(5001 characters)"),
     ], ids=["matrix-entry", "matrix-entry-letter", "laurent-stray-exponent",
             "laurent-stray-line", "longitudes-stray-count", "longitudes-stray-line",
-            "longitudes-word", "word-file"])
+            "longitudes-word", "word-file", "matrix-genus", "laurent-coefficient",
+            "longitudes-count", "word-letter"])
     def test_long_token_exit_2(self, capsys, tmp_path, argv, text, message):
         path = tmp_path / "input.txt"
         path.write_text(text)

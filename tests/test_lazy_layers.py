@@ -67,6 +67,10 @@ TRIVIALIZER_REPORT = {
 
 WORDS = {"cli", "_value", "cmd_words", "words"}
 MAGNUS = WORDS | {"magnus"}
+# the Fox coefficients and Milnor invariants live in the plain milnor,
+# which only their own handlers import; every other magnus user, certify
+# among them, compiles magnus without it
+MILNOR = MAGNUS | {"milnor"}
 # the Laurent polynomials and the canonical series live in series, which
 # seifert imports for alexander's result; mmr reads its Delta from a file
 # and loads series without seifert
@@ -86,18 +90,19 @@ BOUNDS = {"cli", "_value", "cmd_bounds", "bounds"}
 # (argv, the knotcert modules it loads); one row per leaf command
 LOAD_SETS = [
     (["word", "reduce", "g1 g2 g2^-1"], WORDS),
-    (["word", "commutator", "g1 g2 g3"], WORDS),
+    # the tagged commutator expansion lives in trivializer
+    (["word", "commutator", "g1 g2 g3"], WORDS | {"trivializer"}),
     (["word", "kill", "g1 g2 g1^-1", "--subset", "1"], WORDS),
     (["magnus", "expand", "g1 g2", "-D", "3"], MAGNUS),
     (["magnus", "degree", "g1 g2 g1^-1 g2^-1", "-D", "4"], MAGNUS),
-    (["magnus", "fox", "g1 g2 g1^-1 g2^-1", "--index", "1 2"], MAGNUS),
+    (["magnus", "fox", "g1 g2 g1^-1 g2^-1", "--index", "1 2"], MILNOR),
     (["decompose", "g1 g2 g1^-1 g2^-1", "-m", "1", "-D", "2"],
      MAGNUS | {"lyndon", "decomp"}),
     (["schreier", "degree", "g2 g1 g2^-1", "--subset", "1", "-D", "3"], MAGNUS | {"schreier"}),
     (["trivialize", "build", "--factor", "g1 g2", "--insert", "1:g3"], WORDS | {"trivializer"}),
     (["trivialize", "verify", "{report}"], WORDS | {"trivializer"}),
-    (["milnor", "invariant", DATA / "hopf.longitudes", "--index", "1 2"], MAGNUS),
-    (["milnor", "vanish", DATA / "borromean.longitudes", "-n", "1"], MAGNUS),
+    (["milnor", "invariant", DATA / "hopf.longitudes", "--index", "1 2"], MILNOR),
+    (["milnor", "vanish", DATA / "borromean.longitudes", "-n", "1"], MILNOR),
     (["alexander", DATA / "trefoil.mat"], SEIFERT),
     (["classify", DATA / "trefoil.mat", "--symmetrize"], SEIFERT),
     (["mmr", DATA / "trefoil.lp", "-N", "2"], SERIES),
@@ -207,6 +212,7 @@ class TestLoadSets:
         # hide a job's own import of them
         probe = probe_job(*job_argv(argv, tmp_path), flags=["-S"])
         assert probe["code"] == 0
+        assert set(probe["loaded"]) == modules
         added = set(probe["added"])
         assert not (ARGPARSE | {"shutil", "pathlib"}) & added
         # only schreier's NamedTuple needs typing
@@ -300,13 +306,19 @@ class TestTracerContract:
         assert set(layers) <= modules
         assert modules - set(layers) == {
             "_value", "cmd_bounds", "cmd_certify", "cmd_seifert", "cmd_words", "synth",
-            "translate", "pipeline", "closure", "series",
+            "translate", "pipeline", "closure", "series", "milnor",
         }
 
     @pytest.mark.parametrize("argv, layers", [
         (["alexander", DATA / "trefoil.mat", "--format", "structured"], {"cli", "seifert"}),
         # series is outside LAYERS, so an mmr job's series records no span
         (["mmr", DATA / "trefoil.lp", "-N", "2", "--format", "structured"], {"cli"}),
+        # milnor is outside LAYERS too; it imports lcs_at_least and
+        # reduce_word after the tracer has wrapped them
+        (["milnor", "vanish", DATA / "borromean.longitudes", "-n", "1", "--format", "structured"],
+         {"cli", "words", "magnus"}),
+        (["word", "commutator", "g1 g2 g3", "--format", "structured"],
+         {"cli", "words", "trivializer"}),
         (["certify", "elliptic", DATA / "elliptic_g1_n2.json", "--format", "structured"],
          {"cli", "words", "magnus", "schreier", "bounds", "certify"}),
         # translate and pipeline import their layers' functions after the
@@ -317,8 +329,8 @@ class TestTracerContract:
         (["pipeline", "spine-link", DATA / "hyperbolic_g2_n3.json", "--signs", "++++",
           "--format", "structured"],
          {"cli", "words", "magnus", "bounds", "certify"}),
-    ], ids=["alexander", "mmr", "certify-elliptic", "translate-unknotted",
-            "pipeline-spine-link"])
+    ], ids=["alexander", "mmr", "milnor-vanish", "word-commutator", "certify-elliptic",
+            "translate-unknotted", "pipeline-spine-link"])
     def test_traced_job_matches_untraced(self, tmp_path, argv, layers):
         spans_path = tmp_path / "spans.json"
         traced = run_python(TRACER, spans_path, "--", *argv)
@@ -334,24 +346,22 @@ class TestTracerContract:
 # by the module that now defines them.
 PUBLIC_NAMES = {
     "words": [
-        "TaggedWord", "commutator_word", "concat", "conjugate", "delete_letters",
-        "format_word", "generators_in", "insert_canceling_pair", "invert",
-        "kill_generators", "parse_word", "reduce_word", "simple_commutator",
-        "successive_entry_check",
+        "commutator_word", "concat", "conjugate", "format_word", "generators_in", "invert",
+        "kill_generators", "parse_word", "reduce_word",
     ],
     "magnus": [
-        "LongitudeSystem", "NCPolynomial", "expand", "fox_coefficient", "lcs_at_least",
-        "lcs_degree", "milnor_invariant", "milnor_vanish_upto", "nc_add", "nc_inverse",
-        "nc_mul",
+        "NCPolynomial", "expand", "lcs_at_least", "lcs_degree", "nc_add", "nc_inverse", "nc_mul",
     ],
+    "milnor": ["LongitudeSystem", "fox_coefficient", "milnor_invariant", "milnor_vanish_upto"],
     "decomp": ["CommutatorCombination", "decompose", "lie_component"],
     "schreier": [
         "NotInNormalClosure", "SchreierLetter", "normal_closure_lcs_degree",
         "schreier_rewrite", "schreier_substitute",
     ],
     "trivializer": [
-        "FamilyCheck", "LetterSetFamily", "build_letter_sets", "extremal_entry_word",
-        "verify_family",
+        "FamilyCheck", "LetterSetFamily", "TaggedWord", "build_letter_sets", "delete_letters",
+        "extremal_entry_word", "insert_canceling_pair", "simple_commutator",
+        "successive_entry_check", "verify_family",
     ],
     "seifert": [
         "SeifertMatrix", "alexander", "alternating_sum", "anti_block_determinant_check",
@@ -390,6 +400,20 @@ class TestPublicNames:
         exec("from knotcert import *", scope)
         for layer, name in PUBLIC:
             assert scope[name] is getattr(sys.modules[f"knotcert.{layer}"], name)
+
+    @pytest.mark.parametrize("old, new, names", [
+        ("magnus", "milnor", PUBLIC_NAMES["milnor"]),
+        ("words", "trivializer", ["TaggedWord", "delete_letters", "insert_canceling_pair",
+                                  "simple_commutator", "successive_entry_check"]),
+    ], ids=["milnor", "tagged-words"])
+    def test_moved_names_left_their_old_module(self, old, new, names):
+        # neither old module re-exports the names that moved out of it, so a
+        # star import binds each of them from the module that defines it
+        scope = {}
+        exec("from knotcert import *", scope)
+        for name in names:
+            assert not hasattr(getattr(knotcert, old), name)
+            assert scope[name].__module__ == f"knotcert.{new}"
 
     def test_seifert_keeps_laurent_polynomial(self):
         # alexander returns a LaurentPolynomial, so seifert binds the class,

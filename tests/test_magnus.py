@@ -6,17 +6,19 @@ from hypothesis import strategies as st
 
 from knotcert import magnus
 from knotcert.magnus import (
-    LongitudeSystem,
     NCPolynomial,
     expand,
-    fox_coefficient,
     lcs_at_least,
     lcs_degree,
-    milnor_invariant,
-    milnor_vanish_upto,
     nc_add,
     nc_inverse,
     nc_mul,
+)
+from knotcert.milnor import (
+    LongitudeSystem,
+    fox_coefficient,
+    milnor_invariant,
+    milnor_vanish_upto,
 )
 from knotcert.words import commutator_word, concat, invert, reduce_word
 

@@ -10,18 +10,15 @@ from knotcert import trivializer
 from knotcert.trivializer import (
     FamilyCheck,
     LetterSetFamily,
-    build_letter_sets,
-    extremal_entry_word,
-    verify_family,
-)
-from knotcert.words import (
     TaggedWord,
-    _cancel_length,
+    build_letter_sets,
     delete_letters,
-    reduce_word,
+    extremal_entry_word,
     simple_commutator,
     successive_entry_check,
+    verify_family,
 )
+from knotcert.words import _cancel_length, reduce_word
 
 LETTERS = [s * g for g in (1, 2, 3) for s in (1, -1)]
 
@@ -142,8 +139,6 @@ class TestVerify:
         assert check.failing_word == tagged.word()
 
     def test_empty_word_empty_sets(self):
-        from knotcert.words import TaggedWord
-
         check = verify_family(TaggedWord((), ()), LetterSetFamily((frozenset(), frozenset())))
         assert check.ok
 

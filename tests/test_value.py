@@ -12,14 +12,14 @@ import pytest
 
 import knotcert
 from knotcert._value import (
-    Record, as_dict, data_lines, int_tokens, integer, located_tokens, quoted, token_error)
+    IntegerTooLong, Record, as_dict, data_lines, int_tokens, integer, located_tokens, quoted,
+    token_error)
 from knotcert.bounds import InequalityReport
 from knotcert.certify import ConditionResult, CertificateReport, QInfo
-from knotcert.magnus import LongitudeSystem
+from knotcert.milnor import LongitudeSystem
 from knotcert.pipeline import PipelineReport
 from knotcert.seifert import SeifertMatrix
-from knotcert.trivializer import FamilyCheck, LetterSetFamily
-from knotcert.words import TaggedWord
+from knotcert.trivializer import FamilyCheck, LetterSetFamily, TaggedWord
 
 
 class Point(Record):
@@ -211,6 +211,20 @@ class TestLinePrimitives:
     def test_integer_rejects(self, token, signed):
         with pytest.raises(ValueError):
             integer(token, signed=signed)
+
+    @pytest.mark.parametrize("token, digits", [
+        ("1" * 4301, 4301), ("-" + "1" * 4301, 4301), ("+" + "0" * 5000 + "1", 5001),
+    ], ids=["plain", "signed", "leading-zeros"])
+    def test_integer_too_long(self, token, digits):
+        # int() counts a sign out and leading zeros in; so does the message
+        with pytest.raises(IntegerTooLong, match=(
+                f"^integer of {digits} digits exceeds the limit of 4300 digits$")):
+            integer(token)
+
+    def test_int_tokens_names_a_too_long_integer(self):
+        with pytest.raises(ValueError, match=(
+                "^line 2, col 4: integer of 4301 digits exceeds the limit of 4300 digits$")):
+            int_tokens(2, f"1  {'2' * 4301} x", "bad {tok!r}")
 
 
 SOURCES = sorted((Path(knotcert.__file__).parent).glob("*.py"))

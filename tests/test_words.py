@@ -3,22 +3,24 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from knotcert import words
-from knotcert.words import (
+from knotcert.trivializer import (
     TaggedWord,
+    delete_letters,
+    insert_canceling_pair,
+    simple_commutator,
+    successive_entry_check,
+)
+from knotcert.words import (
     WordSyntaxError,
     commutator_word,
     concat,
     conjugate,
-    delete_letters,
     format_word,
-    insert_canceling_pair,
     invert,
     kill_generators,
     parse_letters,
     parse_word,
     reduce_word,
-    simple_commutator,
-    successive_entry_check,
 )
 
 from conftest import words_strategy
@@ -284,12 +286,12 @@ class TestParseFastPath:
     @pytest.mark.parametrize("suffix", ["", "^-1"])
     def test_generator_past_int_digit_limit(self, digits, suffix):
         # int() refuses strings of more than 4300 digits with its own
-        # ValueError; the token is still a syntax error at its position
+        # ValueError; the token is well formed, and is placed with the
+        # message that read_json gives a JSON integer of too many digits
         token = "g" + "1" * digits + suffix
-        # shown by its first 32 characters and its length
+        message = f"integer of {digits} digits exceeds the limit of 4300 digits"
         assert parse_outcome(parse_letters, f"g1\n g2 {token}") == (
-            f"line 2, col 5: bad generator token 'g{'1' * 31}'... ({len(token)} characters)",
-            2, 5)
+            f"line 2, col 5: {message}", 2, 5)
         assert parse_outcome(words._scan_lines, f"g1\n g2 {token}")[1:] == (2, 5)
-        with pytest.raises(WordSyntaxError, match="^line 1, col 1: bad generator token"):
+        with pytest.raises(WordSyntaxError, match=f"^line 1, col 1: {message}$"):
             parse_letters(token)
