@@ -34,9 +34,10 @@ verifiers) is imported by ``certify.certifier`` for those three kinds
 and by ``translate``, so a ``certify hyperbolic`` or ``pipeline`` job
 compiles neither it nor ``schreier``, which only its normal-closure
 memberships reach.  ``series`` (Laurent polynomials and the canonical
-series) is plain too: ``seifert`` imports it for ``alexander``'s
+series) is plain too: ``seifert.alexander`` imports it for its
 result, and ``cmd_seifert`` imports it for ``mmr``, so an ``mmr`` job
-compiles it without ``seifert``.  ``milnor`` (the Fox coefficients and
+compiles it without ``seifert``, and a ``classify`` or ``altsum`` job
+compiles ``seifert`` without it.  ``milnor`` (the Fox coefficients and
 Milnor invariants) is plain for the same reason: ``cmd_words`` imports
 it for ``magnus fox`` and the ``milnor`` commands, so a ``certify`` job
 compiles ``magnus`` without it.  The CLI handlers sit in one module

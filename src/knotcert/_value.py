@@ -123,8 +123,10 @@ def generator_subset(value: str) -> frozenset[int]:
     """The generator indices that ``value`` lists, such as ``'1 2'``."""
     try:
         out = frozenset(map(integer, value.split()))
+    except IntegerTooLong as exc:
+        raise InputError(f"bad generator subset {quoted(value)}: {exc}") from None
     except ValueError as exc:
-        raise InputError(f"bad generator subset {value!r}") from exc
+        raise InputError(f"bad generator subset {quoted(value)}") from exc
     if any(g < 1 for g in out):
         raise InputError("generator subsets need positive indices")
     return out
@@ -148,13 +150,14 @@ def data_lines(text: str) -> list[tuple[int, str]]:
             if not line.lstrip().startswith("#")]
 
 
-def quoted(tok: str) -> str:
-    """``repr(tok)`` for a diagnostic; a token of more than 32 characters is
+def quoted(tok: str, show=repr) -> str:
+    """``show(tok)`` for a diagnostic; a token of more than 32 characters is
     shown by its first 32 and its length, so one huge token cannot make a
-    diagnostic line of thousands of characters."""
+    diagnostic line of thousands of characters.  ``show=str`` caps a text
+    that is already rendered, such as a JSON value."""
     if len(tok) <= 32:
-        return repr(tok)
-    return f"{tok[:32]!r}... ({len(tok)} characters)"
+        return show(tok)
+    return f"{show(tok[:32])}... ({len(tok)} characters)"
 
 
 class _Quoted:

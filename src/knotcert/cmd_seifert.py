@@ -3,19 +3,29 @@
 
 Each handler takes the parsed arguments and returns (exit code, payload,
 human lines); ``cli.main`` imports this module only when it runs one of
-these commands.  ``mmr`` and the Laurent reader call ``series`` directly,
-so an ``mmr`` job never compiles ``seifert``, a lazy layer that loads on
-the first attribute the other three handlers read from it.
+these commands.  ``mmr`` and the Laurent reader import ``series`` where
+they use it, so an ``mmr`` job never compiles ``seifert``, a lazy layer
+that loads on the first attribute the other three handlers read from it,
+and ``classify`` and ``altsum`` never compile ``series``.
+
+A handler loads every knotcert module it needs before ``fractions``:
+``fractions`` (with ``decimal``) loaded before a module compiles raises
+the job's peak RSS.  ``tests/test_lazy_layers.py`` pins that order for
+every leaf command.
 """
 
 from __future__ import annotations
 
 import json
 
-from . import seifert, series
+from . import seifert
 from ._value import (
-    InputError, IntegerTooLong, data_lines, int_tokens, integer, json_int, read_json, read_text,
-    token_error)
+    InputError, IntegerTooLong, data_lines, int_tokens, integer, json_int, quoted, read_json,
+    read_text, token_error)
+
+TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
+if TYPE_CHECKING:
+    from .series import LaurentPolynomial
 
 
 def read_matrix_file(source: str) -> tuple[int, tuple[tuple[int, ...], ...]]:
@@ -41,8 +51,10 @@ def read_matrix_file(source: str) -> tuple[int, tuple[tuple[int, ...], ...]]:
     return genus, tuple(tuple(entries[i * size: (i + 1) * size]) for i in range(size))
 
 
-def read_laurent_file(source: str) -> series.LaurentPolynomial:
+def read_laurent_file(source: str) -> LaurentPolynomial:
     """Laurent format: min exponent alone on one line, coefficient run on the next."""
+    from .series import LaurentPolynomial
+
     lines = [(lineno, body) for lineno, body in data_lines(read_text(source)) if body.strip()]
     if len(lines) < 2:
         raise InputError("laurent file needs a min-exponent line and a coefficient line")
@@ -52,7 +64,7 @@ def read_laurent_file(source: str) -> series.LaurentPolynomial:
         raise token_error(*lines[2], 0, "stray token {tok!r}")
     (min_exp,) = int_tokens(*lines[0], "bad laurent polynomial data")
     coeffs = int_tokens(*lines[1], "bad laurent polynomial data")
-    return series.LaurentPolynomial.from_coefficient_list(min_exp, coeffs)
+    return LaurentPolynomial.from_coefficient_list(min_exp, coeffs)
 
 
 def alexander(args):
@@ -71,8 +83,10 @@ def classify(args):
 
 
 def mmr(args):
+    from .series import mmr_series
+
     delta = read_laurent_file(args.laurent)
-    coefficients = series.mmr_series(delta, args.order).coefficients
+    coefficients = mmr_series(delta, args.order).coefficients
     payload = {
         "order": args.order,
         "coefficients": [str(c) for c in coefficients],
@@ -90,14 +104,22 @@ def _ratio(value) -> tuple[int, int]:
         p, slash, q = value.partition("/")
         try:
             return integer(p), integer(q, signed=False) if slash else 1
+        except IntegerTooLong as exc:
+            raise ValueError(f"value {_json_shown(value)}: {exc}") from None
         except ValueError:
             pass
-    raise ValueError(f"value {json.dumps(value)} is not an integer or a \"p/q\" string")
+    raise ValueError(f"value {_json_shown(value)} is not an integer or a \"p/q\" string")
+
+
+def _json_shown(value) -> str:
+    """``value`` as JSON for a diagnostic, capped as ``quoted`` caps a token."""
+    return quoted(json.dumps(value), str)
 
 
 def altsum(args):
-    # here, not at module level: fractions (with decimal) loaded before
-    # seifert.py compiles would raise every seifert job's peak RSS
+    # the seifert layer loads on this read, before fractions (see the
+    # module docstring)
+    alternating_sum = seifert.alternating_sum
     from fractions import Fraction
 
     data = read_json(args.values)
@@ -107,9 +129,9 @@ def altsum(args):
             subset = entry["subset"]
             # a string would iterate as its characters
             if not isinstance(subset, list) or not all(map(json_int, subset)):
-                raise ValueError(f"subset {json.dumps(subset)} is not a list of integers")
+                raise ValueError(f"subset {_json_shown(subset)} is not a list of integers")
             values[tuple(subset)] = Fraction(*_ratio(entry["value"]))
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise InputError(f"bad alternating-sum data: {exc}") from exc
-    total = seifert.alternating_sum(values)
+    total = alternating_sum(values)
     return 0, {"sum": str(total)}, [str(total)]

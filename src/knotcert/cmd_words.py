@@ -16,8 +16,8 @@ import json
 
 from . import decomp, magnus, schreier, trivializer, words
 from ._value import (
-    InputError, IntegerTooLong, data_lines, generator_subset, integer, json_int, read_json,
-    read_text, token_error)
+    InputError, IntegerTooLong, data_lines, generator_subset, integer, json_int, quoted,
+    read_json, read_text, token_error)
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
 if TYPE_CHECKING:
@@ -45,8 +45,10 @@ def _entries_arg(value: str) -> tuple[int, ...]:
 def _indices_arg(value: str) -> tuple[int, ...]:
     try:
         out = tuple(map(integer, value.split()))
+    except IntegerTooLong as exc:
+        raise InputError(f"bad index sequence {quoted(value)}: {exc}") from None
     except ValueError as exc:
-        raise InputError(f"bad index sequence {value!r}") from exc
+        raise InputError(f"bad index sequence {quoted(value)}") from exc
     if any(i < 1 for i in out):
         raise InputError("indices must be positive")
     return out

@@ -7,13 +7,16 @@ it symmetric under t -> 1/t with value 1 at t = 1.  Every determinant
 goes through one routine, fraction-free Bareiss elimination (``int_det``
 for one matrix): the polynomial det(V - t V^T) of degree <= 2g is
 evaluated at 2g + 1 integers and interpolated exactly (``pencil_det``),
-which is polynomial in g.  The symmetrized form's shape, congruence
-transforms, the block-determinant identity and the alternating sum over
-subsets of switched crossings are here too.
+which is polynomial in g.  Both validate their matrices here and run
+the elimination in the plain ``_det``, which they import when called,
+so ``classify`` and ``altsum`` never compile it.  The symmetrized
+form's shape, congruence transforms, the block-determinant identity and
+the alternating sum over subsets of switched crossings are here too.
 
 ``LaurentPolynomial``, the type of ``alexander``'s result, and the
 canonical series p(h)/Delta(e^h) are in ``series``, which an ``mmr``
-job loads without this module.
+job loads without this module.  ``alexander`` imports it where it
+builds its result, so ``classify`` and ``altsum`` never compile it.
 """
 
 from __future__ import annotations
@@ -21,13 +24,14 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping, Sequence
 
 from ._value import Record, json_int
-from .series import LaurentPolynomial
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
 if TYPE_CHECKING:
     # alternating_sum imports Fraction where it uses it, so that
     # alexander and classify never load fractions, decimal and numbers
     from fractions import Fraction
+
+    from .series import LaurentPolynomial
 
 
 def _as_matrix(rows: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
@@ -49,114 +53,22 @@ def _check_genus(genus) -> None:
         raise ValueError(f"genus must be an integer, got {genus!r}")
 
 
-def _row_end(row: Sequence[int]) -> int:
-    """One past the last nonzero entry of ``row`` (0 for a zero row)."""
-    end = len(row)
-    while end and not row[end - 1]:
-        end -= 1
-    return end
-
-
-def _bareiss(m: list[list[int]], end: list[int]) -> int:
-    """Determinant of the square int matrix ``m``, eliminated in place.
-
-    A row whose entry in the pivot column is 0 is left as it is for that
-    step instead of being rescaled by pivot / previous pivot; ``lag[i]``
-    records the pivot row i's entries are current for.  When the row
-    next takes part, its update divides by ``lag[i]`` instead of the
-    previous pivot, and a lagging pivot row or final entry is brought up
-    to date with ``x * prev // lag[i]``.  Every division is exact, since
-    each result is a minor of the input (Sylvester's identity).
-
-    ``end[i]`` bounds row i's nonzero entries from the right: every entry
-    from column ``end[i]`` on is 0.  An update of row i by pivot row k
-    covers only the columns before max(end[i], end[k]); both rows are 0
-    beyond that, so their combination is too, and so is any rescale of a
-    lagging row.  Dense matrices cost the same as plain Bareiss; a
-    banded one skips the rescales and costs O(n * band^2) row work.
-    """
-    n = len(m)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    lag = [1] * n
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k]:
-                    m[k], m[i] = m[i], m[k]
-                    lag[k], lag[i] = lag[i], lag[k]
-                    end[k], end[i] = end[i], end[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        top = m[k]
-        top_end = end[k]
-        if lag[k] != prev:
-            top[k:top_end] = [x * prev // lag[k] for x in top[k:top_end]]
-        pivot = top[k]
-        for i in range(k + 1, n):
-            row = m[i]
-            head = row[k]
-            if head:
-                div = lag[i]
-                stop = max(end[i], top_end)
-                row[k + 1:stop] = [
-                    (x * pivot - head * y) // div
-                    for x, y in zip(row[k + 1:stop], top[k + 1:stop])
-                ]
-                row[k] = 0
-                lag[i] = pivot
-                end[i] = stop
-        prev = pivot
-    return sign * m[-1][-1] * prev // lag[-1]
-
-
 def int_det(rows: Sequence[Sequence[int]]) -> int:
-    """Exact integer determinant (fraction-free Bareiss elimination)."""
-    m = [list(row) for row in _as_matrix(rows)]
-    return _bareiss(m, [_row_end(row) for row in m])
+    """Exact integer determinant (fraction-free Bareiss elimination, ``_det``)."""
+    from ._det import matrix_det
+
+    return matrix_det(_as_matrix(rows))
 
 
 def pencil_det(x: Sequence[Sequence[int]], y: Sequence[Sequence[int]]) -> tuple[int, ...]:
-    """Coefficients of det(X - tY), low degree first, trailing zeros trimmed.
-
-    The determinant has degree at most n, so it is evaluated by Bareiss
-    elimination at the n + 1 consecutive integers centred on 0 (small |t|
-    keeps the entries small) and recovered by Newton divided differences.
-    At consecutive integers the level-k differences of a polynomial in Z[t]
-    are Delta^k f / k!, integers, so each level divides exactly by k; a
-    remainder is an internal defect.  X and Y are validated once; row i of
-    every X - tY is 0 from column max(end of X's row i, end of Y's row i)
-    on, so only the columns before it are computed and the rest is padded.
-    """
+    """Coefficients of det(X - tY), low degree first, trailing zeros trimmed
+    (evaluation and exact interpolation, ``_det.pencil_coefficients``)."""
     x, y = _as_matrix(x), _as_matrix(y)
-    n = len(x)
-    if len(y) != n:
+    if len(y) != len(x):
         raise ValueError("pencil matrices must have the same size")
-    ends = [max(_row_end(rx), _row_end(ry)) for rx, ry in zip(x, y)]
-    heads = [(rx[:end], ry[:end], [0] * (n - end)) for rx, ry, end in zip(x, y, ends)]
-    nodes = range(-(n // 2), n + 1 - n // 2)
-    diffs = [
-        _bareiss([[a - t * b for a, b in zip(rx, ry)] + pad for rx, ry, pad in heads], ends[:])
-        for t in nodes
-    ]
-    for level in range(1, n + 1):
-        for i in range(n, level - 1, -1):
-            diffs[i], rem = divmod(diffs[i] - diffs[i - 1], level)
-            if rem:
-                raise RuntimeError("non-integer coefficient in pencil determinant")
-    # Newton form to monomial coefficients, innermost factor first
-    out = [diffs[n]]
-    for k in range(n - 1, -1, -1):
-        out = [diffs[k] - nodes[k] * out[0]] + [
-            a - nodes[k] * b for a, b in zip(out, out[1:])
-        ] + [out[-1]]
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
+    from ._det import pencil_coefficients
+
+    return pencil_coefficients(x, y)
 
 
 def transpose(rows: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
@@ -197,6 +109,8 @@ def alexander(matrix: SeifertMatrix) -> LaurentPolynomial:
     The normalization makes Delta(t) = Delta(1/t) and Delta(1) = 1; both
     are guaranteed by the unimodular antisymmetrization and asserted.
     """
+    from .series import LaurentPolynomial
+
     det = pencil_det(matrix.rows, transpose(matrix.rows))
     delta = LaurentPolynomial.from_dict(
         {i - matrix.genus: c for i, c in enumerate(det)}

@@ -3,8 +3,9 @@
 ``poly_matrix_det`` expands a matrix of dense integer polynomials (each a
 coefficient tuple, low degree first, trailing zeros trimmed) along its
 rows, memoizing minors over column subsets.  It costs O(2^n * n) and
-shares no code with ``knotcert.seifert.int_det``/``pencil_det``, which is
-why it cross-checks them.  ``fraction_det`` is plain Gaussian
+shares no code with ``knotcert.seifert.int_det``/``pencil_det`` or the
+elimination under them in ``knotcert._det``, which is why it
+cross-checks them.  ``fraction_det`` is plain Gaussian
 elimination over the rationals, the oracle for integer determinants.
 """
 

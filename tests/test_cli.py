@@ -486,6 +486,48 @@ class TestJsonDigitLimit:
             2, "", "error: line 26, col 7: integer of 4301 digits exceeds the limit of 4300 digits\n")
 
 
+LONG_DIGITS = "2" * 5000
+TOO_LONG = "integer of 5000 digits exceeds the limit of 4300 digits"
+
+
+class TestLongInlineValues:
+    """A value of 5000 digits in an argument or in an altsum string exits 2
+    on one message line of fewer than 200 characters, which shows the value
+    capped as ``_value.quoted`` caps a token."""
+
+    @pytest.mark.parametrize("argv, document, message", [
+        (["altsum"], [{"subset": [], "value": LONG_DIGITS}],
+         f'value "{"2" * 31}... (5002 characters): {TOO_LONG}'),
+        (["altsum"], [{"subset": [], "value": f"1/{LONG_DIGITS}"}],
+         f'value "1/{"2" * 29}... (5004 characters): {TOO_LONG}'),
+        (["altsum"], [{"subset": [], "value": f"x{LONG_DIGITS}"}],
+         f'value "x{"2" * 30}... (5003 characters) is not an integer or a "p/q" string'),
+        (["altsum"], [{"subset": [LONG_DIGITS], "value": 1}],
+         f'subset ["{"2" * 30}... (5004 characters) is not a list of integers'),
+        (["magnus", "fox", "g1 g2", "--index", f"1 {LONG_DIGITS}"], None,
+         f"bad index sequence '1 {'2' * 30}'... (5002 characters): {TOO_LONG}"),
+        (["magnus", "fox", "g1 g2", "--index", f"1 x{LONG_DIGITS}"], None,
+         f"bad index sequence '1 x{'2' * 29}'... (5003 characters)"),
+        (["word", "kill", "g1 g2", "--subset", f"1 {LONG_DIGITS}"], None,
+         f"bad generator subset '1 {'2' * 30}'... (5002 characters): {TOO_LONG}"),
+        (["bounds", "partition-k", "--factors", f"1 {LONG_DIGITS}|2"], None,
+         f"bounds partition-k: --factors: bad generator subset '1 {'2' * 30}'... "
+         f"(5002 characters): {TOO_LONG}"),
+    ], ids=["altsum-value", "altsum-denominator", "altsum-malformed", "altsum-subset",
+            "fox-index", "fox-malformed", "kill-subset", "partition-k-factors"])
+    def test_exit_2_on_a_short_line(self, capsys, tmp_path, argv, document, message):
+        if document is not None:
+            path = tmp_path / "values.json"
+            path.write_text(json.dumps(document))
+            argv = [*argv, str(path)]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        if argv[0] == "altsum":
+            message = f"bad alternating-sum data: {message}"
+        assert err == f"error: {message}\n"
+        assert len(err) < 200
+
+
 class TestBoundsCommands:
     def test_q(self, capsys):
         assert run(capsys, "bounds", "q", "13")[1].strip() == "2"

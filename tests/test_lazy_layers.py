@@ -38,8 +38,29 @@ ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
 # loaded and the modules main()'s import and run added.  A lazy module
 # that has not run yet is an instance of a ModuleType subclass;
 # isinstance() would load it.
+#
+# It also writes, as "before_fractions", the knotcert modules that had
+# begun to execute when the import system was first asked for fractions
+# (null if it never was): a finder at the head of sys.meta_path records
+# them and finds nothing.  This is the order of execution, which is the
+# same with or without bytecode.
 PROBE = """
 import json, sys, types
+
+def executed():
+    return sorted(name.split(".", 1)[1] for name, module in sys.modules.items()
+                  if name.startswith("knotcert.") and type(module) is types.ModuleType)
+
+class FirstFractions:
+    seen = None
+
+    @classmethod
+    def find_spec(cls, name, path=None, target=None):
+        if name == "fractions" and cls.seen is None:
+            cls.seen = executed()
+        return None
+
+sys.meta_path.insert(0, FirstFractions)
 before = set(sys.modules)
 from knotcert.cli import main
 try:
@@ -47,10 +68,8 @@ try:
 except SystemExit as exc:
     code = exc.code
 sys.stdout.flush()
-loaded = sorted(name.split(".", 1)[1] for name, module in sys.modules.items()
-                if name.startswith("knotcert.") and type(module) is types.ModuleType)
-print(json.dumps({"code": code, "loaded": loaded,
-                  "added": sorted(set(sys.modules) - before)}), file=sys.stderr)
+print(json.dumps({"code": code, "loaded": executed(), "added": sorted(set(sys.modules) - before),
+                  "before_fractions": FirstFractions.seen}), file=sys.stderr)
 """
 
 
@@ -72,10 +91,12 @@ MAGNUS = WORDS | {"magnus"}
 # among them, compiles magnus without it
 MILNOR = MAGNUS | {"milnor"}
 # the Laurent polynomials and the canonical series live in series, which
-# seifert imports for alexander's result; mmr reads its Delta from a file
-# and loads series without seifert
-SERIES = {"cli", "_value", "cmd_seifert", "series"}
-SEIFERT = SERIES | {"seifert"}
+# seifert.alexander imports for its result, and the elimination under
+# seifert's determinants in _det; mmr reads its Delta from a file and loads
+# series without seifert, and classify and altsum load seifert alone
+SEIFERT_HALF = {"cli", "_value", "cmd_seifert"}
+SERIES = SEIFERT_HALF | {"series"}
+SEIFERT = SEIFERT_HALF | {"seifert"}
 # a certificate whose memberships fail computes no q-value, and loads
 # neither bounds nor decomp and lyndon (see TestRejectedMutants); only the
 # normal-closure kinds load their verifiers' module and schreier.  A
@@ -103,7 +124,7 @@ LOAD_SETS = [
     (["trivialize", "verify", "{report}"], WORDS | {"trivializer"}),
     (["milnor", "invariant", DATA / "hopf.longitudes", "--index", "1 2"], MILNOR),
     (["milnor", "vanish", DATA / "borromean.longitudes", "-n", "1"], MILNOR),
-    (["alexander", DATA / "trefoil.mat"], SEIFERT),
+    (["alexander", DATA / "trefoil.mat"], SEIFERT | SERIES | {"_det"}),
     (["classify", DATA / "trefoil.mat", "--symmetrize"], SEIFERT),
     (["mmr", DATA / "trefoil.lp", "-N", "2"], SERIES),
     (["altsum", DATA / "altsum_example.json"], SEIFERT),
@@ -185,6 +206,18 @@ class TestLoadSets:
             # with the one bounds report that prints a Fraction; every other
             # job works in integers
             assert not {"fractions", "decimal", "numbers"} & set(probe["added"])
+
+    @pytest.mark.parametrize("argv, modules", LOAD_SETS, ids=LOAD_SET_IDS)
+    def test_layers_execute_before_fractions(self, tmp_path, argv, modules):
+        # fractions (with decimal) loaded before a module compiles raises
+        # the job's peak RSS, so no knotcert module may begin to execute
+        # after the first lookup of fractions
+        probe = probe_job(*job_argv(argv, tmp_path))
+        assert probe["code"] == 0
+        seen = probe["before_fractions"]
+        assert (seen is not None) == ("fractions" in probe["added"])
+        if seen is not None:
+            assert seen == probe["loaded"]
 
     def test_one_row_per_leaf_command(self):
         rows = [cli._leaf_path([str(a) for a in argv]) for argv, _ in LOAD_SETS]
@@ -306,7 +339,7 @@ class TestTracerContract:
         assert set(layers) <= modules
         assert modules - set(layers) == {
             "_value", "cmd_bounds", "cmd_certify", "cmd_seifert", "cmd_words", "synth",
-            "translate", "pipeline", "closure", "series", "milnor",
+            "translate", "pipeline", "closure", "series", "milnor", "_det",
         }
 
     @pytest.mark.parametrize("argv, layers", [
@@ -414,13 +447,6 @@ class TestPublicNames:
         for name in names:
             assert not hasattr(getattr(knotcert, old), name)
             assert scope[name].__module__ == f"knotcert.{new}"
-
-    def test_seifert_keeps_laurent_polynomial(self):
-        # alexander returns a LaurentPolynomial, so seifert binds the class,
-        # and code that reads it from there gets the same object
-        from knotcert import seifert, series
-
-        assert seifert.LaurentPolynomial is series.LaurentPolynomial
 
     def test_unknown_name(self):
         with pytest.raises(AttributeError, match="no_such_name"):

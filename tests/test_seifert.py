@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from det_oracle import _poly_trim, fraction_det, poly_matrix_det
-from knotcert import seifert
+from knotcert import _det
 from knotcert.cli import main
 from knotcert.seifert import (
     SeifertMatrix,
@@ -333,6 +333,23 @@ def banded_matrices(draw, max_n=24):
     return [[draw(values) if -below <= j - i <= above else 0 for j in range(n)] for i in range(n)]
 
 
+@st.composite
+def row_shuffled(draw, matrices):
+    """A matrix of ``matrices`` with its rows permuted: rows start out of
+    order, so zero pivots, swaps and rows past the reach all occur."""
+    rows = draw(matrices)
+    return [rows[i] for i in draw(st.permutations(range(len(rows))))]
+
+
+@st.composite
+def row_shuffled_pencils(draw, max_n=12):
+    """Two banded matrices of one size, their rows permuted alike."""
+    x, y = draw(banded_matrices(max_n)), draw(banded_matrices(max_n))
+    n = min(len(x), len(y))
+    order = draw(st.permutations(range(n)))
+    return [x[i][:n] for i in order], [y[i][:n] for i in order]
+
+
 def square_matrices(n):
     return st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=n, max_size=n)
 
@@ -345,6 +362,12 @@ class TestIntDet:
     @given(banded_matrices())
     def test_banded_against_fraction_elimination(self, rows):
         # row updates stop at the last nonzero column of the two rows
+        assert int_det(rows) == fraction_det(rows)
+
+    @given(row_shuffled(st.one_of(sparse_matrices(), banded_matrices())))
+    def test_row_shuffled_against_fraction_elimination(self, rows):
+        # the pivot search and the updates stop at the last row that
+        # starts at or before the pivot column
         assert int_det(rows) == fraction_det(rows)
 
     def test_zero_leading_pivot(self):
@@ -388,11 +411,24 @@ class TestPencilDet:
         value = sum(c * t ** i for i, c in enumerate(coeffs))
         assert value == fraction_det([[a - t * b for a, b in zip(rx, ry)] for rx, ry in zip(x, y)])
 
+    @given(row_shuffled_pencils(), st.integers(-5, 5))
+    def test_row_shuffled_pencil_at_a_point(self, pencil, t):
+        # one reach, from the rows of |X| + |Y|, serves every evaluation
+        x, y = pencil
+        coeffs = pencil_det(x, y)
+        value = sum(c * t ** i for i, c in enumerate(coeffs))
+        assert value == fraction_det([[a - t * b for a, b in zip(rx, ry)] for rx, ry in zip(x, y)])
+
     def test_empty(self):
         assert pencil_det((), ()) == (1,)
 
     def test_singular_pencil(self):
         assert pencil_det(((1, 2), (2, 4)), ((1, 2), (2, 4))) == ()
+
+    def test_zero_row(self):
+        # a row that is zero in both X and Y is built as n zeros
+        assert pencil_det(((1, 0), (0, 0)), ((0, 1), (0, 0))) == ()
+        assert pencil_det(((0, 0), (0, 1)), ((1, 0), (0, 0))) == (0, -1)
 
     def test_size_mismatch(self):
         with pytest.raises(ValueError):
@@ -401,14 +437,14 @@ class TestPencilDet:
     def test_non_polynomial_values_are_a_defect(self, monkeypatch):
         # 0, 0, 1 at t = -1, 0, 1 fit only t(t + 1)/2, not a polynomial in Z[t]
         values = iter((0, 0, 1))
-        monkeypatch.setattr(seifert, "_bareiss", lambda m, ends: next(values))
+        monkeypatch.setattr(_det, "_bareiss", lambda m, ends, reach: next(values))
         with pytest.raises(RuntimeError, match="non-integer coefficient"):
             pencil_det(TREFOIL, tuple(zip(*TREFOIL)))
 
     def test_defect_exit_4(self, monkeypatch, capsys, tmp_path):
         # the first value passes SeifertMatrix's det(V - V^T) = 1 check
         values = iter((1, 0, 0, 1))
-        monkeypatch.setattr(seifert, "_bareiss", lambda m, ends: next(values))
+        monkeypatch.setattr(_det, "_bareiss", lambda m, ends, reach: next(values))
         path = tmp_path / "trefoil.mat"
         path.write_text("1\n-1 1\n0 -1\n")
         assert main(["alexander", str(path)]) == 4
