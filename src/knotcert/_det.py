@@ -2,11 +2,12 @@
 
 The machinery under ``seifert.int_det`` and ``seifert.pencil_det``, which
 validate their matrices and call in here: ``matrix_det`` eliminates one
-integer matrix, ``pencil_coefficients`` evaluates det(X - tY) at n + 1
-integers and interpolates exactly, and ``_bareiss`` is the one
-elimination routine under both.  It is a plain module that those two
-functions import when they run, so a ``classify`` or ``altsum`` job,
-which takes no determinant, compiles ``seifert.py`` without it.
+integer matrix, ``pencil_coefficients`` eliminates det(X - tY) once at
+t = 2^b and reads the coefficients off its base-2^b digits, and
+``_bareiss`` is the one elimination routine under both.  It is a plain
+module that those two functions import when they run, so a ``classify``
+or ``altsum`` job, which takes no determinant, compiles ``seifert.py``
+without it.
 """
 
 from __future__ import annotations
@@ -111,40 +112,33 @@ def pencil_coefficients(x: Sequence[Sequence[int]], y: Sequence[Sequence[int]]) 
     """Coefficients of det(X - tY) for validated n x n matrices, low
     degree first, trailing zeros trimmed.
 
-    The determinant has degree at most n, so it is evaluated by Bareiss
-    elimination at the n + 1 consecutive integers centred on 0 (small |t|
-    keeps the entries small) and recovered by Newton divided differences.
-    At consecutive integers the level-k differences of a polynomial in Z[t]
-    are Delta^k f / k!, integers, so each level divides exactly by k; a
-    remainder is an internal defect.  Row i of every X - tY is 0 outside
-    the columns from the first nonzero column of row i of |X| + |Y| to its
-    last, so only those are computed and the rest is padded, and one
-    ``reach`` serves every evaluation.
+    Kronecker substitution: one Bareiss elimination at t = 2^b, whose
+    balanced base-2^b digits are the coefficients.  On |t| = 1 every
+    entry of X - tY is at most the entry of |X| + |Y|, so by Hadamard's
+    inequality |det| is at most the product of that matrix's row 2-norms,
+    and so is every coefficient (the mean of |det|^2 over the circle is
+    the sum of their squares).  ``square`` is that product squared,
+    computed exactly; its root is below 2^(b - 2), so each coefficient
+    is a digit in [-2^(b-1), 2^(b-1)) and the digits are unique.  A
+    determinant of degree at most n has at most n + 1 digits; more is an
+    internal defect.
+
+    The pivots grow to about n * b bits, and CPython's long division is
+    quadratic in their length: a dense pencil of size past about 32
+    (genus 16) costs more here than n + 1 eliminations at small integers
+    would, while sparse and smaller dense pencils cost far less.
     """
-    n = len(x)
-    ends = [max(_row_end(rx), _row_end(ry)) for rx, ry in zip(x, y)]
-    # capped by the end, so that a zero row (start n, end 0) is its padding alone
-    starts = [min(_row_start(rx), _row_start(ry), end) for rx, ry, end in zip(x, y, ends)]
-    reach = _reach(starts)
-    spans = [([0] * start, rx[start:end], ry[start:end], [0] * (n - end))
-             for rx, ry, start, end in zip(x, y, starts, ends)]
-    nodes = range(-(n // 2), n + 1 - n // 2)
-    diffs = [
-        _bareiss([lead + [a - t * b for a, b in zip(rx, ry)] + pad
-                  for lead, rx, ry, pad in spans], ends[:], reach)
-        for t in nodes
-    ]
-    for level in range(1, n + 1):
-        for i in range(n, level - 1, -1):
-            diffs[i], rem = divmod(diffs[i] - diffs[i - 1], level)
-            if rem:
-                raise RuntimeError("non-integer coefficient in pencil determinant")
-    # Newton form to monomial coefficients, innermost factor first
-    out = [diffs[n]]
-    for k in range(n - 1, -1, -1):
-        out = [diffs[k] - nodes[k] * out[0]] + [
-            a - nodes[k] * b for a, b in zip(out, out[1:])
-        ] + [out[-1]]
-    while out and out[-1] == 0:
-        out.pop()
+    square = 1
+    for rx, ry in zip(x, y):
+        square *= sum((abs(a) + abs(b)) ** 2 for a, b in zip(rx, ry))
+    bits = (square.bit_length() + 1) // 2 + 2
+    value = matrix_det([[a - (b << bits) for a, b in zip(rx, ry)] for rx, ry in zip(x, y)])
+    half, mask = 1 << (bits - 1), (1 << bits) - 1
+    out = []
+    while value:
+        digit = ((value + half) & mask) - half
+        out.append(digit)
+        value = (value - digit) >> bits
+    if len(out) > len(x) + 1:
+        raise RuntimeError("pencil determinant exceeds its coefficient bound")
     return tuple(out)

@@ -6,7 +6,8 @@ Alexander polynomial is det(V - t V^T) normalized by t^-g, which makes
 it symmetric under t -> 1/t with value 1 at t = 1.  Every determinant
 goes through one routine, fraction-free Bareiss elimination (``int_det``
 for one matrix): the polynomial det(V - t V^T) of degree <= 2g is
-evaluated at 2g + 1 integers and interpolated exactly (``pencil_det``),
+eliminated once at t = 2^b, with b from Hadamard's bound, and its
+coefficients are the base-2^b digits of that value (``pencil_det``),
 which is polynomial in g.  Both validate their matrices here and run
 the elimination in the plain ``_det``, which they import when called,
 so ``classify`` and ``altsum`` never compile it.  The symmetrized
@@ -62,7 +63,7 @@ def int_det(rows: Sequence[Sequence[int]]) -> int:
 
 def pencil_det(x: Sequence[Sequence[int]], y: Sequence[Sequence[int]]) -> tuple[int, ...]:
     """Coefficients of det(X - tY), low degree first, trailing zeros trimmed
-    (evaluation and exact interpolation, ``_det.pencil_coefficients``)."""
+    (one elimination at t = 2^b, ``_det.pencil_coefficients``)."""
     x, y = _as_matrix(x), _as_matrix(y)
     if len(y) != len(x):
         raise ValueError("pencil matrices must have the same size")
@@ -194,7 +195,7 @@ def anti_block_determinant_check(
 
     Here V = [[0, A], [B, Z]] with g x g blocks.  The left side is the
     direct 2g x 2g determinant ``pencil_det(V, V^T)`` and each right-hand
-    factor a g x g ``pencil_det``, all by evaluation and interpolation;
+    factor a g x g ``pencil_det``, each its own elimination at t = 2^b;
     so the identity (and its independence of Z) is checked, not assumed.
     """
     a, b, z = _as_matrix(a), _as_matrix(b), _as_matrix(z)

@@ -350,8 +350,23 @@ def row_shuffled_pencils(draw, max_n=12):
     return [x[i][:n] for i in order], [y[i][:n] for i in order]
 
 
-def square_matrices(n):
-    return st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=n, max_size=n)
+def square_matrices(n, bound=3):
+    values = st.integers(-bound, bound)
+    return st.lists(st.lists(values, min_size=n, max_size=n), min_size=n, max_size=n)
+
+
+def sylvester(k):
+    """The 2^k x 2^k Sylvester Hadamard matrix, |det| = 2^(k 2^(k-1))."""
+    h = [[1]]
+    for _ in range(k):
+        h = [row + row for row in h] + [row + [-a for a in row] for row in h]
+    return h
+
+
+def oracle_pencil(x, y):
+    """det(X - tY) by subset-minor expansion (``det_oracle``)."""
+    n = len(x)
+    return poly_matrix_det([[_poly_trim([x[i][j], -y[i][j]]) for j in range(n)] for i in range(n)])
 
 
 class TestIntDet:
@@ -396,12 +411,22 @@ class TestIntDet:
 
 
 class TestPencilDet:
-    @given(st.integers(0, 7).flatmap(lambda n: st.tuples(square_matrices(n), square_matrices(n))))
+    # entries up to 10^12 take the digit width past 64 bits, and their
+    # negative coefficients borrow from the digit above
+    @given(st.sampled_from((3, 10 ** 12)).flatmap(lambda bound: st.integers(0, 7).flatmap(
+        lambda n: st.tuples(square_matrices(n, bound), square_matrices(n, bound)))))
     def test_against_subset_minor_oracle(self, pencil):
         x, y = pencil
-        n = len(x)
-        entries = [[_poly_trim([x[i][j], -y[i][j]]) for j in range(n)] for i in range(n)]
-        assert pencil_det(x, y) == poly_matrix_det(entries)
+        assert pencil_det(x, y) == oracle_pencil(x, y)
+
+    def test_hadamard_matrix_meets_the_bound(self):
+        # |det H_8| = 8^4 = 4096 is the Hadamard bound itself
+        h, zero = sylvester(3), [[0] * 8 for _ in range(8)]
+        assert pencil_det(h, zero) == oracle_pencil(h, zero) == (4096,)
+
+    def test_hadamard_pencil(self):
+        h = sylvester(2)
+        assert pencil_det(h, h) == oracle_pencil(h, h) == (16, -64, 96, -64, 16)
 
     @given(banded_matrices(12), banded_matrices(12), st.integers(-5, 5))
     def test_banded_pencil_at_a_point(self, x, y, t):
@@ -413,7 +438,7 @@ class TestPencilDet:
 
     @given(row_shuffled_pencils(), st.integers(-5, 5))
     def test_row_shuffled_pencil_at_a_point(self, pencil, t):
-        # one reach, from the rows of |X| + |Y|, serves every evaluation
+        # rows out of order: zero pivots and swaps in the one elimination at t = 2^b
         x, y = pencil
         coeffs = pencil_det(x, y)
         value = sum(c * t ** i for i, c in enumerate(coeffs))
@@ -434,22 +459,21 @@ class TestPencilDet:
         with pytest.raises(ValueError):
             pencil_det(((1,),), ((1, 0), (0, 1)))
 
-    def test_non_polynomial_values_are_a_defect(self, monkeypatch):
-        # 0, 0, 1 at t = -1, 0, 1 fit only t(t + 1)/2, not a polynomial in Z[t]
-        values = iter((0, 0, 1))
-        monkeypatch.setattr(_det, "_bareiss", lambda m, ends, reach: next(values))
-        with pytest.raises(RuntimeError, match="non-integer coefficient"):
+    def test_digits_past_the_bound_are_a_defect(self, monkeypatch):
+        # a 2 x 2 pencil has at most 3 coefficients; 2^200 has 41 base-2^5 digits
+        monkeypatch.setattr(_det, "_bareiss", lambda m, ends, reach: 1 << 200)
+        with pytest.raises(RuntimeError, match="exceeds its coefficient bound"):
             pencil_det(TREFOIL, tuple(zip(*TREFOIL)))
 
-    def test_defect_exit_4(self, monkeypatch, capsys, tmp_path):
+    def test_digits_past_the_bound_exit_4(self, monkeypatch, capsys, tmp_path):
         # the first value passes SeifertMatrix's det(V - V^T) = 1 check
-        values = iter((1, 0, 0, 1))
+        values = iter((1, 1 << 200))
         monkeypatch.setattr(_det, "_bareiss", lambda m, ends, reach: next(values))
         path = tmp_path / "trefoil.mat"
         path.write_text("1\n-1 1\n0 -1\n")
         assert main(["alexander", str(path)]) == 4
         assert capsys.readouterr() == (
-            "", "internal error: non-integer coefficient in pencil determinant\n")
+            "", "internal error: pencil determinant exceeds its coefficient bound\n")
 
 
 def torus_seifert(genus):
@@ -461,7 +485,7 @@ def torus_seifert(genus):
 
 
 class TestLargeGenus:
-    @pytest.mark.parametrize("genus", [12, 30])
+    @pytest.mark.parametrize("genus", [12, 30, 60])
     def test_torus_closed_form(self, genus):
         delta = alexander(SeifertMatrix(genus, torus_seifert(genus)))
         assert delta.as_dict() == {i: (-1) ** (i + genus) for i in range(-genus, genus + 1)}
