@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 
-from ._value import Record
+from ._value import Record, quoted
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
 if TYPE_CHECKING:
@@ -216,6 +216,7 @@ def product_bound_check(m: int, k: int, r: int, s: int) -> bool:
         raise ValueError("k must be >= 1")
     expected = 6 * k + r + 2 * k * ((1 << s) - 2)
     if m + 1 != expected:
-        raise ValueError(f"length relation fails: m+1 = {m + 1} != {expected}")
+        raise ValueError(f"length relation fails: m+1 = {quoted(str(m + 1), str)} "
+                         f"!= {quoted(str(expected), str)}")
     count = k + r // 2 + k * (s - 2)
     return count > floor_log2(m + 1 - 6 * k, 6)

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 # hyperbolic report loads them to count its factors; only a
 # normal-closure membership loads schreier
 from . import bounds, decomp, schreier
-from ._value import KINDS, Record, as_dict, function_at, integer, json_int
+from ._value import KINDS, Record, as_dict, function_at, integer, json_int, quoted
 from .magnus import MAX_GENERATOR, NCPolynomial, expand, staged_expand, unpack_monomial
 from .words import (
     WordSyntaxError,
@@ -126,7 +126,8 @@ class SurfaceCertificate:
             raise CertificateError("genus must be >= 0")
         if 2 * self.genus > MAX_GENERATOR:
             # the dual generators are 1..2g; checked before any per-handle set is built
-            raise CertificateError(f"genus {self.genus} exceeds the limit {MAX_GENERATOR // 2}")
+            raise CertificateError(
+                f"genus {quoted(str(self.genus), str)} exceeds the limit {MAX_GENERATOR // 2}")
         if self.n < 0:
             raise CertificateError("n must be >= 0")
         names = [c.name for c in self.curves]
@@ -137,7 +138,8 @@ class SurfaceCertificate:
                 raise CertificateError(f"curve {curve.name}: role must be A or B")
             if not 1 <= curve.index <= self.genus:
                 raise CertificateError(
-                    f"curve {curve.name}: index {curve.index} out of range 1..{self.genus}"
+                    f"curve {curve.name}: index {quoted(str(curve.index), str)} "
+                    f"out of range 1..{self.genus}"
                 )
             f = curve.factors or UnknottedFactors()
             depths = {"m": curve.m, "m_mu": f.m_mu, "m_chi": f.m_chi, "m_zeta": f.m_zeta}
@@ -148,7 +150,8 @@ class SurfaceCertificate:
                 for letter in word:
                     if abs(letter) > 2 * self.genus:
                         raise CertificateError(
-                            f"curve {curve.name}: generator {abs(letter)} exceeds 2g = {2 * self.genus}"
+                            f"curve {curve.name}: generator {quoted(str(abs(letter)), str)} "
+                            f"exceeds 2g = {2 * self.genus}"
                         )
         for role in ("A", "B"):
             indices = sorted(c.index for c in self.curves if c.role == role)
@@ -158,7 +161,8 @@ class SurfaceCertificate:
         for i, flag in enumerate(self.asserted_flags):
             if flag.startswith(_SIMPLICITY):
                 if seen_simplicity:
-                    raise CertificateError(f"asserted_flags[{i}]: second simplicity flag {flag!r}")
+                    raise CertificateError(
+                        f"asserted_flags[{i}]: second simplicity flag {quoted(flag)}")
                 seen_simplicity = True
                 try:
                     integer(flag[len(_SIMPLICITY):], signed=False)

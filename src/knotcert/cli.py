@@ -10,10 +10,11 @@ A command line is read straight from the ``COMMANDS`` table when it is
 plain: a leaf's names, its positionals in order, then exact ``--flag
 value`` pairs and ``store_true`` flags (``_read_plain``).  Any other line,
 including ``-h``, abbreviations, ``--flag=value`` and every malformed
-line, goes to an argparse parser of the named leaf (``build_parser``),
+line, goes to the argparse parser of every command (``build_parser``),
 which stays the parser of record: both give the same arguments, and only
 argparse prints usage, help and diagnostics.  So ``argparse``, and the
 ``gettext`` and ``locale`` that it imports, load only for those lines.
+Both read numbers with ``_value.integer``, as every text input does.
 
 Exit codes: 0 success/valid verdict, 1 invalid (a checked property is
 false), 2 malformed input, 3 not checkable from word data (required
@@ -29,7 +30,7 @@ import os
 import sys
 from types import SimpleNamespace
 
-from ._value import KINDS, function_at
+from ._value import KINDS, IntegerTooLong, function_at, integer, quoted
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
 if TYPE_CHECKING:
@@ -48,11 +49,11 @@ def _arg(*flags, **options):
 
 _FORMAT = _arg("--format", choices=("human", "structured"), default="human",
                help="output format (structured = JSON with schema field)")
-_DEGREE = _arg("-D", "--degree", type=int, required=True)
+_DEGREE = _arg("-D", "--degree", type=integer, required=True)
 
 
 def _ints(*names):
-    return tuple(_arg(name, type=int) for name in names)
+    return tuple(_arg(name, type=integer) for name in names)
 
 
 # The command table: name -> (help, handler, argument specs) for a leaf or
@@ -82,7 +83,7 @@ COMMANDS = {
     }, ()),
     "decompose": ("write a word as simple commutators", "cmd_words:decompose", (
         _arg("word"),
-        _arg("-m", type=int, required=True, help="the word lies in F^(m+1)"),
+        _arg("-m", type=integer, required=True, help="the word lies in F^(m+1)"),
         _DEGREE)),
     "schreier": ("normal closure operations", {
         "degree": (None, "cmd_words:schreier_degree", (
@@ -103,7 +104,7 @@ COMMANDS = {
             _arg("--index", required=True),
             _arg("--mode", choices=("raw", "gcd"), default="raw"))),
         "vanish": (None, "cmd_words:milnor_vanish", (
-            _arg("longitudes"), _arg("-n", type=int, required=True))),
+            _arg("longitudes"), _arg("-n", type=integer, required=True))),
     }, ()),
     "alexander": ("Alexander polynomial of a Seifert matrix", "cmd_seifert:alexander", (
         _arg("matrix", help="matrix file (path or -)"),)),
@@ -113,12 +114,12 @@ COMMANDS = {
              help="treat the file as a Seifert matrix and classify V + V^T"))),
     "mmr": ("canonical invariant series p(h)/Delta(e^h)", "cmd_seifert:mmr", (
         _arg("laurent", help="laurent polynomial file (path or -)"),
-        _arg("-N", "--order", type=int, required=True))),
+        _arg("-N", "--order", type=integer, required=True))),
     "bounds": ("arithmetic bound functions", {
         "q": (None, "cmd_bounds:q", _ints("m")),
         "t": (None, "cmd_bounds:t", _ints("n")),
         "q-param": (None, "cmd_bounds:q_param", _ints("n", "k")),
-        "l-n-s": (None, "cmd_bounds:l_n_s", (_arg("q", type=int, nargs="+"),)),
+        "l-n-s": (None, "cmd_bounds:l_n_s", (_arg("q", type=integer, nargs="+"),)),
         "conflict-max": (None, "cmd_bounds:conflict_max", _ints("s")),
         "ratio-check": (None, "cmd_bounds:ratio_check", _ints("w_y", "s_y")),
         "good-arc-bound": (None, "cmd_bounds:good_arc_bound", (
@@ -130,19 +131,19 @@ COMMANDS = {
     }, ()),
     "certify": ("verify a surface certificate", {
         kind: (None, "cmd_certify:certify_kind", (
-            _arg("certificate", help="certificate JSON (path or -)"), _arg("--n", type=int),
-            *((_arg("--simplicity", type=int),) if kind == "parabolic" else ())))
+            _arg("certificate", help="certificate JSON (path or -)"), _arg("--n", type=integer),
+            *((_arg("--simplicity", type=integer),) if kind == "parabolic" else ())))
         for kind in KINDS
     }, ()),
     "translate": ("apply a certificate index shift and re-verify", "cmd_certify:translate", (
         _arg("kind", choices=KINDS),
         _arg("certificate"),
-        _arg("--n", type=int, required=True, help="the level parameter of the shift"))),
+        _arg("--n", type=integer, required=True, help="the level parameter of the shift"))),
     "pipeline": ("derived-link pipelines", {
         "spine-link": (None, "cmd_certify:pipeline", (
             _arg("certificate"),
             _arg("--signs", required=True, help="one +/- per curve, e.g. '++-+'"),
-            _arg("--n", type=int), _arg("--slice-depth", type=int))),
+            _arg("--n", type=integer), _arg("--slice-depth", type=integer))),
     }, ()),
     "altsum": ("alternating sum over a subset family", "cmd_seifert:altsum", (
         _arg("values", help="JSON list of {subset, value} records (path or -)"),)),
@@ -160,14 +161,6 @@ def _leaf_path(argv: list[str]) -> tuple[str, ...]:
             return tuple(argv[:depth])
         rows = row[1]
     return ()
-
-
-class Namespace(SimpleNamespace):
-    """Parsed arguments, as ``argparse.Namespace`` holds them: by attribute,
-    and ``"name" in args`` for whether the leaf has the argument at all."""
-
-    def __contains__(self, key: str) -> bool:
-        return key in self.__dict__
 
 
 # the argument options that _read_plain applies itself; a spec with any
@@ -196,7 +189,7 @@ def _value(options: dict, token: str):
     return value
 
 
-def _read_plain(argv: list[str]) -> Namespace | None:
+def _read_plain(argv: list[str]) -> SimpleNamespace | None:
     """The arguments of a plain command line, as ``build_parser()`` parses
     them, or None to leave the line to argparse.
 
@@ -256,15 +249,11 @@ def _read_plain(argv: list[str]) -> Namespace | None:
             args[dest] = [*(args[dest] or ()), value] if options.get("action") == "append" else value
     except ValueError:
         return None
-    return None if required else Namespace(**args)
+    return None if required else SimpleNamespace(**args)
 
 
-def build_parser(path: tuple[str, ...] = ()) -> argparse.ArgumentParser:
-    """The parser of every command, or of the one leaf that ``path`` names.
-
-    A one-leaf parser lists every command name in its usage lines, so it
-    parses, prints and fails on that leaf's command lines like the full one.
-    """
+def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, for the lines that ``_read_plain`` declines."""
     import argparse  # with gettext and locale: only for lines _read_plain declines
 
     parser = argparse.ArgumentParser(
@@ -272,22 +261,30 @@ def build_parser(path: tuple[str, ...] = ()) -> argparse.ArgumentParser:
         description="Free-group commutator calculus and knot certificate checks",
     )
 
-    def add(parent, dest, rows, path):
-        # an unset metavar keeps "argument command: invalid choice" worded
-        # as it is; only the full tree can reach that error
-        metavar = {"metavar": "{" + ",".join(rows) + "}"} if path else {}
-        sub = parent.add_subparsers(dest=dest, required=True, **metavar)
-        for name in path[:1] or rows:
-            help_, target, specs = rows[name]
+    def numeric(token: str) -> int:
+        # argparse would show a refused value whole
+        try:
+            return integer(token)
+        except IntegerTooLong as exc:
+            message = f"invalid int value {quoted(token)}: {exc}"
+        except ValueError:
+            message = f"invalid int value: {quoted(token)}"
+        raise argparse.ArgumentTypeError(message)
+
+    def add(parent, dest, rows):
+        sub = parent.add_subparsers(dest=dest, required=True)
+        for name, (help_, target, specs) in rows.items():
             p = sub.add_parser(name, **({} if help_ is None else {"help": help_}))
             if not isinstance(target, str):
-                add(p, "subcommand", target, path[1:])
+                add(p, "subcommand", target)
                 continue
             p.set_defaults(handler=target)
             for flags, arg_options in (_FORMAT, *specs):
+                if arg_options.get("type") is integer:
+                    arg_options = {**arg_options, "type": numeric}
                 p.add_argument(*flags, **arg_options)
 
-    add(parser, "command", COMMANDS, path)
+    add(parser, "command", COMMANDS)
     return parser
 
 
@@ -316,9 +313,7 @@ def _emit(args, code: int, payload: dict, lines: list[str]) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = _read_plain(argv)
-    if args is None:
-        args = build_parser(_leaf_path(argv)).parse_args(argv)
+    args = _read_plain(argv) or build_parser().parse_args(argv)
     try:
         code, payload, lines = function_at(args.handler)(args)
     except ValueError as exc:

@@ -8,7 +8,7 @@ these commands.
 from __future__ import annotations
 
 from . import bounds
-from ._value import InputError, generator_subset
+from ._value import InputError, generator_subset, quoted
 
 
 def _report(args, value):
@@ -35,7 +35,8 @@ def conflict_max(args):
     try:
         value = bounds.conflict_max(args.s)
     except OverflowError as exc:
-        raise InputError(f"bounds conflict-max: s = {args.s} is out of range: {exc}") from exc
+        raise InputError(f"bounds conflict-max: s = {quoted(str(args.s), str)} "
+                         f"is out of range: {exc}") from exc
     return _report(args, value)
 
 

@@ -32,7 +32,7 @@ def certify_kind(args):
     kind = args.subcommand
     cert = read_certificate_file(args.certificate, kind)
     # only the parabolic leaf has --simplicity
-    kwargs = {"s": args.simplicity} if "simplicity" in args else {}
+    kwargs = {"s": args.simplicity} if hasattr(args, "simplicity") else {}
     report = certify.certifier(kind)(cert, n=args.n, **kwargs)
     payload = report.to_dict()
     lines = [f"verdict: {report.verdict}"]

@@ -47,6 +47,10 @@ def read_matrix_file(source: str) -> tuple[int, tuple[tuple[int, ...], ...]]:
     del entries[0]  # the genus
     size = 2 * genus
     if len(entries) != size * size:
+        if len(lines[0][1].split()[0]) > 32:
+            # 4g^2 may have more digits than str() converts
+            raise token_error(*lines[0], 0,
+                              f"expected 4g^2 entries for genus {{tok!r}}, got {len(entries)}")
         raise InputError(f"expected {size * size} entries for genus {genus}, got {len(entries)}")
     return genus, tuple(tuple(entries[i * size: (i + 1) * size]) for i in range(size))
 

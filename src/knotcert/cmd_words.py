@@ -78,7 +78,8 @@ def read_longitudes_file(source: str) -> milnor.LongitudeSystem:
         raise token_error(count_line, body, 0, "component count must be >= 1")
     if count > magnus.MAX_GENERATOR:
         raise token_error(count_line, body, 0,
-                          f"component count {count} exceeds the limit {magnus.MAX_GENERATOR}")
+                          f"component count {quoted(str(count), str)} exceeds the limit "
+                          f"{magnus.MAX_GENERATOR}")
     if len(body.split()) > 1:
         raise token_error(count_line, body, 1, "stray token {tok!r}")
     longitudes = []

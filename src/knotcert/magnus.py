@@ -22,6 +22,8 @@ from __future__ import annotations
 from math import comb
 from collections.abc import Iterable, Sequence
 
+from ._value import quoted
+
 _SHIFT = 10
 _MASK = (1 << _SHIFT) - 1
 MAX_GENERATOR = _MASK  # 1023
@@ -31,7 +33,8 @@ def pack_monomial(indices: Sequence[int]) -> int:
     acc = 0
     for i in reversed(indices):
         if not 1 <= i <= MAX_GENERATOR:
-            raise ValueError(f"generator index {i} out of range 1..{MAX_GENERATOR}")
+            raise ValueError(
+                f"generator index {quoted(str(i), str)} out of range 1..{MAX_GENERATOR}")
         acc = (acc << _SHIFT) | i
     return acc
 
@@ -343,7 +346,7 @@ def _alphabet(generators: Sequence[int]) -> list[int]:
     gens = sorted(set(generators))
     if gens and not (1 <= gens[0] and gens[-1] <= MAX_GENERATOR):
         bad = next(g for g in generators if not 1 <= g <= MAX_GENERATOR)
-        raise ValueError(f"generator index {bad} out of range 1..{MAX_GENERATOR}")
+        raise ValueError(f"generator index {quoted(str(bad), str)} out of range 1..{MAX_GENERATOR}")
     return gens
 
 

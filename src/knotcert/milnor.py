@@ -16,7 +16,7 @@ from __future__ import annotations
 from math import gcd
 from collections.abc import Sequence
 
-from ._value import Record
+from ._value import Record, quoted
 from .magnus import _alphabet, lcs_at_least
 from .words import reduce_word
 
@@ -69,7 +69,8 @@ class LongitudeSystem(Record):
             for letter in w:
                 if abs(letter) > self.components:
                     raise ValueError(
-                        f"longitude uses generator {abs(letter)} > {self.components}"
+                        f"longitude uses generator {quoted(str(abs(letter)), str)} "
+                        f"> {self.components}"
                     )
 
 
@@ -88,7 +89,8 @@ def milnor_invariant(system: LongitudeSystem, index: Sequence[int], reduced: boo
         raise ValueError("multi-index must have length >= 2")
     for i in index:
         if not 1 <= i <= system.components:
-            raise ValueError(f"component index {i} out of range 1..{system.components}")
+            raise ValueError(
+                f"component index {quoted(str(i), str)} out of range 1..{system.components}")
     raw = fox_coefficient(system.longitudes[index[-1] - 1], index[:-1])
     if not reduced or k == 2:
         return raw

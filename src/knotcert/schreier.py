@@ -15,6 +15,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from typing import NamedTuple
 
+from ._value import quoted
 from .magnus import lcs_degree
 from .words import reduce_word
 
@@ -54,8 +55,8 @@ def schreier_rewrite(word: Sequence[int], subset: Sequence[int]) -> tuple[Schrei
         else:
             coset.append(letter)
     if coset:
-        raise NotInNormalClosure(
-            f"word has nontrivial image {tuple(coset)} after killing {sorted(killed)}")
+        raise NotInNormalClosure(f"word has nontrivial image {quoted(str(tuple(coset)), str)} "
+                                 f"after killing {quoted(str(sorted(killed)), str)}")
     return tuple(out)
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import replace
 from collections.abc import Sequence
 
-from ._value import Record
+from ._value import Record, quoted
 from .certify import (
     CertificateReport,
     Curve,
@@ -101,18 +101,22 @@ def translate_certificate(cert: SurfaceCertificate, n: int) -> TranslationResult
     factor, guarded = _SHIFTS[kind]
     level = factor * n
     if cert.n != level:
+        # n and the certificate's level can each have thousands of digits
+        got, want = quoted(str(cert.n), str), quoted(str(level), str)
         raise TranslationError(
-            f"certificate level {cert.n} != n = {n}" if factor == 1
-            else f"{kind} source must have level 2n = {level}, got {cert.n}")
+            f"certificate level {got} != n = {want}" if factor == 1
+            else f"{kind} source must have level 2n = {want}, got {got}")
     s = cert.simplicity()
     if guarded and s is None:
         raise TranslationError(f"{kind} source lacks a simplicity assertion")
     if guarded and not level > s + 1:
         name = "n" if factor == 1 else "2n"
-        raise GuardViolation(f"guard violated: need {name} > s+1, got {name} = {level}, s = {s}")
+        raise GuardViolation(f"guard violated: need {name} > s+1, got {name} = "
+                             f"{quoted(str(level), str)}, s = {quoted(str(s), str)}")
     if kind == "unknotted" and level - s - 1 < 2:
         # unknotted certificates need n > 1, so the target level must exceed 1
-        raise GuardViolation(f"guard violated: need 2n-s-1 > 1, got 2n-s-1 = {level - s - 1}")
+        raise GuardViolation("guard violated: need 2n-s-1 > 1, got 2n-s-1 = "
+                             f"{quoted(str(level - s - 1), str)}")
     source_report = _verify_source(cert)
     if kind == "hyperbolic":
         return TranslationResult(cert, source_report, source_report)

@@ -22,7 +22,7 @@ from __future__ import annotations
 from itertools import combinations
 from collections.abc import Iterable, Sequence
 
-from ._value import Record
+from ._value import Record, quoted
 from .words import _cancel_length, _check_entries, reduce_word
 
 
@@ -76,7 +76,7 @@ def insert_canceling_pair(tagged: TaggedWord, position: int, letter: int) -> Tag
     if letter == 0:
         raise ValueError("letter must be nonzero")
     if not 0 <= position <= len(tagged):
-        raise ValueError(f"position {position} out of range 0..{len(tagged)}")
+        raise ValueError(f"position {quoted(str(position), str)} out of range 0..{len(tagged)}")
     letters = tagged.letters[:position] + (letter, -letter) + tagged.letters[position:]
     tags = tagged.tags[:position] + (None, None) + tagged.tags[position:]
     return TaggedWord(letters, tags)
@@ -87,7 +87,7 @@ def delete_letters(tagged: TaggedWord, positions: Iterable[int]) -> tuple[int, .
     drop = set(positions)
     for p in drop:
         if not 0 <= p < len(tagged):
-            raise ValueError(f"position {p} out of range 0..{len(tagged) - 1}")
+            raise ValueError(f"position {quoted(str(p), str)} out of range 0..{len(tagged) - 1}")
     return reduce_word(l for i, l in enumerate(tagged.letters) if i not in drop)
 
 
@@ -266,7 +266,7 @@ def verify_family(tagged: TaggedWord, family: LetterSetFamily) -> FamilyCheck:
         bit = 1 << j
         for p in chosen:
             if not 0 <= p < n:
-                raise ValueError(f"position {p} out of range 0..{n - 1}")
+                raise ValueError(f"position {quoted(str(p), str)} out of range 0..{n - 1}")
             labels[p] |= bit
     root = _segment(tagged.letters, labels, 0, n, False)
     pool: dict[tuple[int, ...], tuple[int, ...]] = {}

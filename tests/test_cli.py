@@ -1,4 +1,5 @@
-import argparse
+import contextlib
+import importlib
 import io
 import json
 import os
@@ -6,12 +7,14 @@ import resource
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from knotcert import cli
+from knotcert._value import integer
 from knotcert.certify import certificate_from_dict, certificate_to_dict
 from knotcert.cli import COMMANDS, build_parser, main
 
@@ -303,8 +306,10 @@ class TestMilnorCommands:
         path.write_text(f"{count}\n")
         proc = run_limited("milnor", "vanish", str(path), "-n", "1", timeout=60)
         assert (proc.returncode, proc.stdout) == (2, "")
+        # a count of more than 32 digits is shown capped, as _value.quoted caps it
+        shown = count if len(count) <= 32 else f"{count[:32]}... ({len(count)} characters)"
         assert proc.stderr == (
-            f"error: line 1, col 1: component count {count} exceeds the limit 1023\n")
+            f"error: line 1, col 1: component count {shown} exceeds the limit 1023\n")
 
     def test_component_count_at_generator_limit(self, capsys, tmp_path):
         path = tmp_path / "many.longitudes"
@@ -525,6 +530,75 @@ class TestLongInlineValues:
         if argv[0] == "altsum":
             message = f"bad alternating-sum data: {message}"
         assert err == f"error: {message}\n"
+        assert len(err) < 200
+
+    @pytest.mark.parametrize("argv, message", [
+        (["bounds", "q", LONG_DIGITS], "knotcert bounds q: error: argument m: "
+         f"invalid int value '{'2' * 32}'... (5000 characters): {TOO_LONG}"),
+        (["magnus", "degree", "g1", "-D", LONG_DIGITS], "knotcert magnus degree: error: "
+         f"argument -D/--degree: invalid int value '{'2' * 32}'... (5000 characters): {TOO_LONG}"),
+        (["pipeline", "spine-link", str(DATA / "hyperbolic_g2_n3.json"), "--signs", "++++",
+          "--slice-depth", LONG_DIGITS], "knotcert pipeline spine-link: error: argument "
+         f"--slice-depth: invalid int value '{'2' * 32}'... (5000 characters): {TOO_LONG}"),
+        (["bounds", "q", f"x{LONG_DIGITS}"], "knotcert bounds q: error: argument m: "
+         f"invalid int value: 'x{'2' * 31}'... (5001 characters)"),
+    ], ids=["positional", "degree", "slice-depth", "malformed"])
+    def test_numeric_option_exit_2_on_a_short_line(self, capsys, argv, message):
+        # argparse reads the line, and prints its usage lines before the message
+        code, out, err = _outcome(capsys, main, argv)
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1] == message
+        assert max(map(len, err.splitlines())) < 200
+
+
+SHOWN = f"{'7' * 32}... (2001 characters)"
+PARABOLIC = json.loads((DATA / "parabolic_g1_n2.json").read_text())
+
+
+class TestLongRangeValues:
+    """A parsed integer of thousands of digits that is out of range exits 2
+    on one message line of fewer than 200 characters, which shows it capped
+    as ``_value.quoted`` caps a token."""
+
+    @pytest.mark.parametrize("argv, text, message", [
+        (["alexander", "{}"], "1" * 1001, "line 1, col 1: expected 4g^2 entries for genus "
+         f"'{'1' * 32}'... (1001 characters), got 0"),
+        (["alexander", "{}"], "1" * 2501, "line 1, col 1: expected 4g^2 entries for genus "
+         f"'{'1' * 32}'... (2501 characters), got 0"),
+        (["milnor", "vanish", "{}", "-n", "2"], "7" * 2001,
+         f"line 1, col 1: component count {SHOWN} exceeds the limit 1023"),
+        (["magnus", "degree", f"g{'7' * 2001}", "-D", "3"], None,
+         f"generator index {SHOWN} out of range 1..1023"),
+        (["milnor", "invariant", str(DATA / "borromean.longitudes"), "--index", f"1 {'7' * 2001}"],
+         None, f"component index {SHOWN} out of range 1..3"),
+        (["trivialize", "build", "--factor", "g1 g2", "--insert", f"{'7' * 2001}:g1"], None,
+         f"position {SHOWN} out of range 0..4"),
+        (["schreier", "degree", "g1 g2 g1^-1 g2^-1", "--subset", "7" * 2001, "-D", "3"], None,
+         f"word has nontrivial image (1, 2, -1, -2) after killing [{SHOWN[:31]}... "
+         "(2003 characters)"),
+        (["bounds", "conflict-max", "7" * 2001], None,
+         f"bounds conflict-max: s = {SHOWN} is out of range: conflict count guarded for s >= 62"),
+        (["bounds", "product-bound-check", "7" * 2001, "1", "3", "2"], None,
+         f"length relation fails: m+1 = {SHOWN} != 13"),
+        (["translate", "hyperbolic", str(DATA / "hyperbolic_g2_n3.json"), "--n", "7" * 2001],
+         None, f"certificate level 3 != n = {SHOWN}"),
+        (["certify", "parabolic", "{}"], json.dumps({**PARABOLIC, "genus": int("7" * 2001)}),
+         f"genus {SHOWN} exceeds the limit 511"),
+        (["certify", "parabolic", "{}"], json.dumps({**PARABOLIC, "curves": [
+            {**PARABOLIC["curves"][0], "index": int("7" * 2001)}, *PARABOLIC["curves"][1:]]}),
+         f"curve a1: index {SHOWN} out of range 1..1"),
+    ], ids=["matrix-genus", "matrix-genus-square-past-limit", "longitude-count",
+            "word-generator", "milnor-index", "insert-position", "schreier-subset",
+            "conflict-max", "product-bound-check", "translate-level", "certificate-genus",
+            "curve-index"])
+    def test_exit_2_on_a_short_line(self, capsys, tmp_path, argv, text, message):
+        # "{}" in argv names a file that holds ``text``
+        if text is not None:
+            path = tmp_path / "input.txt"
+            path.write_text(f"{text}\n")
+            argv = [str(path) if a == "{}" else a for a in argv]
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
         assert len(err) < 200
 
 
@@ -1327,11 +1401,37 @@ def _surface_cases():
         ("nargs-plus-after-option", ["bounds", "l-n-s", "1", "--format", "structured", "2"]),
         ("missing-append", ["trivialize", "build", "--insert", "1:g2"]),
         ("bad-choice-positional", ["translate", "twisted", hyperbolic, "--n", "3"]),
+        # what int() reads beyond _value.integer's syntax
+        ("grouped-int", ["bounds", "q", "1_0"]),
+        ("non-ascii-int", ["bounds", "q", "\u0663"]),
+        ("spaced-int", ["bounds", "q", " 4 "]),
+        ("spaced-negative-int", ["bounds", "q", " -4"]),
+        ("grouped-int-option", ["magnus", "degree", "g1 g2 g1^-1 g2^-1", "-D", "1_2"]),
     ):
         yield f"declined {name}", argv
 
 
 SURFACE_CASES = dict(_surface_cases())
+SURFACE = Path(__file__).resolve().parent / "parse_surface.json"
+
+
+def _surface(argv):
+    """[exit code, first stdout line, last stderr line] of ``main(argv)`` at
+    80 columns, None for an empty stream: what a declined line shows."""
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ, COLUMNS="80"), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    out, err = out.getvalue().splitlines(), err.getvalue().splitlines()
+    return [code, out[0] if out else None, err[-1] if err else None]
+
+
+def regenerate() -> None:
+    surface = {name: _surface(argv) for name, argv in SURFACE_CASES.items()}
+    SURFACE.write_text(json.dumps(surface, indent=1, sort_keys=True) + "\n")
 
 
 def _outcome(capsys, parse, argv):
@@ -1341,61 +1441,40 @@ def _outcome(capsys, parse, argv):
     return exc.value.code, captured.out, captured.err
 
 
-def _finished(capsys, argv):
-    """Exit code, stdout and stderr of ``main(argv)``, returned or raised."""
-    try:
-        code = main(argv)
-    except SystemExit as exc:
-        code = exc.code
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
-
-
 class TestParseSurface:
-    """``main`` reads plain lines itself and builds only the named leaf's
-    branch for the rest; every line that the reader declines must read
-    exactly as from the full parser."""
+    """``main`` reads plain lines itself and builds the full argparse
+    parser only for the rest.  Every line that the reader declines must
+    show what ``parse_surface.json`` recorded for it: the exit code, first
+    stdout line and last stderr line that the full parser gave before the
+    one-leaf parser was retired.  Regenerate the file only when a change to
+    usage, help or a diagnostic is intended:
 
-    @pytest.mark.parametrize("argv", SURFACE_CASES.values(), ids=SURFACE_CASES.keys())
-    def test_same_as_full_parser(self, capsys, monkeypatch, argv):
+        PYTHONPATH=src python tests/test_cli.py
+    """
+
+    @pytest.mark.parametrize("name, argv", SURFACE_CASES.items(), ids=SURFACE_CASES.keys())
+    def test_same_as_full_parser(self, name, argv):
         assert cli._read_plain(argv) is None
-        with monkeypatch.context() as patch:
-            patch.setattr(cli, "_read_plain", lambda argv: None)
-            patch.setattr(cli, "_leaf_path", lambda argv: ())
-            full = _finished(capsys, argv)
-        assert _finished(capsys, argv) == full
-        assert full[0] in (0, 2) and (full[1] or full[2])
+        surface = _surface(argv)
+        assert surface == json.loads(SURFACE.read_text())[name]
+        assert surface[0] in (0, 2) and (surface[1] or surface[2])
 
-    def test_leaf_command_builds_one_choice_per_level(self, capsys, monkeypatch):
-        built = []
-
-        def recording_build_parser(*path):
-            built.append(build_parser(*path))
-            return built[-1]
-
-        monkeypatch.setattr(cli, "build_parser", recording_build_parser)
-        for leaf in LEAVES:
-            _outcome(capsys, main, [*leaf, "-h"])
-            parser = built.pop()
-            for name in leaf:
-                (sub,) = (a for a in parser._actions
-                          if isinstance(a, argparse._SubParsersAction))
-                assert list(sub.choices) == [name]
-                parser = sub.choices[name]
+    def test_every_case_recorded(self):
+        assert sorted(json.loads(SURFACE.read_text())) == sorted(SURFACE_CASES)
 
 
 FULL_PARSER = build_parser()
 STRINGS = st.one_of(st.just("-"), st.text(max_size=8).filter(lambda t: not t.startswith("-")))
-# what int() reads beyond plain digits: a sign, "_" grouping, whitespace
-# and non-ASCII digits; none starts with "-"
-INTS = st.one_of(st.integers(0, 10**6).map(str),
-                 st.sampled_from(["+7", "007", "1_0", " 4 ", " -4", "\u0663"]))
+# _value.integer's syntax, which a numeric option keeps: ASCII digits with
+# an optional sign, leading zeros allowed; none starts with "-"
+INTS = st.one_of(st.integers(0, 10**6).map(str), st.integers(0, 10**6).map("+{}".format),
+                 st.sampled_from(["007", "+0", "000"]))
 
 
 def _values(options):
     if "choices" in options:
         return st.sampled_from(options["choices"])
-    return INTS if options.get("type") is int else STRINGS
+    return INTS if options.get("type") is integer else STRINGS
 
 
 @st.composite
@@ -1435,12 +1514,28 @@ class TestPlainReader:
         assert args is not None
         assert vars(args) == vars(FULL_PARSER.parse_args(argv))
 
-    def test_namespace_supports_in(self):
-        args = cli._read_plain(["certify", "parabolic", "cert.json", "--simplicity", "2"])
-        assert "simplicity" in args and "slice_depth" not in args
+    def test_reads_every_benchmark_line(self, tmp_path, monkeypatch):
+        # no command line of the benchmark's seed-1 jobs or of its warm-up
+        # falls to argparse; bench/ is imported without writing bytecode there
+        monkeypatch.setattr(sys, "dont_write_bytecode", True)
+        monkeypatch.syspath_prepend(str(DATA.parents[2] / "bench"))
+        try:
+            inputs = importlib.import_module("inputs")
+            jobs = [inputs.WARMUP]
+            for workload in ("certify", "words", "seifert"):
+                jobs += inputs.build_jobs(workload, 1, tmp_path / workload, DATA)
+        finally:
+            for name in ("inputs", "oracle"):
+                sys.modules.pop(name, None)
+        assert [job.name for job in jobs if cli._read_plain(list(job.argv)) is None] == []
+        assert len(jobs) > 80
 
     def test_append_default_not_shared(self):
         # argparse copies an append option's default list before appending
         (_, options), = [spec for spec in LEAVES[("trivialize", "build")] if spec[0] == ("--insert",)]
         args = cli._read_plain(["trivialize", "build", "--factor", "g1", "--insert", "1:g2"])
         assert args.insert == ["1:g2"] and options["default"] == []
+
+
+if __name__ == "__main__":
+    regenerate()
